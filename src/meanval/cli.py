@@ -88,6 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
         "constants, summatory tables, identity verification, residual fits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    threads_help = (
+        "worker threads for the sieve's tabulation pass and the segment sums; "
+        "the output is bit-identical for any count"
+    )
 
     def add_common(p: argparse.ArgumentParser, with_n: bool) -> None:
         p.add_argument("--r", type=_r_value, default=2, help="power order r >= 2")
@@ -108,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sum = sub.add_parser("sum", help="checkpointed summatory table")
     add_common(p_sum, with_n=True)
     p_sum.add_argument("--grid", default="geom:8", help="geom:<per-decade> or list:x1,x2,...")
-    p_sum.add_argument("--threads", type=_positive_int, default=1)
+    p_sum.add_argument("--threads", type=_positive_int, default=1, help=threads_help)
     p_sum.add_argument("--with-main", action="store_true",
                        help="also compute constants and fill main/residual columns")
     p_sum.add_argument("--format", choices=("json", "csv", "table"), default="json")
@@ -123,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="residual exponent fit against the main term")
     add_common(p_fit, with_n=True)
     p_fit.add_argument("--grid", default="geom:8")
-    p_fit.add_argument("--threads", type=_positive_int, default=1)
+    p_fit.add_argument("--threads", type=_positive_int, default=1, help=threads_help)
     p_fit.add_argument("--x-min", type=_positive_int, default=fit.DEFAULT_X_MIN)
     p_fit.add_argument("--format", choices=("json", "csv"), default="json")
     return parser

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -48,15 +49,20 @@ _GATE_PRIMES = (2, 3, 5, 101)
 _gate_passed: set[tuple[int, float]] = set()
 
 
-def _product_factors(s: float, params: ArithParams, cutoff: int) -> tuple[float, float]:
-    """log of the truncated product over p <= cutoff, and a tail bound on it.
+def _prime_floats(cutoff: int) -> np.ndarray:
+    return primes_up_to(cutoff).astype(np.float64)
+
+
+def _product_factors(s: float, params: ArithParams, ps: np.ndarray, cutoff: int) -> tuple[float, float]:
+    """log of the truncated product over the primes ps (all p <= cutoff), and a tail bound on it.
 
     Tail: each dropped -ln(1 - x_p) with x_p = 1/(k*(p**(r*s)+p**((r-1)*s)))
     is at most x_p/(1 - x_P) <= n**(-r*s)/(k*(1 - x_P)) summed over n > P,
     which the integral comparison bounds by P**(1-r*s)/((r*s-1)*k*(1-x_P)).
     """
+    if cutoff < 2:
+        raise ConfigError(f"prime cutoff must be >= 2, got {cutoff}")
     r, k = params.r, float(params.k)
-    ps = primes_up_to(cutoff).astype(np.float64)
     x = 1.0 / (k * (ps ** (r * s) + ps ** ((r - 1) * s)))
     log_prod = math.fsum(np.log1p(-x))
     x_at_cut = 1.0 / (k * (float(cutoff) ** (r * s) + float(cutoff) ** ((r - 1) * s)))
@@ -79,12 +85,17 @@ def cofactor_value(
     """
     if not s > 0.5:
         raise ConfigError(f"s={s} not in the analytic region s > 1/2")
-    if cutoff < 2:
-        raise ConfigError(f"prime cutoff must be >= 2, got {cutoff}")
+    return _cofactor(s, params, _product_factors(s, params, _prime_floats(cutoff), cutoff), zeta_tol)
+
+
+def _cofactor(
+    s: float, params: ArithParams, product: tuple[float, float], zeta_tol: float
+) -> tuple[float, float]:
+    """H(s) and its bound from the truncated product's (log, tail bound)."""
+    log_prod, tail_log = product
     r = params.r
     zr = zeta(r * s, tol=zeta_tol)
     z2 = zeta(2 * s, tol=zeta_tol)
-    log_prod, tail_log = _product_factors(s, params, cutoff)
     value = zr.value / z2.value * math.exp(log_prod)
     rel = (
         math.expm1(tail_log)
@@ -96,20 +107,28 @@ def cofactor_value(
 
 
 def leading_coefficient(
-    params: ArithParams, cutoff: int = DEFAULT_PRIME_CUTOFF, zeta_tol: float = 1e-12
+    params: ArithParams,
+    cutoff: int = DEFAULT_PRIME_CUTOFF,
+    zeta_tol: float = 1e-12,
+    *,
+    primes: Optional[np.ndarray] = None,
 ) -> tuple[float, float]:
     """C = 6*zeta(r)/pi**2 * truncated product at s = 1, with tail bound.
 
-    Numerically identical to ``cofactor_value`` at s = 1 (zeta(2) = pi^2/6);
-    the two are cross-asserted to a few ulps.
+    Numerically identical to H(1) = zeta(r)/zeta(2) * the same product
+    (zeta(2) = pi^2/6); the two routes are cross-asserted to a few ulps.
+    ``primes`` (the primes <= cutoff as float64) saves the prime sieve when
+    the caller already has them.
     """
     r, k = params.r, float(params.k)
     zr = zeta(float(r), tol=zeta_tol)
-    log_prod, tail_log = _product_factors(1.0, params, cutoff)
+    ps = _prime_floats(cutoff) if primes is None else primes
+    product = _product_factors(1.0, params, ps, cutoff)
+    log_prod, tail_log = product
     value = 6.0 * zr.value / math.pi**2 * math.exp(log_prod)
     rel = math.expm1(tail_log) + zr.error_radius / abs(zr.value) + 64.0 * _EPS
     tail = abs(value) * rel
-    h1, h1_tail = cofactor_value(1.0, params, cutoff, zeta_tol=zeta_tol)
+    h1, h1_tail = _cofactor(1.0, params, product, zeta_tol)
     if abs(h1 - value) > 1e-11 * abs(value) + h1_tail + tail:
         raise ToleranceError(
             f"leading coefficient {value!r} disagrees with cofactor at 1 {h1!r}"
@@ -150,23 +169,28 @@ def _gate_log_factor_derivative(params: ArithParams) -> None:
 
 
 def cofactor_derivative_at_1(
-    params: ArithParams, cutoff: int = DEFAULT_PRIME_CUTOFF, zeta_tol: float = 1e-12
+    params: ArithParams,
+    cutoff: int = DEFAULT_PRIME_CUTOFF,
+    zeta_tol: float = 1e-12,
+    *,
+    primes: Optional[np.ndarray] = None,
 ) -> tuple[float, float]:
     """H'(1) = H(1) * (r*zeta'(r)/zeta(r) - 2*zeta'(2)/zeta(2) + prime sum).
 
     The prime sum collects the per-prime log-factor derivatives up to the
     cutoff; its tail is bounded through |g_p| <= r*ln(p)/(k*p**r - 1) and an
-    integral comparison. Returns (value, rigorous tail bound).
+    integral comparison. Returns (value, rigorous tail bound). ``primes`` is
+    as in ``leading_coefficient``.
     """
     _gate_log_factor_derivative(params)
     r, k = params.r, float(params.k)
-    h1, h1_tail = cofactor_value(1.0, params, cutoff, zeta_tol=zeta_tol)
+    ps = _prime_floats(cutoff) if primes is None else primes
+    h1, h1_tail = _cofactor(1.0, params, _product_factors(1.0, params, ps, cutoff), zeta_tol)
     zr = zeta(float(r), tol=zeta_tol)
     zrp = zeta_prime(float(r), tol=zeta_tol)
     z2 = zeta(2.0, tol=zeta_tol)
     z2p = zeta_prime(2.0, tol=zeta_tol)
 
-    ps = primes_up_to(cutoff).astype(np.float64)
     pr = ps**r
     pr1 = ps ** (r - 1)
     u = k * (pr + pr1)
@@ -231,9 +255,10 @@ class ConstantsBundle:
 def bundle(
     params: ArithParams, cutoff: int = DEFAULT_PRIME_CUTOFF, zeta_tol: float = 1e-12
 ) -> ConstantsBundle:
-    """Assemble all main-term constants at one prime cutoff."""
-    c, c_tail = leading_coefficient(params, cutoff, zeta_tol=zeta_tol)
-    hp, hp_tail = cofactor_derivative_at_1(params, cutoff, zeta_tol=zeta_tol)
+    """Assemble all main-term constants at one prime cutoff, sieving its primes once."""
+    ps = _prime_floats(cutoff)
+    c, c_tail = leading_coefficient(params, cutoff, zeta_tol=zeta_tol, primes=ps)
+    hp, hp_tail = cofactor_derivative_at_1(params, cutoff, zeta_tol=zeta_tol, primes=ps)
     b = hp + 2.0 * EULER_GAMMA * c
     kx = b - c
     b_tail = hp_tail + 2.0 * EULER_GAMMA * c_tail + 4.0 * _EPS * abs(b)

@@ -2,29 +2,27 @@
 
 The pipeline is fully vectorized:
 
-1. ``build_spf`` marks the smallest prime factor of every n <= N (int32,
-   4 bytes per entry, plus transient masks of about the same size while
-   sieving -- budget roughly 24 bytes per entry for a whole summatory run).
-2. The spf table is decomposed into, for each n, the exponent of its smallest
-   prime and the remaining cofactor n / p**a.
-3. Because the cofactor is always at most n/2, one pass over doubling blocks
-   [m, 2m) evaluates any multiplicative function with O(N) multiplications:
-   value(n) = value(p**a) * value(cofactor).
+1. ``build_spf`` marks the smallest prime factor of every n <= N (int32) in
+   blocks of 2**18 entries; in each block every prime p <= sqrt(N) writes p
+   at its multiples, largest first, so the smallest prime dividing n wins.
+2. ``tabulate`` gets each n's divisor count, omega and exponent of spf(n)
+   from those of m = n / spf(n) < lo, in one pass over doubling blocks
+   [lo, 2*lo); a block's chunks are independent, so threads share them.
+3. Memory is 10 bytes per entry plus per-worker chunk scratch.
 
 Summation is segmented (default segment 2**20) and reduced strictly in
-segment order, so a run with worker threads is bit-identical to a serial run;
-threads only parallelize the per-segment partial sums.  For integer weights k
-the sums are exact: per segment the integer divisor counts are aggregated by
-omega class, and S(x) * k**W is assembled from those integer class totals.
-For non-integer k a compensated (Neumaier) accumulator is used and a rigorous
-round-off bound is reported next to every checkpoint.
+segment order, so a run with worker threads is bit-identical to a serial run.
+For integer weights k the sums are exact: per segment the integer divisor
+counts are aggregated by omega class, and S(x) * k**W is assembled from those
+integer class totals. For non-integer k a compensated (Neumaier) accumulator
+is used and a rigorous round-off bound is reported next to every checkpoint.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -34,6 +32,7 @@ import numpy as np
 
 from .arith import ArithParams, ExactValue
 from .errors import ConfigError, ResourceError
+from .primes import primes_up_to
 
 __all__ = [
     "SpfSieve",
@@ -51,9 +50,14 @@ DEFAULT_SEGMENT = 1 << 20
 DEFAULT_MEM_LIMIT_MB = 4096
 MEM_ENV_VAR = "MEANVAL_MEM_LIMIT_MB"
 
-# peak transient footprint of a full tabulation, bytes per sieved integer:
-# spf(4) + cofactor(4) + exponent(1) + counts(4) + omega(1) + masks/temps(~10)
-BYTES_PER_ENTRY = 24
+# resident tables, bytes per sieved integer: spf and counts (int32), exponent
+# and omega (int8); spf is dropped before the segment reduction
+BYTES_PER_ENTRY = 10
+# per-worker scratch, bytes per entry of the 2**20 chunk or segment it holds:
+# a segment's three float64 arrays; a tabulate chunk needs about 20
+SCRATCH_BYTES_PER_ENTRY = 24
+SPF_BLOCK = 1 << 18  # entries per build_spf block: 1 MiB of int32, an L2's worth
+TAB_CHUNK = 1 << 20  # entries per tabulate work item
 
 
 def _mem_limit_mb(explicit: Optional[float]) -> float:
@@ -68,14 +72,15 @@ def _mem_limit_mb(explicit: Optional[float]) -> float:
     return DEFAULT_MEM_LIMIT_MB
 
 
-def _check_budget(limit: int, mem_limit_mb: Optional[float]) -> None:
+def _check_budget(limit: int, mem_limit_mb: Optional[float], workers: int = 1) -> None:
     budget = _mem_limit_mb(mem_limit_mb)
-    need_mb = limit * BYTES_PER_ENTRY / 2**20
+    scratch = workers * min(limit, TAB_CHUNK) * SCRATCH_BYTES_PER_ENTRY
+    need_mb = (limit * BYTES_PER_ENTRY + scratch) / 2**20
     if need_mb > budget:
         raise ResourceError(
             f"sieve to {limit} needs ~{need_mb:.0f} MiB "
-            f"({BYTES_PER_ENTRY} B/entry) but the budget is {budget:.0f} MiB; "
-            f"raise {MEM_ENV_VAR} to allow it"
+            f"({BYTES_PER_ENTRY} B/entry plus scratch for {workers} worker(s)) "
+            f"but the budget is {budget:.0f} MiB; raise {MEM_ENV_VAR} to allow it"
         )
 
 
@@ -95,8 +100,8 @@ class SpfSieve:
 def build_spf(limit: int, mem_limit_mb: Optional[float] = None) -> SpfSieve:
     """Sieve smallest prime factors for 2..limit.
 
-    Costs 4 bytes per entry (int32) plus transient masks; exceeding the
-    memory budget (MEANVAL_MEM_LIMIT_MB, default 4096) raises ResourceError.
+    Costs 4 bytes per entry (int32); exceeding the memory budget
+    (MEANVAL_MEM_LIMIT_MB, default 4096) raises ResourceError.
     """
     if limit < 2:
         raise ConfigError(f"sieve limit must be >= 2, got {limit}")
@@ -104,33 +109,51 @@ def build_spf(limit: int, mem_limit_mb: Optional[float] = None) -> SpfSieve:
         raise ResourceError(f"sieve limit {limit} exceeds the int32 layout")
     _check_budget(limit, mem_limit_mb)
     spf = np.zeros(limit + 1, dtype=np.int32)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            sl = spf[p * p :: p]
-            sl[sl == 0] = p
-    unmarked = np.flatnonzero(spf == 0)  # primes, plus the slots 0 and 1
-    spf[unmarked] = unmarked
-    spf[0] = 0
-    spf[1] = 1
+    small = primes_up_to(math.isqrt(limit))[::-1].tolist()
+    for lo in range(0, limit + 1, SPF_BLOCK):
+        view = spf[lo : lo + SPF_BLOCK]
+        hi = lo + view.size
+        for p in small:
+            if p * p < hi:
+                view[max(p * p, -(-lo // p) * p) - lo :: p] = p
+        unmarked = np.flatnonzero(view == 0)  # primes, plus the slots 0 and 1
+        view[unmarked] = unmarked + lo
     return SpfSieve(limit=limit, spf=spf)
 
 
-def _decompose(sieve: SpfSieve) -> tuple[np.ndarray, np.ndarray]:
-    """Per n: exponent of spf(n) in n, and the cofactor n / spf(n)**a."""
-    N = sieve.limit
-    p = sieve.spf
-    n = np.arange(N + 1, dtype=np.int32)
-    expo = np.zeros(N + 1, dtype=np.int8)
-    cof = n.copy()
-    cof[2:] = n[2:] // p[2:]
-    expo[2:] = 1
-    act = np.arange(2, N + 1, dtype=np.int64)
-    act = act[cof[act] % p[act] == 0]
-    while act.size:
-        cof[act] //= p[act]
-        expo[act] += 1
-        act = act[cof[act] % p[act] == 0]
-    return expo, cof
+def _decompose(sieve: SpfSieve, params: ArithParams, pool: Optional[Executor]) -> tuple[np.ndarray, np.ndarray]:
+    """Divisor counts and omegas for 0..limit, from n = p * m with p = spf(n).
+
+    p divides m iff spf(m) == p, and then e = expo[m], else e = 0. So n has
+    exponent e + 1 at p, counts[n] = counts[m] // c[e] * c[e + 1] with
+    c[a] = ceil(a/r) + 1, and omegas[n] = omegas[m] + (e == 0). In a doubling
+    block [lo, 2*lo) every m < lo, so ``pool`` may run its chunks in any order.
+    """
+    N, spf, r = sieve.limit, sieve.spf, params.r
+    c = np.array([(a + r - 1) // r + 1 for a in range(32)], dtype=np.int32)
+    counts = np.empty(N + 1, dtype=np.int32)
+    omegas = np.empty(N + 1, dtype=np.int8)
+    expo = np.empty(N + 1, dtype=np.int8)  # exponent of spf(n) in n
+    counts[:2] = (0, 1)
+    omegas[:2] = expo[:2] = 0
+
+    def chunk(a: int, b: int) -> None:
+        p = spf[a:b]
+        m = (np.arange(a, b, dtype=np.int32) // p).astype(np.intp)  # index once, gather four times
+        e = expo[m]
+        e *= spf[m] == p
+        counts[a:b] = counts[m] // c[e] * c[e + 1]
+        expo[a:b] = e + 1
+        np.add(omegas[m], e == 0, out=omegas[a:b])
+
+    run = map if pool is None else pool.map
+    lo = 2
+    while lo <= N:
+        hi = min(2 * lo, N + 1)
+        starts = range(lo, hi, TAB_CHUNK)
+        list(run(chunk, starts, [*starts[1:], hi]))  # waits, and re-raises a worker's error
+        lo = hi
+    return counts, omegas
 
 
 @dataclass(frozen=True)
@@ -170,32 +193,15 @@ class ValueTable:
             yield n, (Fraction(c, k_int**w) if exact else c / k**w)
 
 
-def tabulate(sieve: SpfSieve, params: ArithParams) -> ValueTable:
+def tabulate(sieve: SpfSieve, params: ArithParams, pool: Optional[Executor] = None) -> ValueTable:
     """Evaluate the studied multiplicative function for every n <= limit.
 
     Values agree exactly with the single-integer path in ``arith``; the sieve
     recovers each factorization incrementally instead of trial-dividing.
+    ``pool`` runs the chunks of each doubling block; the table does not depend on it.
     """
-    N = sieve.limit
-    expo, cof = _decompose(sieve)
-    max_e = int(expo.max())
-    r = params.r
-    prime_power_counts = np.array(
-        [0] + [(a + r - 1) // r + 1 for a in range(1, max_e + 1)], dtype=np.int32
-    )
-    g = prime_power_counts[expo]
-    g[1] = 1
-    om = np.zeros(N + 1, dtype=np.int8)
-    om[2:] = 1
-    lo = 2
-    while lo <= N:
-        hi = min(2 * lo - 1, N)
-        blk = slice(lo, hi + 1)
-        c = cof[blk]
-        g[blk] *= g[c]
-        om[blk] += om[c]
-        lo = hi + 1
-    return ValueTable(params=params, limit=N, counts=g, omegas=om)
+    counts, omegas = _decompose(sieve, params, pool)
+    return ValueTable(params=params, limit=sieve.limit, counts=counts, omegas=omegas)
 
 
 def geometric_checkpoints(limit: int, per_decade: int = 8) -> list[int]:
@@ -322,9 +328,9 @@ def summatory(
     """Prefix sums S(x) at the grid checkpoints, with optional main terms.
 
     ``bundle`` (a ConstantsBundle) fills the asymptotic main-term column
-    C*x*ln(x) + K*x and the residual column. Worker threads compute segment
-    partial sums concurrently; the ordered merge makes the result identical
-    to a serial run, bit for bit.
+    C*x*ln(x) + K*x and the residual column. Worker threads share the
+    tabulation chunks and the segment partial sums; the ordered merge makes
+    the result identical to a serial run, bit for bit.
     """
     if limit < 1:
         raise ConfigError(f"N must be >= 1, got {limit}")
@@ -343,6 +349,7 @@ def summatory(
         )
 
     exact = params.exact
+    mode = "exact" if exact else "float"
     rows: list[SummatoryRow] = []
 
     def finish(x: int, value: ExactValue, err: float) -> None:
@@ -357,59 +364,53 @@ def summatory(
 
     if limit == 1:
         finish(1, Fraction(1) if exact else 1.0, 0.0)
-        return SummatoryTable(params=params, limit=limit, mode="exact" if exact else "float", rows=tuple(rows), threads=threads)
+        return SummatoryTable(params=params, limit=limit, mode=mode, rows=tuple(rows), threads=threads)
 
-    sieve = build_spf(limit, mem_limit_mb=mem_limit_mb)
-    table = tabulate(sieve, params)
-    g, om = table.counts, table.omegas
-    W = int(om.max())
-    segments = _segment_bounds(limit, checkpoints, segment)
+    _check_budget(limit, mem_limit_mb, workers=threads)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        table = tabulate(build_spf(limit, mem_limit_mb=mem_limit_mb), params, pool)
+        g, om = table.counts, table.omegas
+        W = int(om.max())
+        segments = _segment_bounds(limit, checkpoints, segment)
+        if checkpoints[0] == 1:
+            finish(1, Fraction(1) if exact else 1.0, 0.0 if exact else _EPS)
 
-    if exact:
-        k_int = params.k_int
-        k_pows = [k_int**j for j in range(W + 1)]
-        k_W = k_pows[W]
+        if exact:
+            k_int = params.k_int
+            k_pows = [k_int**j for j in range(W + 1)]
+            k_W = k_pows[W]
 
-        def seg_sums(bounds: tuple[int, int, bool]) -> np.ndarray:
-            a, b, _ = bounds
-            # integer class totals; float64 bincount is exact here because
-            # every partial sum stays far below 2**53
-            return np.bincount(
-                om[a : b + 1], weights=g[a : b + 1], minlength=W + 1
-            ).astype(np.int64)
+            def seg_sums(bounds: tuple[int, int, bool]) -> np.ndarray:
+                a, b, _ = bounds
+                # integer class totals; float64 bincount is exact here because
+                # every partial sum stays far below 2**53
+                return np.bincount(om[a : b + 1], weights=g[a : b + 1], minlength=W + 1).astype(np.int64)
 
-        totals = [0] * (W + 1)
-        totals[0] = 1  # n = 1 contributes count 1 with omega 0
-        if 1 in set(checkpoints):
-            finish(1, Fraction(1), 0.0)
+            totals = [0] * (W + 1)
+            totals[0] = 1  # n = 1 contributes count 1 with omega 0
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
             for (a, b, is_ckpt), part in zip(segments, pool.map(seg_sums, segments, chunksize=4)):
                 for w in range(W + 1):
                     totals[w] += int(part[w])
                 if is_ckpt:
                     num = sum(totals[w] * k_pows[W - w] for w in range(W + 1))
                     finish(b, Fraction(num, k_W), 0.0)
-        mode = "exact"
-    else:
-        k = float(params.k)
+        else:
+            k = float(params.k)
 
-        def seg_sum(bounds: tuple[int, int, bool]) -> float:
-            a, b, _ = bounds
-            vals = g[a : b + 1] * np.power(k, -om[a : b + 1].astype(np.float64))
-            return float(np.sum(vals))
+            def seg_sum(bounds: tuple[int, int, bool]) -> float:
+                a, b, _ = bounds
+                vals = g[a : b + 1] * np.power(k, -om[a : b + 1].astype(np.float64))
+                return float(np.sum(vals))
 
-        # Neumaier compensated accumulator across segments
-        acc = 1.0  # n = 1
-        comp = 0.0
-        if 1 in set(checkpoints):
-            finish(1, 1.0, _EPS)
-        # rigorous bound: per-term representation error (W+3)*eps, pairwise
-        # per-segment summation ceil(log2(seg))*eps, compensated merge 2*eps,
-        # all relative to S since every term is positive
-        rel_bound = _EPS * (W + 3 + math.ceil(math.log2(max(segment, 2))) + 2) * 2
+            # Neumaier compensated accumulator across segments
+            acc = 1.0  # n = 1
+            comp = 0.0
+            # rigorous bound: per-term representation error (W+3)*eps, pairwise
+            # per-segment summation ceil(log2(seg))*eps, compensated merge 2*eps,
+            # all relative to S since every term is positive
+            rel_bound = _EPS * (W + 3 + math.ceil(math.log2(max(segment, 2))) + 2) * 2
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
             for (a, b, is_ckpt), part in zip(segments, pool.map(seg_sum, segments, chunksize=4)):
                 t = acc + part
                 if abs(acc) >= abs(part):
@@ -420,6 +421,5 @@ def summatory(
                 if is_ckpt:
                     s_val = acc + comp
                     finish(b, s_val, rel_bound * s_val)
-        mode = "float"
 
     return SummatoryTable(params=params, limit=limit, mode=mode, rows=tuple(rows), threads=threads)

@@ -85,6 +85,18 @@ def prime_count(limit: int) -> int:
     return sum(sieve)
 
 
+def smallest_prime_factors(limit: int) -> np.ndarray:
+    """spf[n] for 0..limit (spf[0] = 0, spf[1] = 1), ascending primes first-come."""
+    spf = np.zeros(limit + 1, dtype=np.int64)
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == 0:
+            multiples = spf[p * p :: p]
+            multiples[multiples == 0] = p
+    unmarked = np.flatnonzero(spf == 0)
+    spf[unmarked] = unmarked
+    return spf
+
+
 def primes_list(limit: int) -> list[int]:
     sieve = bytearray([1]) * (limit + 1)
     sieve[0] = sieve[1] = 0

@@ -1,6 +1,9 @@
 import io
 import json
 import random
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -8,14 +11,17 @@ import pytest
 
 from meanval.arith import ArithParams, composite_weighted_divisor, factorize
 from meanval.errors import ConfigError, ResourceError
+from meanval import sieve as sieve_mod
 from meanval.sieve import (
+    SPF_BLOCK,
+    _check_budget,
     build_spf,
     geometric_checkpoints,
     summatory,
     tabulate,
 )
 
-from oracles import enumerated_sum, prime_count
+from oracles import enumerated_sum, prime_count, smallest_prime_factors
 
 
 class TestBuildSpf:
@@ -48,9 +54,30 @@ class TestBuildSpf:
         with pytest.raises(ConfigError):
             build_spf(1)
 
+    @pytest.mark.parametrize(
+        "limit", [2, 3, 4, SPF_BLOCK - 1, SPF_BLOCK, SPF_BLOCK + 1, 3 * SPF_BLOCK + 7]
+    )
+    def test_matches_naive_sieve_across_block_edges(self, limit):
+        assert np.array_equal(build_spf(limit).spf, smallest_prime_factors(limit))
+
     def test_memory_budget_enforced(self):
         with pytest.raises(ResourceError):
             build_spf(10**8, mem_limit_mb=1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("limit", [10**5, 2 * 10**6, 10**7])
+    def test_budget_covers_traced_peak(self, limit, workers):
+        tracemalloc.start()
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                tabulate(build_spf(limit), ArithParams(2, 1.0), pool if workers > 1 else None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the gate must refuse a budget equal to the measured peak, that is,
+        # its estimate for this limit and worker count is above the peak
+        with pytest.raises(ResourceError):
+            _check_budget(limit, peak / 2**20, workers)
 
 
 class TestTabulate:
@@ -89,6 +116,31 @@ class TestTabulate:
         table = tabulate(build_spf(10), ArithParams(2, 1.0))
         with pytest.raises(ConfigError):
             table.value(11)
+
+    def test_pool_gives_identical_tables(self, monkeypatch):
+        monkeypatch.setattr(sieve_mod, "TAB_CHUNK", 1000)  # blocks from 1024 on split
+        sieve = build_spf(10**5)
+        params = ArithParams(3, 2.0)
+        serial = tabulate(sieve, params)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so chunks interleave
+        try:
+            for workers in (2, 4):
+                with ThreadPoolExecutor(max_workers=workers) as pool:
+                    table = tabulate(sieve, params, pool)
+                assert np.array_equal(table.counts, serial.counts)
+                assert np.array_equal(table.omegas, serial.omegas)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_agrees_with_direct_evaluation_at_doubling_block_edges(self):
+        sieve = build_spf(10**6)
+        edges = [n for j in range(1, 20) for n in (2**j - 1, 2**j, 2**j + 1) if n <= 10**6]
+        for r in (2, 3, 5):
+            params = ArithParams(r, 2.0)
+            table = tabulate(sieve, params)
+            for n in edges:
+                assert table.value(n) == composite_weighted_divisor(factorize(n), params)
 
 
 class TestCheckpoints:
