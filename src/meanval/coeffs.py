@@ -13,9 +13,12 @@ n**(-r*s)/k, which an integral comparison turns into an explicit remainder.
 The logarithmic derivative of H needs, per prime, the s-derivative of
 ln(1 - 1/(k*(p**(r*s) + p**((r-1)*s)))) at s = 1.  With u = k*(p**r + p**(r-1))
 and u' = k*ln(p)*(r*p**r + (r-1)*p**(r-1)) that derivative is u'/(u*(u-1)).
-Because this closed form was derived by hand, it is gated: the first use for
-any (r, k) replays it against central finite differences of the log-factor at
-a handful of primes and refuses to proceed on disagreement.
+Because this closed form was derived by hand, it is gated: every use replays
+it against central finite differences of the log-factor at a handful of primes
+and refuses to proceed on disagreement.
+
+The sums over primes (the log-product and the prime sum) are correctly
+rounded, through ``xsum.fsum``, so their round-off is one rounding each.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import numpy as np
 from .arith import ArithParams
 from .errors import ConfigError, ToleranceError
 from .primes import primes_up_to
+from .xsum import fsum
 from .zeta import EULER_GAMMA, ZetaValue, zeta, zeta_prime
 
 __all__ = [
@@ -46,7 +50,6 @@ DEFAULT_PRIME_CUTOFF = 10**6
 _GATE_STEP = 1e-6
 _GATE_TOL = 1e-8
 _GATE_PRIMES = (2, 3, 5, 101)
-_gate_passed: set[tuple[int, float]] = set()
 
 
 def _prime_floats(cutoff: int) -> np.ndarray:
@@ -64,7 +67,7 @@ def _product_factors(s: float, params: ArithParams, ps: np.ndarray, cutoff: int)
         raise ConfigError(f"prime cutoff must be >= 2, got {cutoff}")
     r, k = params.r, float(params.k)
     x = 1.0 / (k * (ps ** (r * s) + ps ** ((r - 1) * s)))
-    log_prod = math.fsum(np.log1p(-x))
+    log_prod = fsum(np.log1p(-x))
     x_at_cut = 1.0 / (k * (float(cutoff) ** (r * s) + float(cutoff) ** ((r - 1) * s)))
     rs = r * s
     tail_log = cutoff ** (1.0 - rs) / ((rs - 1.0) * k * (1.0 - x_at_cut))
@@ -111,19 +114,19 @@ def leading_coefficient(
     cutoff: int = DEFAULT_PRIME_CUTOFF,
     zeta_tol: float = 1e-12,
     *,
-    primes: Optional[np.ndarray] = None,
+    product: Optional[tuple[float, float]] = None,
 ) -> tuple[float, float]:
     """C = 6*zeta(r)/pi**2 * truncated product at s = 1, with tail bound.
 
     Numerically identical to H(1) = zeta(r)/zeta(2) * the same product
     (zeta(2) = pi^2/6); the two routes are cross-asserted to a few ulps.
-    ``primes`` (the primes <= cutoff as float64) saves the prime sieve when
-    the caller already has them.
+    ``product`` is the s = 1 product's (log, tail bound) at this cutoff, from
+    ``_product_factors``, when the caller already has it.
     """
     r, k = params.r, float(params.k)
     zr = zeta(float(r), tol=zeta_tol)
-    ps = _prime_floats(cutoff) if primes is None else primes
-    product = _product_factors(1.0, params, ps, cutoff)
+    if product is None:
+        product = _product_factors(1.0, params, _prime_floats(cutoff), cutoff)
     log_prod, tail_log = product
     value = 6.0 * zr.value / math.pi**2 * math.exp(log_prod)
     rel = math.expm1(tail_log) + zr.error_radius / abs(zr.value) + 64.0 * _EPS
@@ -152,10 +155,7 @@ def _log_factor(p: float, s: float, params: ArithParams) -> float:
 
 
 def _gate_log_factor_derivative(params: ArithParams) -> None:
-    """Replay the closed form against finite differences before first use."""
-    key = (params.r, float(params.k))
-    if key in _gate_passed:
-        return
+    """Replay the closed form against finite differences; raise on disagreement."""
     h = _GATE_STEP
     for p in _GATE_PRIMES:
         fd = (_log_factor(p, 1.0 + h, params) - _log_factor(p, 1.0 - h, params)) / (2.0 * h)
@@ -165,7 +165,6 @@ def _gate_log_factor_derivative(params: ArithParams) -> None:
                 f"per-prime derivative gate failed at p={p}, r={params.r}, "
                 f"k={params.k}: closed form {cf!r} vs finite difference {fd!r}"
             )
-    _gate_passed.add(key)
 
 
 def cofactor_derivative_at_1(
@@ -174,18 +173,22 @@ def cofactor_derivative_at_1(
     zeta_tol: float = 1e-12,
     *,
     primes: Optional[np.ndarray] = None,
+    product: Optional[tuple[float, float]] = None,
 ) -> tuple[float, float]:
     """H'(1) = H(1) * (r*zeta'(r)/zeta(r) - 2*zeta'(2)/zeta(2) + prime sum).
 
     The prime sum collects the per-prime log-factor derivatives up to the
     cutoff; its tail is bounded through |g_p| <= r*ln(p)/(k*p**r - 1) and an
-    integral comparison. Returns (value, rigorous tail bound). ``primes`` is
-    as in ``leading_coefficient``.
+    integral comparison. Returns (value, rigorous tail bound). ``primes`` (the
+    primes <= cutoff as float64) and ``product`` (as in ``leading_coefficient``)
+    save recomputing them when the caller already has them.
     """
     _gate_log_factor_derivative(params)
     r, k = params.r, float(params.k)
     ps = _prime_floats(cutoff) if primes is None else primes
-    h1, h1_tail = _cofactor(1.0, params, _product_factors(1.0, params, ps, cutoff), zeta_tol)
+    if product is None:
+        product = _product_factors(1.0, params, ps, cutoff)
+    h1, h1_tail = _cofactor(1.0, params, product, zeta_tol)
     zr = zeta(float(r), tol=zeta_tol)
     zrp = zeta_prime(float(r), tol=zeta_tol)
     z2 = zeta(2.0, tol=zeta_tol)
@@ -195,7 +198,7 @@ def cofactor_derivative_at_1(
     pr1 = ps ** (r - 1)
     u = k * (pr + pr1)
     du = k * np.log(ps) * (r * pr + (r - 1) * pr1)
-    prime_sum = math.fsum(du / (u * (u - 1.0)))
+    prime_sum = fsum(du / (u * (u - 1.0)))
 
     log_deriv = r * zrp.value / zr.value - 2.0 * z2p.value / z2.value + prime_sum
     value = h1 * log_deriv
@@ -255,10 +258,16 @@ class ConstantsBundle:
 def bundle(
     params: ArithParams, cutoff: int = DEFAULT_PRIME_CUTOFF, zeta_tol: float = 1e-12
 ) -> ConstantsBundle:
-    """Assemble all main-term constants at one prime cutoff, sieving its primes once."""
+    """Assemble all main-term constants at one prime cutoff.
+
+    The primes and the s = 1 product are computed once and shared.
+    """
     ps = _prime_floats(cutoff)
-    c, c_tail = leading_coefficient(params, cutoff, zeta_tol=zeta_tol, primes=ps)
-    hp, hp_tail = cofactor_derivative_at_1(params, cutoff, zeta_tol=zeta_tol, primes=ps)
+    product = _product_factors(1.0, params, ps, cutoff)
+    c, c_tail = leading_coefficient(params, cutoff, zeta_tol=zeta_tol, product=product)
+    hp, hp_tail = cofactor_derivative_at_1(
+        params, cutoff, zeta_tol=zeta_tol, primes=ps, product=product
+    )
     b = hp + 2.0 * EULER_GAMMA * c
     kx = b - c
     b_tail = hp_tail + 2.0 * EULER_GAMMA * c_tail + 4.0 * _EPS * abs(b)

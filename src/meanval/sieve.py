@@ -26,7 +26,7 @@ from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import IO, Iterator, Optional, Sequence, Union
+from typing import IO, Optional, Sequence, Union
 
 import numpy as np
 
@@ -170,27 +170,12 @@ class ValueTable:
     counts: np.ndarray  # int32
     omegas: np.ndarray  # int8
 
-    def float_values(self) -> np.ndarray:
-        """counts / k**omega as float64 for 0..limit (index 0 is 0)."""
-        k = float(self.params.k)
-        return self.counts * np.power(k, -self.omegas.astype(np.float64))
-
     def value(self, n: int) -> ExactValue:
         if not 1 <= n <= self.limit:
             raise ConfigError(f"n={n} outside tabulated range 1..{self.limit}")
         if self.params.exact:
             return Fraction(int(self.counts[n]), self.params.k_int ** int(self.omegas[n]))
         return float(self.counts[n]) / float(self.params.k) ** int(self.omegas[n])
-
-    def __iter__(self) -> Iterator[tuple[int, ExactValue]]:
-        """Stream (n, value) in increasing n, starting at n = 1."""
-        exact = self.params.exact
-        k_int = self.params.k_int if exact else 0
-        k = float(self.params.k)
-        for n in range(1, self.limit + 1):
-            c = int(self.counts[n])
-            w = int(self.omegas[n])
-            yield n, (Fraction(c, k_int**w) if exact else c / k**w)
 
 
 def tabulate(sieve: SpfSieve, params: ArithParams, pool: Optional[Executor] = None) -> ValueTable:
@@ -396,12 +381,11 @@ def summatory(
                     num = sum(totals[w] * k_pows[W - w] for w in range(W + 1))
                     finish(b, Fraction(num, k_W), 0.0)
         else:
-            k = float(params.k)
+            k_pows = np.power(float(params.k), -np.arange(W + 1.0))
 
             def seg_sum(bounds: tuple[int, int, bool]) -> float:
                 a, b, _ = bounds
-                vals = g[a : b + 1] * np.power(k, -om[a : b + 1].astype(np.float64))
-                return float(np.sum(vals))
+                return float(np.sum(g[a : b + 1] * k_pows[om[a : b + 1]]))
 
             # Neumaier compensated accumulator across segments
             acc = 1.0  # n = 1

@@ -21,6 +21,12 @@ Verified identities:
   coefficient difference vector);
 * the global factorization: Dirichlet series == Euler product
   == zeta(s)**2 * closed-form cofactor.
+
+The truncated series and the log of the truncated product are summed with
+``xsum``, which rounds the exact sum of the float terms once, so each
+round-off allowance needs one rounding for the sum on top of those of the
+terms. The series is formed and summed SERIES_CHUNK terms at a time, from a
+per-n table built for the call.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from .coeffs import cofactor_value
 from .errors import ConfigError
 from .primes import primes_up_to
 from .sieve import build_spf, tabulate
+from .xsum import ExactSum, fsum
 from .zeta import zeta
 
 __all__ = [
@@ -55,6 +62,7 @@ __all__ = [
 ]
 
 _EPS = 2.220446049250313e-16
+SERIES_CHUNK = 1 << 16  # series terms formed and summed at a time
 
 
 @dataclass(frozen=True)
@@ -237,17 +245,6 @@ def numerator_identity_check(params: ArithParams) -> VerifyReport:
 # ---------------------------------------------------------------------------
 # global factorization
 
-_table_cache: dict = {}
-
-
-def _values_float(params: ArithParams, limit: int) -> np.ndarray:
-    key = (params.r, float(params.k), limit)
-    if _table_cache.get("key") != key:
-        table = tabulate(build_spf(limit), params)
-        _table_cache["key"] = key
-        _table_cache["values"] = table.float_values()
-    return _table_cache["values"]
-
 
 def dirichlet_series_truncated(params: ArithParams, s: float, limit: int) -> tuple[float, float]:
     """sum_{n <= N} value(n) * n**-s and a rigorous tail bound.
@@ -258,11 +255,14 @@ def dirichlet_series_truncated(params: ArithParams, s: float, limit: int) -> tup
     """
     if not s > 1.0:
         raise ConfigError(f"series tail bound needs s > 1, got {s}")
-    vals = _values_float(params, limit)
-    n = np.arange(0, limit + 1, dtype=np.float64)
-    n[0] = 1.0
-    terms = vals * n**-s
-    value = float(math.fsum(terms[1:]))
+    table = tabulate(build_spf(limit), params)
+    counts, omegas = table.counts, table.omegas
+    k_pows = np.power(float(params.k), -np.arange(int(omegas.max()) + 1.0))
+    acc = ExactSum()
+    for a in range(1, limit + 1, SERIES_CHUNK):
+        b = min(a + SERIES_CHUNK, limit + 1)
+        acc.add(counts[a:b] * k_pows[omegas[a:b]] * np.arange(a, b, dtype=np.float64) ** -s)
+    value = acc.value()
     ln_n = math.log(limit)
     tail = s * limit ** (1.0 - s) * (ln_n / (s - 1.0) + (s - 1.0) ** -2 + 1.0 / (s - 1.0))
     fp = 8.0 * _EPS * value
@@ -281,7 +281,7 @@ def euler_product_truncated(params: ArithParams, s: float, cutoff: int) -> tuple
     ps = primes_up_to(cutoff).astype(np.float64)
     z = ps**-s
     excess = (1.0 / k) * z * (2.0 - z**r) / ((1.0 - z) * (1.0 - z**r))
-    log_prod = math.fsum(np.log1p(excess))
+    log_prod = fsum(np.log1p(excess))
     value = math.exp(log_prod)
     c = (2.0 / k) / ((1.0 - 2.0**-s) * (1.0 - 2.0 ** (-r * s)))
     tail_log = c * cutoff ** (1.0 - s) / (s - 1.0)

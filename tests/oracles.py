@@ -98,7 +98,7 @@ def smallest_prime_factors(limit: int) -> np.ndarray:
 
 
 def primes_list(limit: int) -> list[int]:
-    sieve = bytearray([1]) * (limit + 1)
+    sieve = bytearray([1]) * max(limit + 1, 2)
     sieve[0] = sieve[1] = 0
     for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:

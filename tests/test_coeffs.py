@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from meanval import coeffs as coeffs_mod
 from meanval.arith import ArithParams
 from meanval.coeffs import (
     bundle,
@@ -11,7 +12,7 @@ from meanval.coeffs import (
     leading_coefficient,
     log_factor_derivative,
 )
-from meanval.errors import ConfigError
+from meanval.errors import ConfigError, ToleranceError
 from meanval.zeta import EULER_GAMMA, zeta
 
 from oracles import partial_product_leading
@@ -184,3 +185,28 @@ class TestBundle:
         assert float(obj["C"]) == b.leading
         assert float(obj["K"]) == b.x_coeff
         json.dumps(obj)
+
+
+class TestBundleSharing:
+    def test_one_product_per_bundle(self, monkeypatch):
+        calls = []
+        inner = coeffs_mod._product_factors
+
+        def counting(*args):
+            calls.append(args[0])
+            return inner(*args)
+
+        monkeypatch.setattr(coeffs_mod, "_product_factors", counting)
+        params = ArithParams(3, 1.5)
+        b = bundle(params, 10**4)
+        assert calls == [1.0]
+        # sharing the product leaves every constant as the separate calls give it
+        assert b.leading == leading_coefficient(params, 10**4)[0]
+        assert b.cofactor_deriv == cofactor_derivative_at_1(params, 10**4)[0]
+
+    def test_gate_runs_on_every_call(self, monkeypatch):
+        params = ArithParams(2, 1.0)
+        cofactor_derivative_at_1(params, 10**4)
+        monkeypatch.setattr(coeffs_mod, "log_factor_derivative", lambda p, prm: 0.0)
+        with pytest.raises(ToleranceError):
+            cofactor_derivative_at_1(params, 10**4)

@@ -89,11 +89,6 @@ class TestTabulate:
         t2 = tabulate(sieve, ArithParams(2, 2.0))
         assert t2.value(9) == 1
 
-    def test_stream_increasing_and_complete(self):
-        sieve = build_spf(50)
-        pairs = list(tabulate(sieve, ArithParams(2, 1.0)))
-        assert [n for n, _ in pairs] == list(range(1, 51))
-
     def test_agrees_with_direct_evaluation_exact(self):
         sieve = build_spf(10**5)
         rng = random.Random(7)

@@ -1,10 +1,14 @@
 import json
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from meanval import verify as verify_mod
 from meanval.arith import ArithParams
 from meanval.errors import ConfigError
+from meanval.sieve import build_spf, tabulate
 from meanval.verify import (
     dirichlet_series_truncated,
     euler_product_truncated,
@@ -152,6 +156,15 @@ class TestGlobalFactorization:
         v2, _ = dirichlet_series_truncated(params, 2.0, 10**4)
         assert v2 > v1
         assert v2 - v1 <= t1  # dropped mass is inside the tail bound
+
+    def test_streamed_series_equals_fsum_of_whole_term_array(self, monkeypatch):
+        # chunks of 1000 terms leave a short last chunk at N = 5007
+        monkeypatch.setattr(verify_mod, "SERIES_CHUNK", 1000)
+        for params, s in ((ArithParams(2, 1.0), 2.0), (ArithParams(3, 1.5), 1.7)):
+            table = tabulate(build_spf(5007), params)
+            vals = table.counts[1:] * np.power(float(params.k), -table.omegas[1:].astype(np.float64))
+            expected = math.fsum(vals * np.arange(1, 5008, dtype=np.float64) ** -s)
+            assert dirichlet_series_truncated(params, s, 5007)[0] == expected
 
     def test_three_way_agreement_weight_one(self):
         rep = global_factorization_check(2.0, ArithParams(2, 1.0), limit=10**4, cutoff=10**4)
