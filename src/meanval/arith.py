@@ -14,15 +14,14 @@ finite product over prime powers:
   studies.
 
 Values are exact ``Fraction``s whenever the weight k is an integer (their
-denominators divide k**omega(n)); for non-integer k a float is returned whose
-relative error is bounded by ``float_error_bound``.
+denominators divide k**omega(n)); for non-integer k a float is returned,
+formed from one pow and one division.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 from typing import Union
 
 from .primes import iter_trial_candidates, primes_up_to
@@ -35,7 +34,6 @@ __all__ = [
     "composite_weighted_divisor",
     "divisor_count",
     "factorize",
-    "float_error_bound",
     "minimal_power",
     "omega",
     "weighted_divisor",
@@ -45,8 +43,6 @@ MAX_FACTOR_INPUT = 2**63 - 1
 
 #: Exact rational when the weight is an integer, float otherwise.
 ExactValue = Union[Fraction, float]
-
-_EPS = 2.220446049250313e-16
 
 
 @dataclass(frozen=True)
@@ -109,27 +105,19 @@ class ArithParams:
         return int(self.k)
 
 
-# Trial-division primes are sieved in advance and the cache grows on demand;
-# past the cache the 30-wheel candidate stream takes over, which keeps memory
-# flat for the occasional large input.
-_CACHE_LIMIT = 1 << 16
-_PRIME_CACHE = primes_up_to(_CACHE_LIMIT).tolist()
-
-
-def _extend_prime_cache(limit: int) -> None:
-    global _CACHE_LIMIT, _PRIME_CACHE
-    if limit <= _CACHE_LIMIT:
-        return
-    _CACHE_LIMIT = limit
-    _PRIME_CACHE = primes_up_to(limit).tolist()
+# Trial division runs through these primes and then continues on the 30-wheel
+# candidate stream, which keeps memory flat for the occasional large input.
+_TRIAL_LIMIT = 1 << 16
+_TRIAL_PRIMES = tuple(primes_up_to(_TRIAL_LIMIT).tolist())
 
 
 def factorize(n: int) -> PrimeFactorization:
     """Factor n by deterministic trial division.
 
-    Accepts 1 <= n <= 2**63 - 1. The prime cache is extended by sieving up to
-    2**24 when needed; beyond that the wheel stream continues the search, so
-    worst-case inputs (products of two ~31-bit primes) are slow but correct.
+    Accepts 1 <= n <= 2**63 - 1. Divides by the primes up to 2**16, then by
+    the 30-wheel candidates past them, so a factor near 1e6 takes a quarter
+    of a million trial divisions and worst-case inputs (products of two
+    ~31-bit primes) are slow but correct.
     """
     if not isinstance(n, int):
         raise ValueError(f"n must be an integer, got {type(n).__name__}")
@@ -138,12 +126,9 @@ def factorize(n: int) -> PrimeFactorization:
     if n > MAX_FACTOR_INPUT:
         raise ValueError(f"n={n} exceeds the supported range 2**63 - 1")
 
-    if isqrt(n) > _CACHE_LIMIT:
-        _extend_prime_cache(min(1 << 24, isqrt(n) + 1))
-
     m = n
     out: list[tuple[int, int]] = []
-    for p in _PRIME_CACHE:
+    for p in _TRIAL_PRIMES:
         if p * p > m:
             break
         if m % p == 0:
@@ -153,8 +138,8 @@ def factorize(n: int) -> PrimeFactorization:
                 a += 1
             out.append((p, a))
     else:
-        # cache exhausted with p*p <= m: continue on the wheel
-        for c in iter_trial_candidates(_CACHE_LIMIT + 1):
+        # primes exhausted with p*p <= m: continue on the wheel
+        for c in iter_trial_candidates(_TRIAL_LIMIT + 1):
             if c * c > m:
                 break
             if m % c == 0:
@@ -212,12 +197,3 @@ def composite_weighted_divisor(f: PrimeFactorization, params: ArithParams) -> Ex
     same prime support as n, so it equals omega(n).
     """
     return weighted_divisor(minimal_power(f, params.r), params.k)
-
-
-def float_error_bound(w: int) -> float:
-    """Relative float round-off bound for a weighted divisor value.
-
-    A float-mode value is formed from one pow, one division, and up to w
-    factor multiplications, each contributing at most one ulp.
-    """
-    return (w + 3) * _EPS

@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .arith import ArithParams
+from .arith import ArithParams, ExactValue
 from .errors import ConfigError, ToleranceError
 from .primes import primes_up_to
 from .xsum import fsum
@@ -240,6 +241,14 @@ class ConstantsBundle:
     def main_term(self, x: float) -> float:
         """C * x * ln(x) + K * x."""
         return self.leading * x * math.log(x) + self.x_coeff * x
+
+    def residual(self, x: float, s: ExactValue) -> float:
+        """S(x) - main_term(x), formed in rationals and rounded once.
+
+        For a float ``s`` this is bit-identical to the double ``s - main``;
+        for an exact ``s`` nothing is lost to cancellation.
+        """
+        return float(Fraction(s) - Fraction(self.main_term(x)))
 
     def to_json_obj(self) -> dict:
         return {

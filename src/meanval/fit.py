@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Optional
 
 from .arith import ArithParams
@@ -90,25 +89,18 @@ class FitReport:
 def residuals(table: SummatoryTable, consts: ConstantsBundle) -> FitReport:
     """Residual R(x) = S(x) - main(x) at each checkpoint of the table.
 
-    The main term is evaluated in extended precision: for exact-mode tables
-    the subtraction happens in rational arithmetic before the single rounding
-    to float, so even x around 1e9 loses nothing to cancellation.
+    Each R(x) is ``ConstantsBundle.residual``: the subtraction happens in
+    rational arithmetic before the single rounding to float, so an exact-mode
+    S loses nothing to cancellation even at x around 1e9, and a float-mode S
+    gives the double S - main.
     """
     if table.params.r != consts.params.r or table.params.k != consts.params.k:
         raise ConfigError(
             f"table params (r={table.params.r}, k={table.params.k}) do not match "
             f"bundle params (r={consts.params.r}, k={consts.params.k})"
         )
-    xs = []
-    rs = []
-    for row in table.rows:
-        main = consts.main_term(row.x)
-        if isinstance(row.value, Fraction):
-            r_val = float(row.value - Fraction(main))
-        else:
-            r_val = row.value - main
-        xs.append(row.x)
-        rs.append(r_val)
+    xs = [row.x for row in table.rows]
+    rs = [consts.residual(row.x, row.value) for row in table.rows]
     signs = [r > 0 for r in rs if r != 0.0]
     flips = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
     return FitReport(

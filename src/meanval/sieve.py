@@ -10,12 +10,13 @@ The pipeline is fully vectorized:
    [lo, 2*lo); a block's chunks are independent, so threads share them.
 3. Memory is 10 bytes per entry plus per-worker chunk scratch.
 
-Summation is segmented (default segment 2**20) and reduced strictly in
-segment order, so a run with worker threads is bit-identical to a serial run.
-For integer weights k the sums are exact: per segment the integer divisor
-counts are aggregated by omega class, and S(x) * k**W is assembled from those
-integer class totals. For non-integer k a compensated (Neumaier) accumulator
-is used and a rigorous round-off bound is reported next to every checkpoint.
+Summation is segmented (default segment 2**20): per segment the integer
+divisor counts are totalled by omega class, and the running class totals T_w
+are exact integers, so a run with worker threads is bit-identical to a serial
+run. Every weight k is a binary float, so k = a/b exactly, and each checkpoint
+is the rational S(x) = sum_w T_w * b**w * a**(W - w) / a**W. For integer k
+that rational is returned; otherwise it is rounded once to the nearest float,
+and the reported round-off bound is half an ulp of the result.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ __all__ = [
     "tabulate",
 ]
 
-_EPS = 2.220446049250313e-16
 DEFAULT_SEGMENT = 1 << 20
 DEFAULT_MEM_LIMIT_MB = 4096
 MEM_ENV_VAR = "MEANVAL_MEM_LIMIT_MB"
@@ -54,7 +54,8 @@ MEM_ENV_VAR = "MEANVAL_MEM_LIMIT_MB"
 # and omega (int8); spf is dropped before the segment reduction
 BYTES_PER_ENTRY = 10
 # per-worker scratch, bytes per entry of the 2**20 chunk or segment it holds:
-# a segment's three float64 arrays; a tabulate chunk needs about 20
+# a tabulate chunk needs about 21, a segment's bincount 16 (intp omegas and
+# float64 weights)
 SCRATCH_BYTES_PER_ENTRY = 24
 SPF_BLOCK = 1 << 18  # entries per build_spf block: 1 MiB of int32, an L2's worth
 TAB_CHUNK = 1 << 20  # entries per tabulate work item
@@ -219,9 +220,9 @@ def _decimal_str(v: Union[Fraction, float], digits: int = 36) -> str:
 class SummatoryRow:
     """One checkpoint: x, the prefix sum S, and its comparison columns.
 
-    ``residual`` is derived from the other two columns by a fixed rule
-    (exact-mode: float(S - main) with the subtraction done in rationals;
-    float-mode: S - main in doubles) so the columns stay consistent.
+    ``residual`` is ``ConstantsBundle.residual(x, S)``: S - main formed in
+    rationals and rounded once, which for a float S is exactly the double
+    S - main, so the columns stay consistent.
     """
 
     x: int
@@ -314,8 +315,8 @@ def summatory(
 
     ``bundle`` (a ConstantsBundle) fills the asymptotic main-term column
     C*x*ln(x) + K*x and the residual column. Worker threads share the
-    tabulation chunks and the segment partial sums; the ordered merge makes
-    the result identical to a serial run, bit for bit.
+    tabulation chunks and the segment class totals; the totals are exact
+    integers, so the result is identical to a serial run, bit for bit.
     """
     if limit < 1:
         raise ConfigError(f"N must be >= 1, got {limit}")
@@ -337,18 +338,18 @@ def summatory(
     mode = "exact" if exact else "float"
     rows: list[SummatoryRow] = []
 
-    def finish(x: int, value: ExactValue, err: float) -> None:
+    def finish(x: int, s: Fraction) -> None:
+        value = s if exact else float(s)
+        err = 0.0 if exact else math.ulp(value) / 2
         main = resid = None
         if bundle is not None:
             main = bundle.main_term(x)
-            if isinstance(value, Fraction):
-                resid = float(value - Fraction(main))
-            else:
-                resid = value - main
+            resid = bundle.residual(x, value)
         rows.append(SummatoryRow(x=x, value=value, main=main, residual=resid, err_bound=err))
 
+    if checkpoints[0] == 1:
+        finish(1, Fraction(1))
     if limit == 1:
-        finish(1, Fraction(1) if exact else 1.0, 0.0)
         return SummatoryTable(params=params, limit=limit, mode=mode, rows=tuple(rows), threads=threads)
 
     _check_budget(limit, mem_limit_mb, workers=threads)
@@ -356,54 +357,23 @@ def summatory(
         table = tabulate(build_spf(limit, mem_limit_mb=mem_limit_mb), params, pool)
         g, om = table.counts, table.omegas
         W = int(om.max())
+        a, b = float(params.k).as_integer_ratio()  # k = a/b exactly
+        scale = [b**w * a ** (W - w) for w in range(W + 1)]  # T_w * scale[w] / a**W = T_w / k**w
+        denom = a**W
+
+        def seg_sums(bounds: tuple[int, int, bool]) -> np.ndarray:
+            lo, hi, _ = bounds
+            # integer class totals; float64 bincount is exact here because
+            # every partial sum stays far below 2**53
+            return np.bincount(om[lo : hi + 1], weights=g[lo : hi + 1], minlength=W + 1).astype(np.int64)
+
+        totals = [0] * (W + 1)
+        totals[0] = 1  # n = 1 contributes count 1 with omega 0
         segments = _segment_bounds(limit, checkpoints, segment)
-        if checkpoints[0] == 1:
-            finish(1, Fraction(1) if exact else 1.0, 0.0 if exact else _EPS)
-
-        if exact:
-            k_int = params.k_int
-            k_pows = [k_int**j for j in range(W + 1)]
-            k_W = k_pows[W]
-
-            def seg_sums(bounds: tuple[int, int, bool]) -> np.ndarray:
-                a, b, _ = bounds
-                # integer class totals; float64 bincount is exact here because
-                # every partial sum stays far below 2**53
-                return np.bincount(om[a : b + 1], weights=g[a : b + 1], minlength=W + 1).astype(np.int64)
-
-            totals = [0] * (W + 1)
-            totals[0] = 1  # n = 1 contributes count 1 with omega 0
-
-            for (a, b, is_ckpt), part in zip(segments, pool.map(seg_sums, segments, chunksize=4)):
-                for w in range(W + 1):
-                    totals[w] += int(part[w])
-                if is_ckpt:
-                    num = sum(totals[w] * k_pows[W - w] for w in range(W + 1))
-                    finish(b, Fraction(num, k_W), 0.0)
-        else:
-            k_pows = np.power(float(params.k), -np.arange(W + 1.0))
-
-            def seg_sum(bounds: tuple[int, int, bool]) -> float:
-                a, b, _ = bounds
-                return float(np.sum(g[a : b + 1] * k_pows[om[a : b + 1]]))
-
-            # Neumaier compensated accumulator across segments
-            acc = 1.0  # n = 1
-            comp = 0.0
-            # rigorous bound: per-term representation error (W+3)*eps, pairwise
-            # per-segment summation ceil(log2(seg))*eps, compensated merge 2*eps,
-            # all relative to S since every term is positive
-            rel_bound = _EPS * (W + 3 + math.ceil(math.log2(max(segment, 2))) + 2) * 2
-
-            for (a, b, is_ckpt), part in zip(segments, pool.map(seg_sum, segments, chunksize=4)):
-                t = acc + part
-                if abs(acc) >= abs(part):
-                    comp += (acc - t) + part
-                else:
-                    comp += (part - t) + acc
-                acc = t
-                if is_ckpt:
-                    s_val = acc + comp
-                    finish(b, s_val, rel_bound * s_val)
+        for (_, hi, is_ckpt), part in zip(segments, pool.map(seg_sums, segments, chunksize=4)):
+            for w in range(W + 1):
+                totals[w] += int(part[w])
+            if is_ckpt:
+                finish(hi, Fraction(sum(t * c for t, c in zip(totals, scale)), denom))
 
     return SummatoryTable(params=params, limit=limit, mode=mode, rows=tuple(rows), threads=threads)

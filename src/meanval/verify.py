@@ -19,7 +19,7 @@ Verified identities:
   numerators, P1 = k*(1-z)*(1-z^r) + z*(2-z^r) versus P2 = k*(1+z) - z^r
   (these agree identically only at k = 1 -- the report carries the
   coefficient difference vector);
-* the global factorization: Dirichlet series == Euler product
+* the Euler-product factorization: Dirichlet series == Euler product
   == zeta(s)**2 * closed-form cofactor.
 
 The truncated series and the log of the truncated product are summed with
@@ -243,7 +243,7 @@ def numerator_identity_check(params: ArithParams) -> VerifyReport:
 
 
 # ---------------------------------------------------------------------------
-# global factorization
+# Euler-product factorization
 
 
 def dirichlet_series_truncated(params: ArithParams, s: float, limit: int) -> tuple[float, float]:

@@ -30,7 +30,6 @@ __all__ = [
     "EULER_GAMMA",
     "GLAISHER",
     "ZetaValue",
-    "euler_gamma",
     "zeta",
     "zeta_prime",
     "zeta_prime_2_closed_form",
@@ -55,11 +54,6 @@ _FACT2J = tuple(math.factorial(2 * j) for j in range(1, _ORDER + 1))
 
 _MIN_S = 1.0 + 1e-8
 _MAX_CUTOFF = 1 << 21
-
-
-def euler_gamma() -> float:
-    """The Euler-Mascheroni constant (stored high-precision literal)."""
-    return EULER_GAMMA
 
 
 @dataclass(frozen=True)

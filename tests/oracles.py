@@ -65,13 +65,16 @@ def brute_minimal_power_sweep(limit: int, r: int) -> np.ndarray:
     return out
 
 
-def studied_value_exact(n: int, r: int, k: int) -> Fraction:
-    """d(min power) / k**omega(n) straight from the definitions."""
+def studied_value_exact(n: int, r: int, k: int | Fraction) -> Fraction:
+    """d(min power) / k**omega(n) straight from the definitions.
+
+    ``k`` is an int or a Fraction, such as Fraction(1.5) for a float weight.
+    """
     mp = brute_minimal_power(n, r)
     return Fraction(count_divisors_scan(mp), k ** omega_scan(n))
 
 
-def enumerated_sum(limit: int, r: int, k: int) -> Fraction:
+def enumerated_sum(limit: int, r: int, k: int | Fraction) -> Fraction:
     return sum((studied_value_exact(n, r, k) for n in range(1, limit + 1)), Fraction(0))
 
 

@@ -1,5 +1,7 @@
+import functools
 import io
 import json
+import math
 import random
 import sys
 import tracemalloc
@@ -22,6 +24,11 @@ from meanval.sieve import (
 )
 
 from oracles import enumerated_sum, prime_count, smallest_prime_factors
+
+
+@functools.lru_cache(maxsize=None)
+def _enumerated_prefix_sums(r: int, k: float, xs: tuple[int, ...]) -> dict[int, Fraction]:
+    return {x: enumerated_sum(x, r, Fraction(k)) for x in xs}
 
 
 class TestBuildSpf:
@@ -199,12 +206,25 @@ class TestSummatory:
         for row in t.rows:
             assert 0 < row.err_bound <= 1e-6 * float(row.value)
 
-    def test_error_bound_formula_at_1e9_scale(self):
-        # relative bound is (W + 3 + log2(segment) + 2) * 2 * eps; even with
-        # omega 9 and the default segment it stays far below 1e-6
-        eps = 2.220446049250313e-16
-        rel = (9 + 3 + 20 + 2) * 2 * eps
-        assert rel < 1e-6
+    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize("r, k", [(3, 1.5), (2, 1.3), (2, 2.0 + 1e-12)])
+    def test_float_rows_are_correctly_rounded_exact_sums(self, r, k, threads):
+        grid = [1, *geometric_checkpoints(2000)]
+        t = summatory(ArithParams(r, k), 2000, grid=grid, threads=threads, segment=1 << 8)
+        assert t.mode == "float" and [row.x for row in t.rows] == grid
+        oracle = _enumerated_prefix_sums(r, k, tuple(grid))
+        for row in t.rows:
+            assert row.value == float(oracle[row.x]), row.x
+            assert row.err_bound == math.ulp(row.value) / 2, row.x
+
+    def test_first_row_does_not_depend_on_limit(self):
+        from meanval.coeffs import bundle
+
+        for params in (ArithParams(2, 1.5), ArithParams(2, 1.0)):
+            consts = bundle(params, 10**4)
+            alone = summatory(params, 1, bundle=consts).rows[0]
+            first = summatory(params, 10, grid=[1, 10], bundle=consts).rows[0]
+            assert alone == first
 
     def test_grid_validation(self):
         with pytest.raises(ConfigError):

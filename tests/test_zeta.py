@@ -7,7 +7,6 @@ from meanval.errors import ConfigError, PrecisionError
 from meanval.zeta import (
     EULER_GAMMA,
     GLAISHER,
-    euler_gamma,
     zeta,
     zeta_prime,
     zeta_prime_2_closed_form,
@@ -110,7 +109,7 @@ class TestStoredConstants:
     def test_gamma_against_accelerated_harmonic_limit(self):
         from oracles import accelerated_gamma
 
-        assert abs(euler_gamma() - accelerated_gamma()) < 1e-12
+        assert abs(EULER_GAMMA - accelerated_gamma()) < 1e-12
         assert 0 < EULER_GAMMA < 1
 
     def test_glaisher_against_zeta_derivative(self):
