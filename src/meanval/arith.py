@@ -20,11 +20,13 @@ formed from one pow and one division.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .primes import iter_trial_candidates, primes_up_to
+from .primes import primes_up_to
 
 __all__ = [
     "MAX_FACTOR_INPUT",
@@ -92,6 +94,8 @@ class ArithParams:
             raise ValueError(f"r must be an integer >= 2, got {self.r!r}")
         if not self.k >= 1:
             raise ValueError(f"k must be >= 1, got {self.k!r}")
+        if not math.isfinite(self.k):
+            raise ValueError(f"k must be finite, got {self.k!r}")
 
     @property
     def exact(self) -> bool:
@@ -105,8 +109,8 @@ class ArithParams:
         return int(self.k)
 
 
-# Trial division runs through these primes and then continues on the 30-wheel
-# candidate stream, which keeps memory flat for the occasional large input.
+# Trial division runs through these primes and then continues on the odd
+# numbers past them, which keeps memory flat for the occasional large input.
 _TRIAL_LIMIT = 1 << 16
 _TRIAL_PRIMES = tuple(primes_up_to(_TRIAL_LIMIT).tolist())
 
@@ -115,9 +119,9 @@ def factorize(n: int) -> PrimeFactorization:
     """Factor n by deterministic trial division.
 
     Accepts 1 <= n <= 2**63 - 1. Divides by the primes up to 2**16, then by
-    the 30-wheel candidates past them, so a factor near 1e6 takes a quarter
-    of a million trial divisions and worst-case inputs (products of two
-    ~31-bit primes) are slow but correct.
+    the odd candidates past 2**16, so a factor near 1e6 takes about half a
+    million trial divisions and worst-case inputs (products of two ~31-bit
+    primes) are slow but correct.
     """
     if not isinstance(n, int):
         raise ValueError(f"n must be an integer, got {type(n).__name__}")
@@ -128,7 +132,7 @@ def factorize(n: int) -> PrimeFactorization:
 
     m = n
     out: list[tuple[int, int]] = []
-    for p in _TRIAL_PRIMES:
+    for p in itertools.chain(_TRIAL_PRIMES, itertools.count(_TRIAL_LIMIT + 1, 2)):
         if p * p > m:
             break
         if m % p == 0:
@@ -137,17 +141,6 @@ def factorize(n: int) -> PrimeFactorization:
                 m //= p
                 a += 1
             out.append((p, a))
-    else:
-        # primes exhausted with p*p <= m: continue on the wheel
-        for c in iter_trial_candidates(_TRIAL_LIMIT + 1):
-            if c * c > m:
-                break
-            if m % c == 0:
-                a = 0
-                while m % c == 0:
-                    m //= c
-                    a += 1
-                out.append((c, a))
     if m > 1:
         out.append((m, 1))
     return PrimeFactorization(tuple(out))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from typing import Optional, Sequence
@@ -59,6 +60,8 @@ def _k_value(text: str) -> float:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number")
     if not v >= 1:
         raise argparse.ArgumentTypeError(f"k must be >= 1, got {v}")
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"k must be finite, got {v}")
     return v
 
 
@@ -66,7 +69,10 @@ def parse_grid(spec: str, limit: int) -> list[int]:
     """Checkpoint grid spec: 'geom:<per-decade>' or 'list:x1,x2,...'."""
     kind, _, rest = spec.partition(":")
     if kind == "geom":
-        per_decade = int(rest) if rest else 8
+        try:
+            per_decade = int(rest) if rest else 8
+        except ValueError as exc:
+            raise ConfigError(f"bad grid density {rest!r}") from exc
         if per_decade < 1:
             raise ConfigError(f"grid density must be >= 1, got {per_decade}")
         return sieve.geometric_checkpoints(limit, per_decade=per_decade)
@@ -209,8 +215,10 @@ def _cmd_sum(args) -> int:
 
 def _cmd_verify(args) -> int:
     params = ArithParams(r=args.r, k=args.k)
-    if not args.s >= 1.5:
-        raise ConfigError(f"--s must be >= 1.5 (tails not controllable below), got {args.s}")
+    if not 1.5 <= args.s < math.inf:
+        raise ConfigError(
+            f"--s must be finite and >= 1.5 (tails not controllable below), got {args.s}"
+        )
     cutoff = args.prime_cutoff or 10**5
     reports = verify.run_battery(params, s=args.s, limit=args.series_limit, cutoff=cutoff)
     if args.format == "table":

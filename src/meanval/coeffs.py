@@ -15,7 +15,9 @@ ln(1 - 1/(k*(p**(r*s) + p**((r-1)*s)))) at s = 1.  With u = k*(p**r + p**(r-1))
 and u' = k*ln(p)*(r*p**r + (r-1)*p**(r-1)) that derivative is u'/(u*(u-1)).
 Because this closed form was derived by hand, it is gated: every use replays
 it against central finite differences of the log-factor at a handful of primes
-and refuses to proceed on disagreement.
+and refuses to proceed on disagreement. The gate calls the same array kernels
+(``_log_factors`` and ``log_factor_derivative``) that the product and the
+prime sum run over all primes, so it checks the code that does the work.
 
 The sums over primes (the log-product and the prime sum) are correctly
 rounded, through ``xsum.fsum``, so their round-off is one rounding each.
@@ -57,6 +59,12 @@ def _prime_floats(cutoff: int) -> np.ndarray:
     return primes_up_to(cutoff).astype(np.float64)
 
 
+def _log_factors(ps: np.ndarray, s: float, params: ArithParams) -> np.ndarray:
+    """ln(1 - x_p) with x_p = 1/(k*(p**(r*s) + p**((r-1)*s))), for each prime in ps."""
+    r, k = params.r, float(params.k)
+    return np.log1p(-1.0 / (k * (ps ** (r * s) + ps ** ((r - 1) * s))))
+
+
 def _product_factors(s: float, params: ArithParams, ps: np.ndarray, cutoff: int) -> tuple[float, float]:
     """log of the truncated product over the primes ps (all p <= cutoff), and a tail bound on it.
 
@@ -67,8 +75,7 @@ def _product_factors(s: float, params: ArithParams, ps: np.ndarray, cutoff: int)
     if cutoff < 2:
         raise ConfigError(f"prime cutoff must be >= 2, got {cutoff}")
     r, k = params.r, float(params.k)
-    x = 1.0 / (k * (ps ** (r * s) + ps ** ((r - 1) * s)))
-    log_prod = fsum(np.log1p(-x))
+    log_prod = fsum(_log_factors(ps, s, params))
     x_at_cut = 1.0 / (k * (float(cutoff) ** (r * s) + float(cutoff) ** ((r - 1) * s)))
     rs = r * s
     tail_log = cutoff ** (1.0 - rs) / ((rs - 1.0) * k * (1.0 - x_at_cut))
@@ -140,32 +147,35 @@ def leading_coefficient(
     return value, tail
 
 
-def log_factor_derivative(p: float, params: ArithParams) -> float:
-    """d/ds ln(1 - 1/(k*(p**(r*s) + p**((r-1)*s)))) at s = 1, in closed form."""
+def log_factor_derivative(ps, params: ArithParams) -> np.ndarray:
+    """d/ds ln(1 - 1/(k*(p**(r*s) + p**((r-1)*s)))) at s = 1, in closed form, for each p in ps.
+
+    ``ps`` is a prime or an array of primes; it is taken as float64, so integer
+    primes cannot overflow in p**r.
+    """
     r, k = params.r, float(params.k)
-    pr = float(p) ** r
-    pr1 = float(p) ** (r - 1)
+    ps = np.asarray(ps, dtype=np.float64)
+    pr = ps**r
+    pr1 = ps ** (r - 1)
     u = k * (pr + pr1)
-    du = k * math.log(p) * (r * pr + (r - 1) * pr1)
+    du = k * np.log(ps) * (r * pr + (r - 1) * pr1)
     return du / (u * (u - 1.0))
-
-
-def _log_factor(p: float, s: float, params: ArithParams) -> float:
-    r, k = params.r, float(params.k)
-    return math.log1p(-1.0 / (k * (float(p) ** (r * s) + float(p) ** ((r - 1) * s))))
 
 
 def _gate_log_factor_derivative(params: ArithParams) -> None:
     """Replay the closed form against finite differences; raise on disagreement."""
     h = _GATE_STEP
-    for p in _GATE_PRIMES:
-        fd = (_log_factor(p, 1.0 + h, params) - _log_factor(p, 1.0 - h, params)) / (2.0 * h)
-        cf = log_factor_derivative(p, params)
-        if abs(fd - cf) > _GATE_TOL:
-            raise ToleranceError(
-                f"per-prime derivative gate failed at p={p}, r={params.r}, "
-                f"k={params.k}: closed form {cf!r} vs finite difference {fd!r}"
-            )
+    ps = np.array(_GATE_PRIMES, dtype=np.float64)
+    fd = (_log_factors(ps, 1.0 + h, params) - _log_factors(ps, 1.0 - h, params)) / (2.0 * h)
+    gap = log_factor_derivative(ps, params) - fd
+    bad = np.flatnonzero(np.abs(gap) > _GATE_TOL)
+    if bad.size:
+        i = bad[0]
+        raise ToleranceError(
+            f"per-prime derivative gate failed at p={_GATE_PRIMES[i]}, r={params.r}, "
+            f"k={params.k}: closed form is off by {float(gap[i])!r} from the finite "
+            f"difference {float(fd[i])!r}"
+        )
 
 
 def cofactor_derivative_at_1(
@@ -195,11 +205,7 @@ def cofactor_derivative_at_1(
     z2 = zeta(2.0, tol=zeta_tol)
     z2p = zeta_prime(2.0, tol=zeta_tol)
 
-    pr = ps**r
-    pr1 = ps ** (r - 1)
-    u = k * (pr + pr1)
-    du = k * np.log(ps) * (r * pr + (r - 1) * pr1)
-    prime_sum = fsum(du / (u * (u - 1.0)))
+    prime_sum = fsum(log_factor_derivative(ps, params))
 
     log_deriv = r * zrp.value / zr.value - 2.0 * z2p.value / z2.value + prime_sum
     value = h1 * log_deriv

@@ -1,8 +1,7 @@
-"""Prime enumeration helpers used by the trial divider and the product engines.
+"""Prime enumeration for the trial divider, the spf sieve and the product engines.
 
 ``primes_up_to`` is a cache-blocked segmented sieve of Eratosthenes over the
-odd numbers only; ``iter_trial_candidates`` streams 30-wheel candidates for
-trial division past a sieved prime list.
+odd numbers only.
 """
 
 from __future__ import annotations
@@ -11,14 +10,7 @@ from math import isqrt
 
 import numpy as np
 
-__all__ = ["primes_up_to", "iter_trial_candidates"]
-
-# candidates coprime to 30, used to continue trial division past the cache
-_WHEEL_RESIDUES = (1, 7, 11, 13, 17, 19, 23, 29)
-_WHEEL_GAPS = tuple(
-    (_WHEEL_RESIDUES[(i + 1) % 8] - _WHEEL_RESIDUES[i]) % 30 or 30 for i in range(8)
-)
-
+__all__ = ["primes_up_to"]
 
 PRIME_BLOCK = 1 << 18  # odd slots per sieve block: 256 KiB of bool, which stays in L2
 
@@ -49,25 +41,3 @@ def _odd_primes(limit: int) -> np.ndarray:
             first = max(p * p, (-(-(2 * lo + 1) // p) | 1) * p)  # an odd multiple of p
             view[first // 2 - lo :: p] = False
     return 2 * np.flatnonzero(odd) + 1
-
-
-def iter_trial_candidates(start: int):
-    """Yield 30-wheel candidates >= start, endlessly.
-
-    The stream contains every prime >= max(start, 7) (plus harmless
-    composites), so trial division that consumes it in ascending order
-    never misses a prime factor.
-    """
-    base = max(start, 7)
-    lo = (base // 30) * 30
-    i = 0
-    while lo + _WHEEL_RESIDUES[i] < base:
-        i += 1
-        if i == 8:
-            i = 0
-            lo += 30
-    c = lo + _WHEEL_RESIDUES[i]
-    while True:
-        yield c
-        c += _WHEEL_GAPS[i]
-        i = (i + 1) % 8

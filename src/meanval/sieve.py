@@ -10,7 +10,7 @@ The pipeline is fully vectorized:
    [lo, 2*lo); a block's chunks are independent, so threads share them.
 3. Memory is 10 bytes per entry plus per-worker chunk scratch.
 
-Summation is segmented (default segment 2**20): per segment the integer
+Summation is segmented (SEGMENT = 2**20 entries): per segment the integer
 divisor counts are totalled by omega class, and the running class totals T_w
 are exact integers, so a run with worker threads is bit-identical to a serial
 run. Every weight k is a binary float, so k = a/b exactly, and each checkpoint
@@ -46,7 +46,7 @@ __all__ = [
     "tabulate",
 ]
 
-DEFAULT_SEGMENT = 1 << 20
+SEGMENT = 1 << 20  # entries per summation segment
 DEFAULT_MEM_LIMIT_MB = 4096
 MEM_ENV_VAR = "MEANVAL_MEM_LIMIT_MB"
 
@@ -61,20 +61,12 @@ SPF_BLOCK = 1 << 18  # entries per build_spf block: 1 MiB of int32, an L2's wort
 TAB_CHUNK = 1 << 20  # entries per tabulate work item
 
 
-def _mem_limit_mb(explicit: Optional[float]) -> float:
-    if explicit is not None:
-        return float(explicit)
-    env = os.environ.get(MEM_ENV_VAR)
-    if env is not None:
-        try:
-            return float(env)
-        except ValueError as exc:
-            raise ConfigError(f"{MEM_ENV_VAR}={env!r} is not a number") from exc
-    return DEFAULT_MEM_LIMIT_MB
-
-
-def _check_budget(limit: int, mem_limit_mb: Optional[float], workers: int = 1) -> None:
-    budget = _mem_limit_mb(mem_limit_mb)
+def _check_budget(limit: int, workers: int = 1) -> None:
+    env = os.environ.get(MEM_ENV_VAR, DEFAULT_MEM_LIMIT_MB)
+    try:
+        budget = float(env)
+    except ValueError as exc:
+        raise ConfigError(f"{MEM_ENV_VAR}={env!r} is not a number") from exc
     scratch = workers * min(limit, TAB_CHUNK) * SCRATCH_BYTES_PER_ENTRY
     need_mb = (limit * BYTES_PER_ENTRY + scratch) / 2**20
     if need_mb > budget:
@@ -92,13 +84,8 @@ class SpfSieve:
     limit: int
     spf: np.ndarray
 
-    def primes(self) -> np.ndarray:
-        idx = np.arange(self.limit + 1, dtype=self.spf.dtype)
-        hits = np.flatnonzero(self.spf == idx)
-        return hits[hits >= 2].astype(np.int64)
 
-
-def build_spf(limit: int, mem_limit_mb: Optional[float] = None) -> SpfSieve:
+def build_spf(limit: int) -> SpfSieve:
     """Sieve smallest prime factors for 2..limit.
 
     Costs 4 bytes per entry (int32); exceeding the memory budget
@@ -108,7 +95,7 @@ def build_spf(limit: int, mem_limit_mb: Optional[float] = None) -> SpfSieve:
         raise ConfigError(f"sieve limit must be >= 2, got {limit}")
     if limit > 2**31 - 2:
         raise ResourceError(f"sieve limit {limit} exceeds the int32 layout")
-    _check_budget(limit, mem_limit_mb)
+    _check_budget(limit)
     spf = np.zeros(limit + 1, dtype=np.int32)
     small = primes_up_to(math.isqrt(limit))[::-1].tolist()
     for lo in range(0, limit + 1, SPF_BLOCK):
@@ -240,7 +227,6 @@ class SummatoryTable:
     limit: int
     mode: str  # "exact" | "float"
     rows: tuple[SummatoryRow, ...]
-    threads: int = 1
 
     @property
     def final(self) -> ExactValue:
@@ -308,8 +294,6 @@ def summatory(
     grid: Optional[Sequence[int]] = None,
     bundle=None,
     threads: int = 1,
-    segment: int = DEFAULT_SEGMENT,
-    mem_limit_mb: Optional[float] = None,
 ) -> SummatoryTable:
     """Prefix sums S(x) at the grid checkpoints, with optional main terms.
 
@@ -350,11 +334,11 @@ def summatory(
     if checkpoints[0] == 1:
         finish(1, Fraction(1))
     if limit == 1:
-        return SummatoryTable(params=params, limit=limit, mode=mode, rows=tuple(rows), threads=threads)
+        return SummatoryTable(params=params, limit=limit, mode=mode, rows=tuple(rows))
 
-    _check_budget(limit, mem_limit_mb, workers=threads)
+    _check_budget(limit, workers=threads)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        table = tabulate(build_spf(limit, mem_limit_mb=mem_limit_mb), params, pool)
+        table = tabulate(build_spf(limit), params, pool)
         g, om = table.counts, table.omegas
         W = int(om.max())
         a, b = float(params.k).as_integer_ratio()  # k = a/b exactly
@@ -369,11 +353,11 @@ def summatory(
 
         totals = [0] * (W + 1)
         totals[0] = 1  # n = 1 contributes count 1 with omega 0
-        segments = _segment_bounds(limit, checkpoints, segment)
+        segments = _segment_bounds(limit, checkpoints, SEGMENT)
         for (_, hi, is_ckpt), part in zip(segments, pool.map(seg_sums, segments, chunksize=4)):
             for w in range(W + 1):
                 totals[w] += int(part[w])
             if is_ckpt:
                 finish(hi, Fraction(sum(t * c for t, c in zip(totals, scale)), denom))
 
-    return SummatoryTable(params=params, limit=limit, mode=mode, rows=tuple(rows), threads=threads)
+    return SummatoryTable(params=params, limit=limit, mode=mode, rows=tuple(rows))

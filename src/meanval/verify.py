@@ -22,6 +22,10 @@ Verified identities:
 * the Euler-product factorization: Dirichlet series == Euler product
   == zeta(s)**2 * closed-form cofactor.
 
+The closed forms take a scalar or an array: ``euler_product_truncated`` runs
+``local_factor_excess`` (the function ``local_factor_check`` validates) over
+the whole prime array, so the check covers the code that forms the product.
+
 The truncated series and the log of the truncated product are summed with
 ``xsum``, which rounds the exact sum of the float terms once, so each
 round-off allowance needs one rounding for the sum on top of those of the
@@ -114,14 +118,19 @@ def _report(identity: str, params: dict, lhs: float, rhs: float, bound: float,
 # power-series identity
 
 
-def power_series_closed_form(r: int, z: float) -> float:
-    """z*(2 - z**r) / ((1 - z) * (1 - z**r)) for |z| < 1, r >= 1."""
-    if not abs(z) < 1.0:
+def power_series_closed_form(r: int, z):
+    """z*(2 - z**r) / ((1 - z) * (1 - z**r)) for |z| < 1, r >= 1.
+
+    ``z`` is a float or an array of floats; a float gives a float.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    if not np.all(np.abs(z) < 1.0):
         raise ConfigError(f"|z| must be < 1, got z={z}")
     if r < 1:
         raise ConfigError(f"r must be >= 1, got {r}")
     zr = z**r
-    return z * (2.0 - zr) / ((1.0 - z) * (1.0 - zr))
+    value = z * (2.0 - zr) / ((1.0 - z) * (1.0 - zr))
+    return value if value.ndim else float(value)
 
 
 def _series_tail_bound(z: float, terms: int) -> float:
@@ -155,11 +164,14 @@ def power_series_check(r: int, z: float, terms: int = 200) -> VerifyReport:
 # local factor
 
 
-def local_factor_excess(p: float, s: float, params: ArithParams) -> float:
-    """L_p(s) - 1 evaluated without cancellation: (1/k) * z(2-z^r)/((1-z)(1-z^r))."""
+def local_factor_excess(p, s: float, params: ArithParams):
+    """L_p(s) - 1 evaluated without cancellation: (1/k) * z(2-z^r)/((1-z)(1-z^r)).
+
+    ``p`` is a prime or an array of primes, with z = p**-s; a scalar gives a float.
+    """
     if not s > 0:
         raise ConfigError(f"s must be positive, got {s}")
-    z = float(p) ** -s
+    z = np.asarray(p, dtype=np.float64) ** -s
     return power_series_closed_form(params.r, z) / float(params.k)
 
 
@@ -278,10 +290,7 @@ def euler_product_truncated(params: ArithParams, s: float, cutoff: int) -> tuple
     if not s > 1.0:
         raise ConfigError(f"product tail bound needs s > 1, got {s}")
     r, k = params.r, float(params.k)
-    ps = primes_up_to(cutoff).astype(np.float64)
-    z = ps**-s
-    excess = (1.0 / k) * z * (2.0 - z**r) / ((1.0 - z) * (1.0 - z**r))
-    log_prod = fsum(np.log1p(excess))
+    log_prod = fsum(np.log1p(local_factor_excess(primes_up_to(cutoff), s, params)))
     value = math.exp(log_prod)
     c = (2.0 / k) / ((1.0 - 2.0**-s) * (1.0 - 2.0 ** (-r * s)))
     tail_log = c * cutoff ** (1.0 - s) / (s - 1.0)
@@ -302,8 +311,8 @@ def global_factorization_check(
     ``details`` with its own combined bound; the verifier records the gap
     without asserting which side is right when they disagree.
     """
-    if not s >= 1.5:
-        raise ConfigError(f"s must be >= 1.5 for controllable tails, got {s}")
+    if not 1.5 <= s < math.inf:
+        raise ConfigError(f"s must be finite and >= 1.5 for controllable tails, got {s}")
     if limit < 10**3 or cutoff < 10**3:
         raise ConfigError("series length and prime cutoff must both be >= 1000")
     series, series_tail = dirichlet_series_truncated(params, s, limit)

@@ -11,7 +11,10 @@ bound for R (the integral form of the remainder, |periodic Bernoulli| <=
 |B_{2q}|) to an explicit allowance for float round-off, so it is a rigorous
 enclosure radius rather than a convergence heuristic. The derivative follows
 by differentiating every term, with the remainder integral bounded through
-the Leibniz expansion of d^m/dx^m [ln(x) * x^-s].
+the Leibniz expansion of d^m/dx^m [ln(x) * x^-s]. ``zeta`` and ``zeta_prime``
+share one evaluation loop, which validates s and tol and then either
+evaluates at a pinned split point N or grows N by fours until the radius
+meets tol.
 
 The Euler-Mascheroni constant and the Glaisher-Kinkelin constant are stored
 as 30+ digit literals; tests re-derive them from their defining limits. The
@@ -53,6 +56,7 @@ _B2J = (
 _FACT2J = tuple(math.factorial(2 * j) for j in range(1, _ORDER + 1))
 
 _MIN_S = 1.0 + 1e-8
+_MIN_S_PRIME = 1.0 + 1e-6
 _MAX_CUTOFF = 1 << 21
 
 
@@ -136,11 +140,15 @@ def _eval_zeta_prime(s: float, cutoff: int) -> tuple[float, float]:
     return value, _tail_remainder_bound_deriv(s, cutoff) + fp
 
 
-def _evaluate(s: float, tol: float, min_s: float, kernel) -> ZetaValue:
+def _evaluate(s: float, tol: float, min_s: float, kernel, cutoff: int | None) -> ZetaValue:
+    """Run ``kernel`` at a pinned ``cutoff``, or grow the cutoff until the radius meets tol."""
     if not tol > 0:
         raise ConfigError(f"tol must be positive, got {tol}")
     if not s >= min_s:
         raise ConfigError(f"s={s} below the supported range s >= {min_s}")
+    if cutoff is not None:
+        value, radius = kernel(s, cutoff)
+        return ZetaValue(value=value, error_radius=radius, s=s)
     cutoff = 16
     value, radius = kernel(s, cutoff)
     while radius > tol and cutoff < _MAX_CUTOFF:
@@ -158,24 +166,18 @@ def zeta(s: float, tol: float = 1e-12, cutoff: int | None = None) -> ZetaValue:
     """zeta(s) for real s >= 1 + 1e-8 with |value - zeta(s)| <= error_radius <= tol.
 
     ``cutoff`` pins the Euler-Maclaurin split point (mainly for consistency
-    tests); by default it grows until the rigorous radius meets tol.
+    tests); the radius is then reported but not held to tol. By default the
+    cutoff grows until the rigorous radius meets tol.
     """
-    if cutoff is not None:
-        if not s >= _MIN_S:
-            raise ConfigError(f"s={s} below the supported range s >= {_MIN_S}")
-        value, radius = _eval_zeta(s, cutoff)
-        return ZetaValue(value=value, error_radius=radius, s=s)
-    return _evaluate(s, tol, _MIN_S, _eval_zeta)
+    return _evaluate(s, tol, _MIN_S, _eval_zeta, cutoff)
 
 
 def zeta_prime(s: float, tol: float = 1e-12, cutoff: int | None = None) -> ZetaValue:
-    """zeta'(s) for real s >= 1 + 1e-6 with a rigorous error radius <= tol."""
-    if cutoff is not None:
-        if not s >= 1.0 + 1e-6:
-            raise ConfigError(f"s={s} below the supported range s >= {1.0 + 1e-6}")
-        value, radius = _eval_zeta_prime(s, cutoff)
-        return ZetaValue(value=value, error_radius=radius, s=s)
-    return _evaluate(s, tol, 1.0 + 1e-6, _eval_zeta_prime)
+    """zeta'(s) for real s >= 1 + 1e-6 with a rigorous error radius <= tol.
+
+    ``cutoff`` pins the split point as in ``zeta``.
+    """
+    return _evaluate(s, tol, _MIN_S_PRIME, _eval_zeta_prime, cutoff)
 
 
 def zeta_prime_2_closed_form() -> float:

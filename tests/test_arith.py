@@ -46,6 +46,14 @@ class TestFactorize:
         assert factorize(1000003).factors == ((1000003, 1),)
         assert factorize(1000003 * 999983).factors == ((999983, 1), (1000003, 1))
 
+    @pytest.mark.parametrize(
+        # factors just past the sieved primes (2**16 + 1 is the first odd
+        # candidate), a prime past 2**32, and the largest supported input
+        "n", [65537 * 65539, 65537**2, 4294967311, 2**63 - 1]
+    )
+    def test_factors_past_the_trial_primes(self, n):
+        assert list(factorize(n).factors) == trial_factorize(n)
+
     @given(st.integers(min_value=1, max_value=10**6))
     @settings(max_examples=80, deadline=None)
     def test_roundtrip(self, n):
@@ -188,6 +196,8 @@ class TestArithParams:
             ArithParams(1, 1.0)
         with pytest.raises(ValueError):
             ArithParams(2, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            ArithParams(2, math.inf)
 
     def test_exact_flag(self):
         assert ArithParams(2, 2.0).exact

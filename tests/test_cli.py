@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -18,6 +20,15 @@ def run_cli(*args, env_extra=None):
         text=True,
         env=env,
     )
+
+
+@pytest.mark.parametrize(
+    "command", [["constants"], ["verify"], ["sum", "--N", "10"], ["fit", "--N", "10"]]
+)
+def test_non_finite_weight_rejected(command):
+    res = run_cli(*command, "--k", "inf")
+    assert res.returncode == 2
+    assert "k must be finite" in res.stderr
 
 
 class TestConstantsCommand:
@@ -99,8 +110,10 @@ class TestSumCommand:
         assert [row["x"] for row in obj["rows"]] == [10, 50, 100]
 
     def test_bad_grid(self):
-        res = run_cli("sum", "--r", "2", "--k", "1", "--N", "100", "--grid", "bogus:3")
-        assert res.returncode == 2
+        for grid in ("bogus:3", "geom:abc"):
+            res = run_cli("sum", "--r", "2", "--k", "1", "--N", "100", "--grid", grid)
+            assert res.returncode == 2, grid
+            assert "Traceback" not in res.stderr
 
     def test_out_file(self, tmp_path):
         out = tmp_path / "table.csv"
@@ -135,9 +148,10 @@ class TestVerifyCommand:
         assert glob["details"]["closed_form_within_bound"] is False
 
     def test_s_out_of_region_rejected(self):
-        res = run_cli("verify", "--r", "2", "--k", "1", "--s", "0.4")
-        assert res.returncode == 2
-        assert "1.5" in res.stderr
+        for s in ("0.4", "inf"):
+            res = run_cli("verify", "--r", "2", "--k", "1", "--s", s)
+            assert res.returncode == 2, s
+            assert "1.5" in res.stderr
 
 
 class TestFitCommand:

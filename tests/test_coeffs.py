@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from meanval import coeffs as coeffs_mod
@@ -13,6 +14,7 @@ from meanval.coeffs import (
     log_factor_derivative,
 )
 from meanval.errors import ConfigError, ToleranceError
+from meanval.primes import primes_up_to
 from meanval.zeta import EULER_GAMMA, zeta
 
 from oracles import partial_product_leading
@@ -203,6 +205,29 @@ class TestBundleSharing:
         # sharing the product leaves every constant as the separate calls give it
         assert b.leading == leading_coefficient(params, 10**4)[0]
         assert b.cofactor_deriv == cofactor_derivative_at_1(params, 10**4)[0]
+
+    def test_prime_sum_runs_the_gated_kernel(self, monkeypatch):
+        sizes = []
+        inner = coeffs_mod.log_factor_derivative
+
+        def spy(ps, params):
+            sizes.append(np.size(ps))
+            return inner(ps, params)
+
+        monkeypatch.setattr(coeffs_mod, "log_factor_derivative", spy)
+        bundle(ArithParams(3, 1.5), 10**5)
+        assert len(primes_up_to(10**5)) in sizes
+
+    def test_gate_checks_the_array_kernel(self, monkeypatch):
+        # a kernel right on scalars but off on arrays must not get past the gate
+        inner = coeffs_mod.log_factor_derivative
+
+        def skewed(ps, params):
+            return inner(ps, params) + (1e-6 if np.ndim(ps) else 0.0)
+
+        monkeypatch.setattr(coeffs_mod, "log_factor_derivative", skewed)
+        with pytest.raises(ToleranceError):
+            bundle(ArithParams(3, 1.5), 10**4)
 
     def test_gate_runs_on_every_call(self, monkeypatch):
         params = ArithParams(2, 1.0)

@@ -53,10 +53,6 @@ class TestBuildSpf:
         fixed_points = int(np.count_nonzero(sieve.spf[2:] == idx[2:]))
         assert fixed_points == prime_count(10**6) == 78498
 
-    def test_primes_method(self):
-        sieve = build_spf(50)
-        assert sieve.primes().tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
-
     def test_limit_too_small(self):
         with pytest.raises(ConfigError):
             build_spf(1)
@@ -67,13 +63,14 @@ class TestBuildSpf:
     def test_matches_naive_sieve_across_block_edges(self, limit):
         assert np.array_equal(build_spf(limit).spf, smallest_prime_factors(limit))
 
-    def test_memory_budget_enforced(self):
+    def test_memory_budget_enforced(self, monkeypatch):
+        monkeypatch.setenv(sieve_mod.MEM_ENV_VAR, "1")
         with pytest.raises(ResourceError):
-            build_spf(10**8, mem_limit_mb=1)
+            build_spf(10**8)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("limit", [10**5, 2 * 10**6, 10**7])
-    def test_budget_covers_traced_peak(self, limit, workers):
+    def test_budget_covers_traced_peak(self, limit, workers, monkeypatch):
         tracemalloc.start()
         try:
             with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -83,8 +80,9 @@ class TestBuildSpf:
             tracemalloc.stop()
         # the gate must refuse a budget equal to the measured peak, that is,
         # its estimate for this limit and worker count is above the peak
+        monkeypatch.setenv(sieve_mod.MEM_ENV_VAR, str(peak / 2**20))
         with pytest.raises(ResourceError):
-            _check_budget(limit, peak / 2**20, workers)
+            _check_budget(limit, workers)
 
 
 class TestTabulate:
@@ -195,10 +193,11 @@ class TestSummatory:
         b = summatory(ArithParams(2, 2.0), 10**4)
         assert a == b
 
-    def test_threads_bit_identical(self):
+    def test_threads_bit_identical(self, monkeypatch):
+        monkeypatch.setattr(sieve_mod, "SEGMENT", 1 << 14)
         for params in (ArithParams(2, 1.0), ArithParams(2, 1.75)):
-            serial = summatory(params, 10**5, segment=1 << 14, threads=1)
-            parallel = summatory(params, 10**5, segment=1 << 14, threads=4)
+            serial = summatory(params, 10**5, threads=1)
+            parallel = summatory(params, 10**5, threads=4)
             assert serial.rows == parallel.rows
 
     def test_float_error_bound_small(self):
@@ -208,9 +207,10 @@ class TestSummatory:
 
     @pytest.mark.parametrize("threads", [1, 4])
     @pytest.mark.parametrize("r, k", [(3, 1.5), (2, 1.3), (2, 2.0 + 1e-12)])
-    def test_float_rows_are_correctly_rounded_exact_sums(self, r, k, threads):
+    def test_float_rows_are_correctly_rounded_exact_sums(self, r, k, threads, monkeypatch):
+        monkeypatch.setattr(sieve_mod, "SEGMENT", 1 << 8)
         grid = [1, *geometric_checkpoints(2000)]
-        t = summatory(ArithParams(r, k), 2000, grid=grid, threads=threads, segment=1 << 8)
+        t = summatory(ArithParams(r, k), 2000, grid=grid, threads=threads)
         assert t.mode == "float" and [row.x for row in t.rows] == grid
         oracle = _enumerated_prefix_sums(r, k, tuple(grid))
         for row in t.rows:

@@ -64,9 +64,17 @@ class TestSeriesIdentity:
         assert rep.passed
         assert rep.gap <= rep.bound <= 3.0 * rep.gap
 
+    def test_array_is_elementwise_and_scalar_stays_float(self):
+        zs = [0.05, 0.3, 0.5, 0.9]
+        values = power_series_closed_form(3, np.array(zs))
+        assert values.tolist() == [power_series_closed_form(3, z) for z in zs]
+        assert type(power_series_closed_form(3, 0.5)) is float
+
     def test_domain(self):
         with pytest.raises(ConfigError):
             power_series_closed_form(2, 1.0)
+        with pytest.raises(ConfigError):
+            power_series_closed_form(2, np.array([0.5, -1.0]))
         with pytest.raises(ConfigError):
             power_series_check(0, 0.5)
 
@@ -150,6 +158,20 @@ class TestGlobalFactorization:
             direct *= local_factor(int(p), s, params)
         assert value == pytest.approx(direct, rel=1e-12)
 
+    def test_product_runs_the_checked_local_factor(self, monkeypatch):
+        # the product forms its factors through local_factor_excess, the
+        # function local_factor_check validates, over the whole prime array
+        sizes = []
+        inner = verify_mod.local_factor_excess
+
+        def spy(p, s, params):
+            sizes.append(np.size(p))
+            return inner(p, s, params)
+
+        monkeypatch.setattr(verify_mod, "local_factor_excess", spy)
+        euler_product_truncated(ArithParams(3, 1.5), 2.0, 1000)
+        assert sizes == [168]  # pi(1000)
+
     def test_series_truncation_monotone_in_limit(self):
         params = ArithParams(2, 1.0)
         v1, t1 = dirichlet_series_truncated(params, 2.0, 10**3)
@@ -182,6 +204,8 @@ class TestGlobalFactorization:
     def test_domain_checks(self):
         with pytest.raises(ConfigError):
             global_factorization_check(1.4, ArithParams(2, 1.0))
+        with pytest.raises(ConfigError):
+            global_factorization_check(math.inf, ArithParams(2, 1.0))
         with pytest.raises(ConfigError):
             global_factorization_check(2.0, ArithParams(2, 1.0), limit=10)
 
