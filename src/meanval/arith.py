@@ -37,6 +37,7 @@ __all__ = [
     "divisor_count",
     "factorize",
     "minimal_power",
+    "minpow_divisor_counts",
     "omega",
     "weighted_divisor",
 ]
@@ -169,6 +170,15 @@ def minimal_power(f: PrimeFactorization, r: int) -> PrimeFactorization:
     if not isinstance(r, int) or r < 1:
         raise ValueError(f"r must be an integer >= 1, got {r!r}")
     return PrimeFactorization(tuple((p, -(-a // r)) for p, a in f))
+
+
+def minpow_divisor_counts(r: int, size: int) -> list[int]:
+    """d(minimal power of p**a) = ceil(a/r) + 1 for a = 0, 1, ..., size - 1.
+
+    These are the prime-power values of the studied function before the
+    weight, and the coefficients of the local factor's power series in p**-s.
+    """
+    return [-(-a // r) + 1 for a in range(size)]
 
 
 def weighted_divisor(f: PrimeFactorization, k: float) -> ExactValue:

@@ -96,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     threads_help = (
         "worker threads for the sieve's tabulation pass and the segment sums; "
-        "the output is bit-identical for any count"
+        "the output is bit-identical for any count. Only the sieve uses them: "
+        "at k = 1 and k = 2 the sums come from the powerful numbers instead"
     )
 
     def add_common(p: argparse.ArgumentParser, with_n: bool) -> None:
@@ -195,7 +196,7 @@ def _cmd_sum(args) -> int:
         cutoff = args.prime_cutoff or coeffs.DEFAULT_PRIME_CUTOFF
         bundle = coeffs.bundle(params, cutoff, zeta_tol=args.tol)
     if args.N >= 10**6:
-        _progress(f"sieving and summing to N={args.N} (threads={args.threads})")
+        _progress(f"summing to N={args.N} (threads={args.threads})")
     t0 = time.perf_counter()
     table = sieve.summatory(params, args.N, grid=grid, bundle=bundle, threads=args.threads)
     if args.N >= 10**6:

@@ -13,6 +13,8 @@ n**(-r*s)/k, which an integral comparison turns into an explicit remainder.
 The logarithmic derivative of H needs, per prime, the s-derivative of
 ln(1 - 1/(k*(p**(r*s) + p**((r-1)*s)))) at s = 1.  With u = k*(p**r + p**(r-1))
 and u' = k*ln(p)*(r*p**r + (r-1)*p**(r-1)) that derivative is u'/(u*(u-1)).
+The kernels evaluate these through negative powers of p, which underflow to
+0 for large r*s instead of overflowing.
 Because this closed form was derived by hand, it is gated: every use replays
 it against central finite differences of the log-factor at a handful of primes
 and refuses to proceed on disagreement. The gate calls the same array kernels
@@ -59,10 +61,18 @@ def _prime_floats(cutoff: int) -> np.ndarray:
     return primes_up_to(cutoff).astype(np.float64)
 
 
-def _log_factors(ps: np.ndarray, s: float, params: ArithParams) -> np.ndarray:
-    """ln(1 - x_p) with x_p = 1/(k*(p**(r*s) + p**((r-1)*s))), for each prime in ps."""
+def _factor_term(p, s: float, params: ArithParams):
+    """x_p = 1/(k*(p**(r*s) + p**((r-1)*s))), as p**(-(r-1)*s)/(k*(p**s + 1)).
+
+    ``p`` is a float or an array of floats.
+    """
     r, k = params.r, float(params.k)
-    return np.log1p(-1.0 / (k * (ps ** (r * s) + ps ** ((r - 1) * s))))
+    return p ** (-(r - 1) * s) / (k * (p**s + 1.0))
+
+
+def _log_factors(ps: np.ndarray, s: float, params: ArithParams) -> np.ndarray:
+    """ln(1 - x_p) for each prime in ps, with x_p from ``_factor_term``."""
+    return np.log1p(-_factor_term(ps, s, params))
 
 
 def _product_factors(s: float, params: ArithParams, ps: np.ndarray, cutoff: int) -> tuple[float, float]:
@@ -76,7 +86,7 @@ def _product_factors(s: float, params: ArithParams, ps: np.ndarray, cutoff: int)
         raise ConfigError(f"prime cutoff must be >= 2, got {cutoff}")
     r, k = params.r, float(params.k)
     log_prod = fsum(_log_factors(ps, s, params))
-    x_at_cut = 1.0 / (k * (float(cutoff) ** (r * s) + float(cutoff) ** ((r - 1) * s)))
+    x_at_cut = _factor_term(float(cutoff), s, params)
     rs = r * s
     tail_log = cutoff ** (1.0 - rs) / ((rs - 1.0) * k * (1.0 - x_at_cut))
     return log_prod, tail_log
@@ -87,16 +97,20 @@ def cofactor_value(
     params: ArithParams,
     cutoff: int = DEFAULT_PRIME_CUTOFF,
     zeta_tol: float = 1e-12,
+    *,
+    primes: Optional[np.ndarray] = None,
 ) -> tuple[float, float]:
     """H(s) from the truncated product; returns (value, rigorous tail bound).
 
     Defined for s > 1/2, where r*s and 2*s stay inside the zeta evaluator's
     range. The bound covers the dropped prime factors, both zeta radii, and
-    float round-off.
+    float round-off. ``primes`` (the primes <= cutoff as float64) saves
+    sieving them when the caller already has them.
     """
     if not s > 0.5:
         raise ConfigError(f"s={s} not in the analytic region s > 1/2")
-    return _cofactor(s, params, _product_factors(s, params, _prime_floats(cutoff), cutoff), zeta_tol)
+    ps = _prime_floats(cutoff) if primes is None else primes
+    return _cofactor(s, params, _product_factors(s, params, ps, cutoff), zeta_tol)
 
 
 def _cofactor(
@@ -150,16 +164,16 @@ def leading_coefficient(
 def log_factor_derivative(ps, params: ArithParams) -> np.ndarray:
     """d/ds ln(1 - 1/(k*(p**(r*s) + p**((r-1)*s)))) at s = 1, in closed form, for each p in ps.
 
-    ``ps`` is a prime or an array of primes; it is taken as float64, so integer
-    primes cannot overflow in p**r.
+    ``ps`` is a prime or an array of primes, taken as float64. With
+    a = p**-(r-1) and q = p + 1, u = k*q/a and u' = k*ln(p)*(r*p + r - 1)/a, so
+    u'/(u*(u-1)) = ln(p)*(r*p + r - 1)*a/(q*(k*q - a)), which has no positive
+    power of p to overflow.
     """
     r, k = params.r, float(params.k)
     ps = np.asarray(ps, dtype=np.float64)
-    pr = ps**r
-    pr1 = ps ** (r - 1)
-    u = k * (pr + pr1)
-    du = k * np.log(ps) * (r * pr + (r - 1) * pr1)
-    return du / (u * (u - 1.0))
+    a = ps ** -(r - 1)
+    q = ps + 1.0
+    return np.log(ps) * (r * ps + (r - 1)) * a / (q * (k * q - a))
 
 
 def _gate_log_factor_derivative(params: ArithParams) -> None:
@@ -211,7 +225,7 @@ def cofactor_derivative_at_1(
     value = h1 * log_deriv
 
     # tail of the prime sum: sum_{n > P} r*ln(n)/(k*n**r - 1)
-    shrink = 1.0 - 1.0 / (k * float(cutoff) ** r)
+    shrink = 1.0 - float(cutoff) ** -r / k
     gp_tail = (
         r
         / (k * shrink)

@@ -17,6 +17,10 @@ run. Every weight k is a binary float, so k = a/b exactly, and each checkpoint
 is the rational S(x) = sum_w T_w * b**w * a**(W - w) / a**W. For integer k
 that rational is returned; otherwise it is rounded once to the nearest float,
 and the reported round-off bound is half an ulp of the result.
+
+``summatory`` at k = 1 or k = 2 exactly does not sieve: ``hyperbola`` gives
+the same exact rationals from h over the powerful numbers in about sqrt(N)
+time and memory. Every other k, and ``verify``'s per-n table, use the sieve.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from typing import IO, Optional, Sequence, Union
 
 import numpy as np
 
-from .arith import ArithParams, ExactValue
+from . import hyperbola
+from .arith import ArithParams, ExactValue, minpow_divisor_counts
 from .errors import ConfigError, ResourceError
 from .primes import primes_up_to
 
@@ -61,20 +66,28 @@ SPF_BLOCK = 1 << 18  # entries per build_spf block: 1 MiB of int32, an L2's wort
 TAB_CHUNK = 1 << 20  # entries per tabulate work item
 
 
-def _check_budget(limit: int, workers: int = 1) -> None:
+def _require_budget(need_bytes: float, what: str, detail: str) -> None:
+    """Raise ResourceError when need_bytes exceeds MEANVAL_MEM_LIMIT_MB."""
     env = os.environ.get(MEM_ENV_VAR, DEFAULT_MEM_LIMIT_MB)
     try:
         budget = float(env)
     except ValueError as exc:
         raise ConfigError(f"{MEM_ENV_VAR}={env!r} is not a number") from exc
-    scratch = workers * min(limit, TAB_CHUNK) * SCRATCH_BYTES_PER_ENTRY
-    need_mb = (limit * BYTES_PER_ENTRY + scratch) / 2**20
+    need_mb = need_bytes / 2**20
     if need_mb > budget:
         raise ResourceError(
-            f"sieve to {limit} needs ~{need_mb:.0f} MiB "
-            f"({BYTES_PER_ENTRY} B/entry plus scratch for {workers} worker(s)) "
+            f"{what} needs ~{need_mb:.0f} MiB ({detail}) "
             f"but the budget is {budget:.0f} MiB; raise {MEM_ENV_VAR} to allow it"
         )
+
+
+def _check_budget(limit: int, workers: int = 1) -> None:
+    scratch = workers * min(limit, TAB_CHUNK) * SCRATCH_BYTES_PER_ENTRY
+    _require_budget(
+        limit * BYTES_PER_ENTRY + scratch,
+        f"sieve to {limit}",
+        f"{BYTES_PER_ENTRY} B/entry plus scratch for {workers} worker(s)",
+    )
 
 
 @dataclass(frozen=True)
@@ -118,7 +131,7 @@ def _decompose(sieve: SpfSieve, params: ArithParams, pool: Optional[Executor]) -
     block [lo, 2*lo) every m < lo, so ``pool`` may run its chunks in any order.
     """
     N, spf, r = sieve.limit, sieve.spf, params.r
-    c = np.array([(a + r - 1) // r + 1 for a in range(32)], dtype=np.int32)
+    c = np.array(minpow_divisor_counts(r, 32), dtype=np.int32)
     counts = np.empty(N + 1, dtype=np.int32)
     omegas = np.empty(N + 1, dtype=np.int8)
     expo = np.empty(N + 1, dtype=np.int8)  # exponent of spf(n) in n
@@ -298,9 +311,11 @@ def summatory(
     """Prefix sums S(x) at the grid checkpoints, with optional main terms.
 
     ``bundle`` (a ConstantsBundle) fills the asymptotic main-term column
-    C*x*ln(x) + K*x and the residual column. Worker threads share the
-    tabulation chunks and the segment class totals; the totals are exact
-    integers, so the result is identical to a serial run, bit for bit.
+    C*x*ln(x) + K*x and the residual column. At k = 1 and k = 2 the sums come
+    from ``hyperbola.prefix_sums`` and ``threads`` is not used. Otherwise
+    worker threads share the tabulation chunks and the segment class totals;
+    the totals are exact integers, so the result is identical to a serial
+    run, bit for bit.
     """
     if limit < 1:
         raise ConfigError(f"N must be >= 1, got {limit}")
@@ -334,6 +349,16 @@ def summatory(
     if checkpoints[0] == 1:
         finish(1, Fraction(1))
     if limit == 1:
+        return SummatoryTable(params=params, limit=limit, mode=mode, rows=tuple(rows))
+
+    if params.k in (1.0, 2.0):
+        _require_budget(
+            hyperbola.required_bytes(params, limit),
+            f"exact S(x) to {limit}",
+            f"{hyperbola.POWERFUL_BYTES} B per powerful number plus the D(y) table",
+        )
+        for x, s in hyperbola.prefix_sums(params, limit, [x for x in checkpoints if x > 1]):
+            finish(x, s)
         return SummatoryTable(params=params, limit=limit, mode=mode, rows=tuple(rows))
 
     _check_budget(limit, workers=threads)

@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arith import ArithParams
+from .arith import ArithParams, minpow_divisor_counts
 from .coeffs import cofactor_value
 from .errors import ConfigError
 from .primes import primes_up_to
@@ -146,7 +146,8 @@ def power_series_check(r: int, z: float, terms: int = 200) -> VerifyReport:
     if terms < 1:
         raise ConfigError(f"terms must be >= 1, got {terms}")
     rhs = power_series_closed_form(r, z)
-    parts = [(-(-a // r) + 1) * z**a for a in range(1, terms + 1)]
+    c = minpow_divisor_counts(r, terms + 1)
+    parts = [c[a] * z**a for a in range(1, terms + 1)]
     lhs = math.fsum(parts)
     fp = 4.0 * _EPS * (math.fsum(abs(t) for t in parts) + abs(rhs))
     bound = _series_tail_bound(z, terms) + fp
@@ -185,7 +186,8 @@ def local_factor_check(p: float, s: float, params: ArithParams, terms: int = 200
     z = float(p) ** -s
     k = float(params.k)
     rhs = local_factor(p, s, params)
-    parts = [(-(-a // params.r) + 1) * z**a / k for a in range(1, terms + 1)]
+    c = minpow_divisor_counts(params.r, terms + 1)
+    parts = [c[a] * z**a / k for a in range(1, terms + 1)]
     lhs = 1.0 + math.fsum(parts)
     fp = 4.0 * _EPS * (1.0 + math.fsum(abs(t) for t in parts) + abs(rhs))
     bound = _series_tail_bound(z, terms) / k + fp
@@ -281,16 +283,20 @@ def dirichlet_series_truncated(params: ArithParams, s: float, limit: int) -> tup
     return value, tail + fp
 
 
-def euler_product_truncated(params: ArithParams, s: float, cutoff: int) -> tuple[float, float]:
+def euler_product_truncated(
+    params: ArithParams, s: float, cutoff: int, *, primes: Optional[np.ndarray] = None
+) -> tuple[float, float]:
     """prod_{p <= P} L_p(s) and a rigorous bound for the dropped factors.
 
     ln L_p <= (2/k) * p**-s / ((1-2**-s)(1-2**(-r*s))), so the dropped
     log-mass is at most c * P**(1-s)/(s-1) by integral comparison.
+    ``primes`` are the primes <= cutoff, when the caller already has them.
     """
     if not s > 1.0:
         raise ConfigError(f"product tail bound needs s > 1, got {s}")
     r, k = params.r, float(params.k)
-    log_prod = fsum(np.log1p(local_factor_excess(primes_up_to(cutoff), s, params)))
+    ps = primes_up_to(cutoff) if primes is None else primes
+    log_prod = fsum(np.log1p(local_factor_excess(ps, s, params)))
     value = math.exp(log_prod)
     c = (2.0 / k) / ((1.0 - 2.0**-s) * (1.0 - 2.0 ** (-r * s)))
     tail_log = c * cutoff ** (1.0 - s) / (s - 1.0)
@@ -316,9 +322,10 @@ def global_factorization_check(
     if limit < 10**3 or cutoff < 10**3:
         raise ConfigError("series length and prime cutoff must both be >= 1000")
     series, series_tail = dirichlet_series_truncated(params, s, limit)
-    product, product_tail = euler_product_truncated(params, s, cutoff)
+    ps = primes_up_to(cutoff).astype(np.float64)  # one sieve for both products
+    product, product_tail = euler_product_truncated(params, s, cutoff, primes=ps)
     zs = zeta(s)
-    h, h_tail = cofactor_value(s, params, cutoff)
+    h, h_tail = cofactor_value(s, params, cutoff, primes=ps)
     closed = zs.value**2 * h
     closed_bound = closed * (2.0 * zs.error_radius / zs.value + h_tail / abs(h) + 8.0 * _EPS)
     gap_closed = series - closed

@@ -142,8 +142,8 @@ def _eval_zeta_prime(s: float, cutoff: int) -> tuple[float, float]:
 
 def _evaluate(s: float, tol: float, min_s: float, kernel, cutoff: int | None) -> ZetaValue:
     """Run ``kernel`` at a pinned ``cutoff``, or grow the cutoff until the radius meets tol."""
-    if not tol > 0:
-        raise ConfigError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ConfigError(f"tol must be positive and finite, got {tol}")
     if not s >= min_s:
         raise ConfigError(f"s={s} below the supported range s >= {min_s}")
     if cutoff is not None:

@@ -9,17 +9,32 @@ import pytest
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*args, env_extra=None):
+def _env(env_extra=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     if env_extra:
         env.update(env_extra)
+    return env
+
+
+def run_cli(*args, env_extra=None):
     return subprocess.run(
         [sys.executable, "-m", "meanval.cli", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=_env(env_extra),
     )
+
+
+def run_cli_peak_rss(tmp_path, *args):
+    """Exit code, stderr and the child's own peak RSS in MiB (from os.wait4)."""
+    err_path = tmp_path / "stderr"
+    with open(os.devnull, "w") as out, open(err_path, "w") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "meanval.cli", *args],
+                                stdout=out, stderr=err, env=_env())
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, err_path.read_text(), usage.ru_maxrss / 1024
 
 
 @pytest.mark.parametrize(
@@ -63,6 +78,30 @@ class TestConstantsCommand:
                       "--prime-cutoff", "10000", "--format", "table")
         assert res.returncode == 0
         assert "x ln x coefficient" in res.stdout
+
+    def test_non_finite_tolerance_rejected(self):
+        res = run_cli("constants", "--r", "2", "--k", "1", "--prime-cutoff", "1000", "--tol", "inf")
+        assert res.returncode == 2
+        assert "tol must be positive and finite" in res.stderr
+
+    @pytest.mark.parametrize("command", [["constants", "--prime-cutoff", "10000"],
+                                         ["sum", "--N", "1000", "--with-main", "--format", "csv"]])
+    def test_huge_r_does_not_overflow(self, command):
+        import math
+
+        # every warning is an error, so a power that overflows fails the run
+        res = run_cli(*command, "--r", "200", "--k", "1", env_extra={"PYTHONWARNINGS": "error"})
+        assert res.returncode == 0, res.stderr
+        if command[0] == "constants":
+            obj = json.loads(res.stdout)
+            values = [float(obj[name]) for name in ("C", "H1_prime", "B", "K")]
+            tails = {name: float(v) for name, v in obj["tail_bounds"].items()}
+            assert all(map(math.isfinite, values + list(tails.values())))
+            # zeta(200) and the product over p both equal 1 to far below an ulp
+            assert abs(float(obj["C"]) - 6 / math.pi**2) <= tails["C"]
+        else:
+            last = res.stdout.splitlines()[-1].split(",")
+            assert all(map(math.isfinite, map(float, last)))
 
     def test_unreachable_tolerance_exits_4(self):
         res = run_cli("constants", "--r", "2", "--k", "1",
@@ -124,10 +163,26 @@ class TestSumCommand:
         assert out.read_text().splitlines()[0] == "x,S,main,residual,err_bound"
 
     def test_memory_budget_env(self):
-        res = run_cli("sum", "--r", "2", "--k", "1", "--N", "10000000",
+        # k = 1.5 sieves; k = 1 takes the powerful-number sum and its own gate
+        res = run_cli("sum", "--r", "2", "--k", "1.5", "--N", "10000000",
                       env_extra={"MEANVAL_MEM_LIMIT_MB": "1"})
         assert res.returncode == 3
         assert "MEANVAL_MEM_LIMIT_MB" in res.stderr
+        res = run_cli("sum", "--r", "2", "--k", "1", "--N", "10000000000",
+                      env_extra={"MEANVAL_MEM_LIMIT_MB": "1"})
+        assert res.returncode == 3
+        assert "MEANVAL_MEM_LIMIT_MB" in res.stderr and "powerful" in res.stderr
+
+    def test_int32_limit_exits_3_before_allocating(self, tmp_path):
+        code, err, peak_mib = run_cli_peak_rss(tmp_path, "sum", "--k", "1.5", "--N", "2147483647")
+        assert code == 3, err
+        assert "Traceback" not in err
+        assert peak_mib < 100
+
+    def test_int64_overflow_exits_3(self):
+        res = run_cli("sum", "--k", "1", "--N", str(10**30))
+        assert res.returncode == 3
+        assert "overflow" in res.stderr and "Traceback" not in res.stderr
 
 
 class TestVerifyCommand:

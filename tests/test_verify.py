@@ -8,6 +8,7 @@ import pytest
 from meanval import verify as verify_mod
 from meanval.arith import ArithParams
 from meanval.errors import ConfigError
+from meanval.primes import primes_up_to
 from meanval.sieve import build_spf, tabulate
 from meanval.verify import (
     dirichlet_series_truncated,
@@ -200,6 +201,21 @@ class TestGlobalFactorization:
         bound = float(rep.details["closed_form_combined_bound"])
         assert gap > bound  # the closed form genuinely differs at k = 2
         assert not rep.details["closed_form_within_bound"]
+
+    def test_primes_sieved_once(self, monkeypatch):
+        from meanval import coeffs as coeffs_mod
+
+        calls = []
+
+        def counted(limit):
+            calls.append(limit)
+            return primes_up_to(limit)
+
+        monkeypatch.setattr(verify_mod, "primes_up_to", counted)
+        monkeypatch.setattr(coeffs_mod, "primes_up_to", counted)
+        rep = global_factorization_check(2.0, ArithParams(2, 1.0), limit=10**4, cutoff=10**4)
+        assert calls == [10**4]
+        assert rep.passed and rep.details["closed_form_within_bound"]
 
     def test_domain_checks(self):
         with pytest.raises(ConfigError):

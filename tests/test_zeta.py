@@ -66,6 +66,9 @@ class TestZeta:
             zeta(0.99)
         with pytest.raises(PrecisionError):
             zeta(1.0 + 1e-8, tol=1e-13)
+        for tol in (0.0, math.inf, math.nan):
+            with pytest.raises(ConfigError):
+                zeta(2.0, tol=tol)
 
     def test_split_point_consistency(self):
         # moving the Euler-Maclaurin split must stay inside the joint enclosure
