@@ -18,7 +18,7 @@ from .arith import (
     omega,
     weighted_divisor,
 )
-from .coeffs import ConstantsBundle, bundle, cofactor_derivative_at_1, cofactor_value, leading_coefficient
+from .coeffs import ConstantsBundle, bundle, cofactor_value
 from .errors import (
     ConfigError,
     InsufficientDataError,

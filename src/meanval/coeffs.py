@@ -14,7 +14,8 @@ The logarithmic derivative of H needs, per prime, the s-derivative of
 ln(1 - 1/(k*(p**(r*s) + p**((r-1)*s)))) at s = 1.  With u = k*(p**r + p**(r-1))
 and u' = k*ln(p)*(r*p**r + (r-1)*p**(r-1)) that derivative is u'/(u*(u-1)).
 The kernels evaluate these through negative powers of p, which underflow to
-0 for large r*s instead of overflowing.
+0 for large r*s instead of overflowing; the one positive power, p**s in x_p,
+may overflow to inf, which makes x_p 0.
 Because this closed form was derived by hand, it is gated: every use replays
 it against central finite differences of the log-factor at a handful of primes
 and refuses to proceed on disagreement. The gate calls the same array kernels
@@ -23,6 +24,11 @@ prime sum run over all primes, so it checks the code that does the work.
 
 The sums over primes (the log-product and the prime sum) are correctly
 rounded, through ``xsum.fsum``, so their round-off is one rounding each.
+
+``bundle`` forms every s = 1 quantity once: the primes, the product, zeta and
+zeta' at r and at 2, and H(1). ``leading_coefficient`` and
+``cofactor_derivative_at_1`` are its two steps and take those as inputs;
+``cofactor_value`` is H(s) at any s > 1/2.
 """
 
 from __future__ import annotations
@@ -43,9 +49,7 @@ from .zeta import EULER_GAMMA, ZetaValue, zeta, zeta_prime
 __all__ = [
     "ConstantsBundle",
     "bundle",
-    "cofactor_derivative_at_1",
     "cofactor_value",
-    "leading_coefficient",
     "log_factor_derivative",
 ]
 
@@ -64,10 +68,12 @@ def _prime_floats(cutoff: int) -> np.ndarray:
 def _factor_term(p, s: float, params: ArithParams):
     """x_p = 1/(k*(p**(r*s) + p**((r-1)*s))), as p**(-(r-1)*s)/(k*(p**s + 1)).
 
-    ``p`` is a float or an array of floats.
+    ``p`` is a float64 or an array of them. A p**s past the double range
+    becomes inf, which gives x_p = 0, its value to double precision.
     """
     r, k = params.r, float(params.k)
-    return p ** (-(r - 1) * s) / (k * (p**s + 1.0))
+    with np.errstate(over="ignore"):
+        return p ** (-(r - 1) * s) / (k * (p**s + 1.0))
 
 
 def _log_factors(ps: np.ndarray, s: float, params: ArithParams) -> np.ndarray:
@@ -86,7 +92,7 @@ def _product_factors(s: float, params: ArithParams, ps: np.ndarray, cutoff: int)
         raise ConfigError(f"prime cutoff must be >= 2, got {cutoff}")
     r, k = params.r, float(params.k)
     log_prod = fsum(_log_factors(ps, s, params))
-    x_at_cut = _factor_term(float(cutoff), s, params)
+    x_at_cut = float(_factor_term(np.float64(cutoff), s, params))
     rs = r * s
     tail_log = cutoff ** (1.0 - rs) / ((rs - 1.0) * k * (1.0 - x_at_cut))
     return log_prod, tail_log
@@ -110,17 +116,13 @@ def cofactor_value(
     if not s > 0.5:
         raise ConfigError(f"s={s} not in the analytic region s > 1/2")
     ps = _prime_floats(cutoff) if primes is None else primes
-    return _cofactor(s, params, _product_factors(s, params, ps, cutoff), zeta_tol)
+    product = _product_factors(s, params, ps, cutoff)
+    return _cofactor(product, zeta(params.r * s, tol=zeta_tol), zeta(2 * s, tol=zeta_tol))
 
 
-def _cofactor(
-    s: float, params: ArithParams, product: tuple[float, float], zeta_tol: float
-) -> tuple[float, float]:
-    """H(s) and its bound from the truncated product's (log, tail bound)."""
+def _cofactor(product: tuple[float, float], zr: ZetaValue, z2: ZetaValue) -> tuple[float, float]:
+    """H(s) and its bound from the truncated product's (log, tail bound), zeta(r*s) and zeta(2*s)."""
     log_prod, tail_log = product
-    r = params.r
-    zr = zeta(r * s, tol=zeta_tol)
-    z2 = zeta(2 * s, tol=zeta_tol)
     value = zr.value / z2.value * math.exp(log_prod)
     rel = (
         math.expm1(tail_log)
@@ -132,31 +134,23 @@ def _cofactor(
 
 
 def leading_coefficient(
-    params: ArithParams,
-    cutoff: int = DEFAULT_PRIME_CUTOFF,
-    zeta_tol: float = 1e-12,
-    *,
-    product: Optional[tuple[float, float]] = None,
+    product: tuple[float, float], zr: ZetaValue, h1: tuple[float, float]
 ) -> tuple[float, float]:
     """C = 6*zeta(r)/pi**2 * truncated product at s = 1, with tail bound.
 
-    Numerically identical to H(1) = zeta(r)/zeta(2) * the same product
-    (zeta(2) = pi^2/6); the two routes are cross-asserted to a few ulps.
-    ``product`` is the s = 1 product's (log, tail bound) at this cutoff, from
-    ``_product_factors``, when the caller already has it.
+    ``product`` is the s = 1 product's (log, tail bound), ``zr`` is zeta(r),
+    and ``h1`` is H(1) = zeta(r)/zeta(2) * the same product, with its bound.
+    The two routes are numerically identical (zeta(2) = pi^2/6) and are
+    cross-asserted to a few ulps.
     """
-    r, k = params.r, float(params.k)
-    zr = zeta(float(r), tol=zeta_tol)
-    if product is None:
-        product = _product_factors(1.0, params, _prime_floats(cutoff), cutoff)
     log_prod, tail_log = product
     value = 6.0 * zr.value / math.pi**2 * math.exp(log_prod)
     rel = math.expm1(tail_log) + zr.error_radius / abs(zr.value) + 64.0 * _EPS
     tail = abs(value) * rel
-    h1, h1_tail = _cofactor(1.0, params, product, zeta_tol)
-    if abs(h1 - value) > 1e-11 * abs(value) + h1_tail + tail:
+    h, h_tail = h1
+    if abs(h - value) > 1e-11 * abs(value) + h_tail + tail:
         raise ToleranceError(
-            f"leading coefficient {value!r} disagrees with cofactor at 1 {h1!r}"
+            f"leading coefficient {value!r} disagrees with cofactor at 1 {h!r}"
         )
     return value, tail
 
@@ -194,30 +188,24 @@ def _gate_log_factor_derivative(params: ArithParams) -> None:
 
 def cofactor_derivative_at_1(
     params: ArithParams,
-    cutoff: int = DEFAULT_PRIME_CUTOFF,
-    zeta_tol: float = 1e-12,
-    *,
-    primes: Optional[np.ndarray] = None,
-    product: Optional[tuple[float, float]] = None,
+    ps: np.ndarray,
+    cutoff: int,
+    h1: tuple[float, float],
+    at_r: tuple[ZetaValue, ZetaValue],
+    at_2: tuple[ZetaValue, ZetaValue],
 ) -> tuple[float, float]:
     """H'(1) = H(1) * (r*zeta'(r)/zeta(r) - 2*zeta'(2)/zeta(2) + prime sum).
 
-    The prime sum collects the per-prime log-factor derivatives up to the
-    cutoff; its tail is bounded through |g_p| <= r*ln(p)/(k*p**r - 1) and an
-    integral comparison. Returns (value, rigorous tail bound). ``primes`` (the
-    primes <= cutoff as float64) and ``product`` (as in ``leading_coefficient``)
-    save recomputing them when the caller already has them.
+    ``ps`` are the primes <= cutoff as float64, ``h1`` is H(1) with its bound,
+    and ``at_r`` and ``at_2`` are (zeta, zeta') at r and at 2. The prime sum
+    collects the per-prime log-factor derivatives up to the cutoff; its tail
+    is bounded through |g_p| <= r*ln(p)/(k*p**r - 1) and an integral
+    comparison. Returns (value, rigorous tail bound).
     """
     _gate_log_factor_derivative(params)
     r, k = params.r, float(params.k)
-    ps = _prime_floats(cutoff) if primes is None else primes
-    if product is None:
-        product = _product_factors(1.0, params, ps, cutoff)
-    h1, h1_tail = _cofactor(1.0, params, product, zeta_tol)
-    zr = zeta(float(r), tol=zeta_tol)
-    zrp = zeta_prime(float(r), tol=zeta_tol)
-    z2 = zeta(2.0, tol=zeta_tol)
-    z2p = zeta_prime(2.0, tol=zeta_tol)
+    h1, h1_tail = h1
+    (zr, zrp), (z2, z2p) = at_r, at_2
 
     prime_sum = fsum(log_factor_derivative(ps, params))
 
@@ -287,16 +275,20 @@ class ConstantsBundle:
 def bundle(
     params: ArithParams, cutoff: int = DEFAULT_PRIME_CUTOFF, zeta_tol: float = 1e-12
 ) -> ConstantsBundle:
-    """Assemble all main-term constants at one prime cutoff.
+    """Assemble all main-term constants at one prime cutoff, in one pass at s = 1.
 
-    The primes and the s = 1 product are computed once and shared.
+    The primes, the s = 1 product, zeta and zeta' at r and at 2, and H(1) are
+    each formed once here; ``leading_coefficient`` and
+    ``cofactor_derivative_at_1`` take them as inputs.
     """
+    r = float(params.r)
     ps = _prime_floats(cutoff)
     product = _product_factors(1.0, params, ps, cutoff)
-    c, c_tail = leading_coefficient(params, cutoff, zeta_tol=zeta_tol, product=product)
-    hp, hp_tail = cofactor_derivative_at_1(
-        params, cutoff, zeta_tol=zeta_tol, primes=ps, product=product
-    )
+    zr, z2 = zeta(r, tol=zeta_tol), zeta(2.0, tol=zeta_tol)
+    zrp, z2p = zeta_prime(r, tol=zeta_tol), zeta_prime(2.0, tol=zeta_tol)
+    h1 = _cofactor(product, zr, z2)
+    c, c_tail = leading_coefficient(product, zr, h1)
+    hp, hp_tail = cofactor_derivative_at_1(params, ps, cutoff, h1, (zr, zrp), (z2, z2p))
     b = hp + 2.0 * EULER_GAMMA * c
     kx = b - c
     b_tail = hp_tail + 2.0 * EULER_GAMMA * c_tail + 4.0 * _EPS * abs(b)

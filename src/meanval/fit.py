@@ -128,13 +128,11 @@ def _ols(u: list[float], v: list[float]) -> tuple[float, float, float, float]:
     return slope, intercept, rss, se
 
 
-def fit_exponent(
-    report: FitReport, x_min: int = DEFAULT_X_MIN, min_points: int = MIN_FIT_POINTS
-) -> FitReport:
+def fit_exponent(report: FitReport, x_min: int = DEFAULT_X_MIN) -> FitReport:
     """Complete the report with the ln|R| ~ theta * ln x regression.
 
     Uses checkpoints with x >= x_min and |R| above the near-zero filter;
-    raises InsufficientDataError below ``min_points`` usable points. The
+    raises InsufficientDataError below ``MIN_FIT_POINTS`` usable points. The
     half-width is two standard errors of the slope.
     """
     pts = [
@@ -142,9 +140,9 @@ def fit_exponent(
         for x, rv in zip(report.xs, report.residuals)
         if x >= x_min and abs(rv) > _NEAR_ZERO_FACTOR * math.sqrt(x)
     ]
-    if len(pts) < min_points:
+    if len(pts) < MIN_FIT_POINTS:
         raise InsufficientDataError(
-            f"exponent fit needs at least {min_points} usable checkpoints with "
+            f"exponent fit needs at least {MIN_FIT_POINTS} usable checkpoints with "
             f"x >= {x_min}, found {len(pts)}"
         )
     u = [math.log(x) for x, _ in pts]

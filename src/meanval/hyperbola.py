@@ -44,10 +44,10 @@ __all__ = [
     "table_size",
 ]
 
-# peak bytes per listed powerful number: the levels, their concatenation and
-# the sorted copies (m, numerator and omega as int64 each) plus the sort order;
-# tracemalloc measures 81 B at N = 1e10 to 1e12
-POWERFUL_BYTES = 96
+# peak bytes per listed powerful number: m, numerator and omega as int64
+# each, the sort order and one column's joined or sorted copy; tracemalloc
+# measures 41 B (k = 1) to 48 B (k = 2) at N = 1e10 to 1e12
+POWERFUL_BYTES = 56
 TABLE_BYTES = 8  # one int64 D(y) per table entry
 FORMULA_CHUNK = 1 << 16  # divisors i per numpy step of the hyperbola formula
 # zeta(3/2): there are at most zeta(3/2) * sqrt(N) powerful numbers <= N,
@@ -121,9 +121,15 @@ def powerful_support(params: ArithParams, limit: int) -> tuple[np.ndarray, np.nd
                 break
             m, num, om, nxt = (np.concatenate(col) for col in zip(*kids))
             levels.append((m, num, om))
-    m, num, om = (np.concatenate(col) for col in zip(*levels))
-    order = np.argsort(m)
-    return m[order], num[order], om[order]
+    # join and sort one column at a time, each freeing what it replaces
+    cols = list(zip(*levels))
+    del levels
+    for i in range(3):
+        cols[i] = np.concatenate(cols[i])
+    order = np.argsort(cols[0])
+    for i in range(3):
+        cols[i] = cols[i][order]
+    return tuple(cols)
 
 
 def table_size(limit: int) -> int:

@@ -71,8 +71,10 @@ def _require_budget(need_bytes: float, what: str, detail: str) -> None:
     env = os.environ.get(MEM_ENV_VAR, DEFAULT_MEM_LIMIT_MB)
     try:
         budget = float(env)
-    except ValueError as exc:
-        raise ConfigError(f"{MEM_ENV_VAR}={env!r} is not a number") from exc
+    except ValueError:
+        budget = math.nan
+    if not math.isfinite(budget):  # nan would admit any size, and so would inf
+        raise ConfigError(f"{MEM_ENV_VAR}={env!r} is not a finite number")
     need_mb = need_bytes / 2**20
     if need_mb > budget:
         raise ResourceError(

@@ -67,6 +67,8 @@ __all__ = [
 
 _EPS = 2.220446049250313e-16
 SERIES_CHUNK = 1 << 16  # series terms formed and summed at a time
+BATTERY_Z = (0.1, 0.3, 0.5, 0.9)  # power-series arguments z in the battery
+BATTERY_PRIMES = (2, 3, 5, 101)  # primes whose local factor the battery checks
 
 
 @dataclass(frozen=True)
@@ -362,12 +364,10 @@ def run_battery(
     s: float = 2.0,
     limit: int = 10**5,
     cutoff: int = 10**5,
-    z_values: Sequence[float] = (0.1, 0.3, 0.5, 0.9),
-    local_primes: Sequence[int] = (2, 3, 5, 101),
 ) -> list[VerifyReport]:
     """The standard identity battery for one parameter pair, in a fixed order."""
-    reports = [power_series_check(params.r, z) for z in z_values]
-    reports += [local_factor_check(p, s, params) for p in local_primes]
+    reports = [power_series_check(params.r, z) for z in BATTERY_Z]
+    reports += [local_factor_check(p, s, params) for p in BATTERY_PRIMES]
     reports.append(numerator_identity_check(params))
     reports.append(global_factorization_check(s, params, limit=limit, cutoff=cutoff))
     return reports

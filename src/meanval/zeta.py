@@ -12,9 +12,8 @@ bound for R (the integral form of the remainder, |periodic Bernoulli| <=
 enclosure radius rather than a convergence heuristic. The derivative follows
 by differentiating every term, with the remainder integral bounded through
 the Leibniz expansion of d^m/dx^m [ln(x) * x^-s]. ``zeta`` and ``zeta_prime``
-share one evaluation loop, which validates s and tol and then either
-evaluates at a pinned split point N or grows N by fours until the radius
-meets tol.
+share one evaluation loop, which validates s and tol and then grows N by
+fours until the radius meets tol.
 
 The Euler-Mascheroni constant and the Glaisher-Kinkelin constant are stored
 as 30+ digit literals; tests re-derive them from their defining limits. The
@@ -58,6 +57,9 @@ _FACT2J = tuple(math.factorial(2 * j) for j in range(1, _ORDER + 1))
 _MIN_S = 1.0 + 1e-8
 _MIN_S_PRIME = 1.0 + 1e-6
 _MAX_CUTOFF = 1 << 21
+# past s = 2048 every term but 1 is below the smallest double, so the
+# evaluation there stands for every larger s, where rf(s, 16) would overflow
+_FLAT_S = 2048.0
 
 
 @dataclass(frozen=True)
@@ -140,20 +142,18 @@ def _eval_zeta_prime(s: float, cutoff: int) -> tuple[float, float]:
     return value, _tail_remainder_bound_deriv(s, cutoff) + fp
 
 
-def _evaluate(s: float, tol: float, min_s: float, kernel, cutoff: int | None) -> ZetaValue:
-    """Run ``kernel`` at a pinned ``cutoff``, or grow the cutoff until the radius meets tol."""
+def _evaluate(s: float, tol: float, min_s: float, kernel) -> ZetaValue:
+    """Run ``kernel``, growing the split point until the radius meets tol."""
     if not 0 < tol < math.inf:
         raise ConfigError(f"tol must be positive and finite, got {tol}")
     if not s >= min_s:
         raise ConfigError(f"s={s} below the supported range s >= {min_s}")
-    if cutoff is not None:
-        value, radius = kernel(s, cutoff)
-        return ZetaValue(value=value, error_radius=radius, s=s)
+    at = min(s, _FLAT_S)
     cutoff = 16
-    value, radius = kernel(s, cutoff)
+    value, radius = kernel(at, cutoff)
     while radius > tol and cutoff < _MAX_CUTOFF:
         cutoff *= 4
-        value, radius = kernel(s, cutoff)
+        value, radius = kernel(at, cutoff)
     if radius > tol:
         raise PrecisionError(
             f"cannot reach tol={tol:g} at s={s}: best rigorous radius is "
@@ -162,22 +162,14 @@ def _evaluate(s: float, tol: float, min_s: float, kernel, cutoff: int | None) ->
     return ZetaValue(value=value, error_radius=radius, s=s)
 
 
-def zeta(s: float, tol: float = 1e-12, cutoff: int | None = None) -> ZetaValue:
-    """zeta(s) for real s >= 1 + 1e-8 with |value - zeta(s)| <= error_radius <= tol.
-
-    ``cutoff`` pins the Euler-Maclaurin split point (mainly for consistency
-    tests); the radius is then reported but not held to tol. By default the
-    cutoff grows until the rigorous radius meets tol.
-    """
-    return _evaluate(s, tol, _MIN_S, _eval_zeta, cutoff)
+def zeta(s: float, tol: float = 1e-12) -> ZetaValue:
+    """zeta(s) for real s >= 1 + 1e-8 with |value - zeta(s)| <= error_radius <= tol."""
+    return _evaluate(s, tol, _MIN_S, _eval_zeta)
 
 
-def zeta_prime(s: float, tol: float = 1e-12, cutoff: int | None = None) -> ZetaValue:
-    """zeta'(s) for real s >= 1 + 1e-6 with a rigorous error radius <= tol.
-
-    ``cutoff`` pins the split point as in ``zeta``.
-    """
-    return _evaluate(s, tol, _MIN_S_PRIME, _eval_zeta_prime, cutoff)
+def zeta_prime(s: float, tol: float = 1e-12) -> ZetaValue:
+    """zeta'(s) for real s >= 1 + 1e-6 with a rigorous error radius <= tol."""
+    return _evaluate(s, tol, _MIN_S_PRIME, _eval_zeta_prime)
 
 
 def zeta_prime_2_closed_form() -> float:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from meanval.arith import ArithParams, factorize, minimal_power
-from meanval.coeffs import bundle, cofactor_derivative_at_1, cofactor_value, leading_coefficient
+from meanval.coeffs import bundle, cofactor_value
 from meanval.fit import fit_exponent, residuals
 from meanval.sieve import summatory
 from meanval.verify import (
@@ -112,11 +112,12 @@ def test_criterion_06_numerator_identity_coefficients():
 
 def test_criterion_07_constants():
     with criterion(7, "C(2,1) = 0.7044422 +/- 1e-6; C(40,1) ~ 6/pi^2; zeta'(2) cross-check"):
-        c21, tail = leading_coefficient(ArithParams(2, 1.0), 10**6)
+        b21 = bundle(ArithParams(2, 1.0), 10**6)
+        c21, tail = b21.leading, b21.tail_bounds["C"]
         oracle, oracle_tail = partial_product_leading(2, 1.0, 10**6)
         assert abs(c21 - oracle) <= tail + oracle * oracle_tail + 1e-10
         assert abs(c21 - 0.7044422) <= 1e-6
-        c40, _ = leading_coefficient(ArithParams(40, 1.0), 10**5)
+        c40 = bundle(ArithParams(40, 1.0), 10**5).leading
         assert abs(c40 - 6.0 / math.pi**2) < 1e-9
         assert abs(zeta_prime(2.0).value - zeta_prime_2_closed_form()) < 1e-9
 
@@ -127,7 +128,7 @@ def test_criterion_08_derivative_gate():
         for r in (2, 3):
             for k in (1.0, 2.0, 3.0):
                 params = ArithParams(r, k)
-                analytic, _ = cofactor_derivative_at_1(params, 10**5)
+                analytic = bundle(params, 10**5).cofactor_deriv
                 up, _ = cofactor_value(1.0 + h, params, 10**5)
                 dn, _ = cofactor_value(1.0 - h, params, 10**5)
                 fd = (up - dn) / (2 * h)

@@ -103,6 +103,14 @@ class TestConstantsCommand:
             last = res.stdout.splitlines()[-1].split(",")
             assert all(map(math.isfinite, map(float, last)))
 
+    def test_huge_s_does_not_overflow(self):
+        # p**s at the prime cutoff of 1e5 is past the double range from s = 62 on
+        res = run_cli("verify", "--s", "100", "--format", "json",
+                      env_extra={"PYTHONWARNINGS": "error"})
+        assert res.returncode == 0, res.stderr
+        reports = json.loads(res.stdout)["reports"]
+        assert reports and all(rep["pass"] for rep in reports)
+
     def test_unreachable_tolerance_exits_4(self):
         res = run_cli("constants", "--r", "2", "--k", "1",
                       "--prime-cutoff", "1000", "--tol", "1e-30")

@@ -6,13 +6,7 @@ import pytest
 
 from meanval import coeffs as coeffs_mod
 from meanval.arith import ArithParams
-from meanval.coeffs import (
-    bundle,
-    cofactor_derivative_at_1,
-    cofactor_value,
-    leading_coefficient,
-    log_factor_derivative,
-)
+from meanval.coeffs import bundle, cofactor_value, log_factor_derivative
 from meanval.errors import ConfigError, ToleranceError
 from meanval.primes import primes_up_to
 from meanval.zeta import EULER_GAMMA, zeta
@@ -58,32 +52,44 @@ class TestCofactorValue:
             assert 0 < v <= prefactor
 
 
+def leading(params, cutoff):
+    """C and its tail bound, as ``bundle`` gives them."""
+    b = bundle(params, cutoff)
+    return b.leading, b.tail_bounds["C"]
+
+
+def cofactor_deriv(params, cutoff):
+    """H'(1) and its tail bound, as ``bundle`` gives them."""
+    b = bundle(params, cutoff)
+    return b.cofactor_deriv, b.tail_bounds["H1_prime"]
+
+
 class TestLeadingCoefficient:
     def test_carefree_value(self):
-        c, tail = leading_coefficient(ArithParams(2, 1.0), 10**6)
+        c, tail = leading(ArithParams(2, 1.0), 10**6)
         assert abs(c - 0.7044422) <= 1e-6
         assert tail < 2e-6
 
     def test_limit_for_large_r(self):
-        c, _ = leading_coefficient(ArithParams(40, 1.0), 10**5)
+        c, _ = leading(ArithParams(40, 1.0), 10**5)
         assert abs(c - 6.0 / math.pi**2) < 1e-9
 
     def test_agrees_with_cofactor_at_1(self):
         for params in (ArithParams(2, 1.0), ArithParams(3, 2.0), ArithParams(5, 1.5)):
-            c, c_tail = leading_coefficient(params, 10**4)
+            c, c_tail = leading(params, 10**4)
             h, h_tail = cofactor_value(1.0, params, 10**4)
             assert abs(c - h) <= 1e-12 * abs(c) + 1e-15
 
     def test_monotone_in_weight(self):
-        c1, _ = leading_coefficient(ArithParams(2, 1.0), 10**4)
-        c2, _ = leading_coefficient(ArithParams(2, 2.0), 10**4)
-        c3, _ = leading_coefficient(ArithParams(2, 3.0), 10**4)
+        c1, _ = leading(ArithParams(2, 1.0), 10**4)
+        c2, _ = leading(ArithParams(2, 2.0), 10**4)
+        c3, _ = leading(ArithParams(2, 3.0), 10**4)
         assert c1 < c2 < c3
 
     def test_doubling_cutoff_within_tail(self):
         for params in (ArithParams(2, 1.0), ArithParams(3, 2.0)):
-            c1, tail1 = leading_coefficient(params, 10**5)
-            c2, _ = leading_coefficient(params, 2 * 10**5)
+            c1, tail1 = leading(params, 10**5)
+            c2, _ = leading(params, 2 * 10**5)
             assert abs(c1 - c2) <= tail1
 
 
@@ -120,7 +126,7 @@ class TestCofactorDerivative:
         for r in (2, 3):
             for k in (1.0, 2.0, 3.0):
                 params = ArithParams(r, k)
-                hp, _ = cofactor_derivative_at_1(params, 10**5)
+                hp, _ = cofactor_deriv(params, 10**5)
                 up, _ = cofactor_value(1.0 + h, params, 10**5)
                 dn, _ = cofactor_value(1.0 - h, params, 10**5)
                 assert abs(hp - (up - dn) / (2 * h)) < 1e-6
@@ -134,7 +140,7 @@ class TestCofactorDerivative:
         z2p = zeta_prime(2.0)
         for r in (2, 3):
             params = ArithParams(r, 1e9)
-            hp, _ = cofactor_derivative_at_1(params, 10**5)
+            hp, _ = cofactor_deriv(params, 10**5)
             h1, _ = cofactor_value(1.0, params, 10**5)
             zr = zeta(float(r))
             zrp = zeta_prime(float(r))
@@ -142,13 +148,13 @@ class TestCofactorDerivative:
             assert abs(hp / h1 - limit) < 1e-6
         # at r = 2 the limit collapses to zero exactly
         params = ArithParams(2, 1e9)
-        hp, _ = cofactor_derivative_at_1(params, 10**5)
+        hp, _ = cofactor_deriv(params, 10**5)
         assert abs(hp) < 1e-6
 
     def test_doubling_cutoff_within_tail(self):
         params = ArithParams(2, 1.0)
-        v1, t1 = cofactor_derivative_at_1(params, 10**5)
-        v2, _ = cofactor_derivative_at_1(params, 2 * 10**5)
+        v1, t1 = cofactor_deriv(params, 10**5)
+        v2, _ = cofactor_deriv(params, 2 * 10**5)
         assert abs(v1 - v2) <= t1
 
 
@@ -200,11 +206,27 @@ class TestBundleSharing:
 
         monkeypatch.setattr(coeffs_mod, "_product_factors", counting)
         params = ArithParams(3, 1.5)
-        b = bundle(params, 10**4)
+        bundle(params, 10**4)
         assert calls == [1.0]
-        # sharing the product leaves every constant as the separate calls give it
-        assert b.leading == leading_coefficient(params, 10**4)[0]
-        assert b.cofactor_deriv == cofactor_derivative_at_1(params, 10**4)[0]
+
+    def test_each_zeta_value_and_h1_formed_once(self, monkeypatch):
+        calls = {"zeta": [], "zeta_prime": [], "_cofactor": []}
+        for name, log in calls.items():
+            inner = getattr(coeffs_mod, name)
+
+            def counting(*args, inner=inner, log=log, **kwargs):
+                log.append(args[0])
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(coeffs_mod, name, counting)
+        # at r = 2, zeta(r) and zeta(2) are one value but still one call each
+        for r in (2, 3):
+            for log in calls.values():
+                log.clear()
+            bundle(ArithParams(r, 1.5), 10**4)
+            assert calls["zeta"] == [float(r), 2.0]
+            assert calls["zeta_prime"] == [float(r), 2.0]
+            assert len(calls["_cofactor"]) == 1
 
     def test_prime_sum_runs_the_gated_kernel(self, monkeypatch):
         sizes = []
@@ -231,7 +253,7 @@ class TestBundleSharing:
 
     def test_gate_runs_on_every_call(self, monkeypatch):
         params = ArithParams(2, 1.0)
-        cofactor_derivative_at_1(params, 10**4)
+        bundle(params, 10**4)
         monkeypatch.setattr(coeffs_mod, "log_factor_derivative", lambda p, prm: 0.0)
         with pytest.raises(ToleranceError):
-            cofactor_derivative_at_1(params, 10**4)
+            bundle(params, 10**4)

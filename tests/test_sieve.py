@@ -67,6 +67,11 @@ class TestBuildSpf:
         monkeypatch.setenv(sieve_mod.MEM_ENV_VAR, "1")
         with pytest.raises(ResourceError):
             build_spf(10**8)
+        # a budget that is not a finite number is refused like a non-numeric one
+        for value in ("nan", "inf"):
+            monkeypatch.setenv(sieve_mod.MEM_ENV_VAR, value)
+            with pytest.raises(ConfigError):
+                build_spf(10**5)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("limit", [10**5, 2 * 10**6, 10**7])

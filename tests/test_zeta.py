@@ -7,6 +7,8 @@ from meanval.errors import ConfigError, PrecisionError
 from meanval.zeta import (
     EULER_GAMMA,
     GLAISHER,
+    _eval_zeta,
+    _eval_zeta_prime,
     zeta,
     zeta_prime,
     zeta_prime_2_closed_form,
@@ -39,6 +41,12 @@ class TestZeta:
     def test_large_argument(self):
         z = zeta(80.0)
         assert z.value == pytest.approx(1.0 + 2.0**-80, abs=1e-15)
+        # where rf(s, 16) overflows, both evaluators stay finite and inside tol
+        for s in (1e20, 1e300):
+            for z in (zeta(s), zeta_prime(s)):
+                assert math.isfinite(z.value) and 0 <= z.error_radius <= 1e-12
+            assert abs(zeta(s).value - 1.0) <= zeta(s).error_radius
+            assert abs(zeta_prime(s).value) <= 1e-300
 
     def test_radius_contains_truth(self):
         # pi^2/6 must lie inside every returned enclosure
@@ -73,9 +81,9 @@ class TestZeta:
     def test_split_point_consistency(self):
         # moving the Euler-Maclaurin split must stay inside the joint enclosure
         for s in (1.5, 2.0, 3.0, 6.0):
-            a = zeta(s, cutoff=64)
-            b = zeta(s, cutoff=32)
-            assert abs(a.value - b.value) <= a.error_radius + b.error_radius
+            a, a_radius = _eval_zeta(s, 64)
+            b, b_radius = _eval_zeta(s, 32)
+            assert abs(a - b) <= a_radius + b_radius
 
 
 class TestZetaPrime:
@@ -99,9 +107,9 @@ class TestZetaPrime:
 
     def test_split_point_consistency(self):
         for s in (2.0, 4.0):
-            a = zeta_prime(s, cutoff=64)
-            b = zeta_prime(s, cutoff=128)
-            assert abs(a.value - b.value) <= a.error_radius + b.error_radius
+            a, a_radius = _eval_zeta_prime(s, 64)
+            b, b_radius = _eval_zeta_prime(s, 128)
+            assert abs(a - b) <= a_radius + b_radius
 
     def test_domain(self):
         with pytest.raises(ConfigError):
