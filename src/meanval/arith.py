@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .errors import ConfigError
 from .primes import primes_up_to
 
 __all__ = [
@@ -92,11 +93,11 @@ class ArithParams:
 
     def __post_init__(self) -> None:
         if not isinstance(self.r, int) or self.r < 2:
-            raise ValueError(f"r must be an integer >= 2, got {self.r!r}")
+            raise ConfigError(f"r must be an integer >= 2, got {self.r!r}")
         if not self.k >= 1:
-            raise ValueError(f"k must be >= 1, got {self.k!r}")
+            raise ConfigError(f"k must be >= 1, got {self.k!r}")
         if not math.isfinite(self.k):
-            raise ValueError(f"k must be finite, got {self.k!r}")
+            raise ConfigError(f"k must be finite, got {self.k!r}")
 
     @property
     def exact(self) -> bool:

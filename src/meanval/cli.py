@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from typing import Optional, Sequence
@@ -40,28 +39,6 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
     if v < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
-    return v
-
-
-def _r_value(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if v < 2:
-        raise argparse.ArgumentTypeError(f"r must be an integer >= 2, got {v}")
-    return v
-
-
-def _k_value(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if not v >= 1:
-        raise argparse.ArgumentTypeError(f"k must be >= 1, got {v}")
-    if not math.isfinite(v):
-        raise argparse.ArgumentTypeError(f"k must be finite, got {v}")
     return v
 
 
@@ -101,15 +78,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     def add_common(p: argparse.ArgumentParser, with_n: bool) -> None:
-        p.add_argument("--r", type=_r_value, default=2, help="power order r >= 2")
-        p.add_argument("--k", type=_k_value, default=1.0, help="divisor weight k >= 1")
+        p.add_argument("--r", type=int, default=2, help="power order r >= 2")
+        p.add_argument("--k", type=float, default=1.0, help="divisor weight k >= 1")
         if with_n:
             p.add_argument("--N", type=_positive_int, required=True, help="summation limit")
         p.add_argument(
             "--prime-cutoff", type=_positive_int, default=None,
             help="prime cutoff for Euler products",
         )
-        p.add_argument("--tol", type=float, default=1e-12, help="zeta evaluation tolerance")
         p.add_argument("--out", default=None, help="output file (default stdout)")
 
     p_const = sub.add_parser("constants", help="main-term constants with tail bounds")
@@ -127,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run the identity battery")
     add_common(p_ver, with_n=False)
     p_ver.add_argument("--s", type=float, default=2.0, help="Dirichlet argument, s >= 1.5")
-    p_ver.add_argument("--series-limit", type=_positive_int, default=10**5,
+    p_ver.add_argument("--series-limit", type=_positive_int, default=verify.BATTERY_SIZE,
                        help="series truncation for the factorization check")
     p_ver.add_argument("--format", choices=("json", "table"), default="table")
 
@@ -137,6 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--threads", type=_positive_int, default=1, help=threads_help)
     p_fit.add_argument("--x-min", type=_positive_int, default=fit.DEFAULT_X_MIN)
     p_fit.add_argument("--format", choices=("json", "csv"), default="json")
+    for p in (p_const, p_sum, p_fit):  # verify runs the zeta evaluators at their own default
+        p.add_argument("--tol", type=float, default=1e-12, help="zeta evaluation tolerance")
     return parser
 
 
@@ -170,7 +148,7 @@ def _render_constants_table(b: coeffs.ConstantsBundle) -> str:
 def _render_sum_table(table: sieve.SummatoryTable) -> str:
     lines = [f"{'x':>12} {'S':>24} {'main':>20} {'residual':>14} {'err_bound':>12}"]
     for row in table.rows:
-        s_txt = f"{float(row.value):.10g}" if not isinstance(row.value, float) else f"{row.value:.10g}"
+        s_txt = f"{float(row.value):.10g}"
         main = "" if row.main is None else f"{row.main:.6f}"
         resid = "" if row.residual is None else f"{row.residual:+.6f}"
         lines.append(f"{row.x:>12} {s_txt:>24} {main:>20} {resid:>14} {row.err_bound:>12.3e}")
@@ -216,11 +194,7 @@ def _cmd_sum(args) -> int:
 
 def _cmd_verify(args) -> int:
     params = ArithParams(r=args.r, k=args.k)
-    if not 1.5 <= args.s < math.inf:
-        raise ConfigError(
-            f"--s must be finite and >= 1.5 (tails not controllable below), got {args.s}"
-        )
-    cutoff = args.prime_cutoff or 10**5
+    cutoff = args.prime_cutoff or verify.BATTERY_SIZE
     reports = verify.run_battery(params, s=args.s, limit=args.series_limit, cutoff=cutoff)
     if args.format == "table":
         _emit(verify.render_table(reports), args.out)
@@ -243,7 +217,7 @@ def _cmd_fit(args) -> int:
     _progress(f"constants at prime cutoff {cutoff}")
     b = coeffs.bundle(params, cutoff, zeta_tol=args.tol)
     _progress(f"summatory table to N={args.N} (threads={args.threads})")
-    table = sieve.summatory(params, args.N, grid=grid, bundle=b, threads=args.threads)
+    table = sieve.summatory(params, args.N, grid=grid, threads=args.threads)
     report = fit.fit_exponent(fit.residuals(table, b), x_min=args.x_min)
     if args.format == "csv":
         import io

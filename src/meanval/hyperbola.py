@@ -185,11 +185,21 @@ def _check_int64_reach(params: ArithParams, limit: int) -> None:
 def required_bytes(params: ArithParams, limit: int) -> float:
     """Peak memory of ``prefix_sums`` to ``limit``, an upper estimate.
 
+    h(m) != 0 only where every exponent of m is at least e0, the first a >= 2
+    with h(p**a) != 0: 2 at k = 1, r + 1 at k = 2. Each such m is uniquely
+    A**e0 * prod_{i<e0} B_i**(e0+i) with the B_i squarefree and pairwise
+    coprime, so there are at most N**(1/e0) * prod_{i<e0} zeta(1 + i/e0)
+    <= binom(2*e0 - 1, e0) * N**(1/e0) of them, as zeta(1 + x) <= 1 + 1/x.
+    The count taken is the smaller of that and the count of all powerful m.
+
     Like ``prefix_sums``, raises ResourceError for a ``limit`` past int64 reach.
     """
     _check_int64_reach(params, limit)
-    root = math.isqrt(limit)
-    need = POWERFUL_BYTES * (_POWERFUL_COUNT * root + 1) + root  # plus the prime sieve's bytes
+    num_a = h_numerators(params.r, int(params.k), params.r + 2)
+    e0 = next(a for a in range(2, len(num_a)) if num_a[a])
+    count = min(_POWERFUL_COUNT * math.isqrt(limit), math.comb(2 * e0 - 1, e0) * limit ** (1.0 / e0))
+    root = _iroot(limit, e0)  # the prime sieve's reach
+    need = POWERFUL_BYTES * (count + 1) + root  # plus the prime sieve's bytes
     need += 3 * TABLE_BYTES * FORMULA_CHUNK
     if params.k == 1:
         need += TABLE_BYTES * (table_size(limit) + 1)

@@ -26,6 +26,11 @@ The closed forms take a scalar or an array: ``euler_product_truncated`` runs
 ``local_factor_excess`` (the function ``local_factor_check`` validates) over
 the whole prime array, so the check covers the code that forms the product.
 
+One partial-sum check serves both series identities: it sums
+offset + (1/k) * sum_{a<=A} (ceil(a/r)+1) z^a and bounds its tail and
+round-off, at offset 0 and k = 1 for the power series and at offset 1 for the
+local factor.
+
 The truncated series and the log of the truncated product are summed with
 ``xsum``, which rounds the exact sum of the float terms once, so each
 round-off allowance needs one rounding for the sum on top of those of the
@@ -69,6 +74,7 @@ _EPS = 2.220446049250313e-16
 SERIES_CHUNK = 1 << 16  # series terms formed and summed at a time
 BATTERY_Z = (0.1, 0.3, 0.5, 0.9)  # power-series arguments z in the battery
 BATTERY_PRIMES = (2, 3, 5, 101)  # primes whose local factor the battery checks
+BATTERY_SIZE = 10**5  # default series length and prime cutoff of the factorization check
 
 
 @dataclass(frozen=True)
@@ -135,24 +141,30 @@ def power_series_closed_form(r: int, z):
     return value if value.ndim else float(value)
 
 
-def _series_tail_bound(z: float, terms: int) -> float:
+def _partial_sum(r: int, z: float, k: float, offset: float, rhs: float,
+                 terms: int) -> tuple[float, float]:
+    """offset + (1/k) * sum_{a <= terms} (ceil(a/r)+1) z^a, and its bound against ``rhs``.
+
+    The bound is the series tail past ``terms`` plus a round-off allowance. At
+    k = 1 and offset 0 the division and the added offset are exact.
+    """
+    if terms < 1:
+        raise ConfigError(f"terms must be >= 1, got {terms}")
+    c = minpow_divisor_counts(r, terms + 1)
+    parts = [c[a] * z**a / k for a in range(1, terms + 1)]
+    fp = 4.0 * _EPS * (offset + math.fsum(abs(t) for t in parts) + abs(rhs))
     # sum_{a > A} (a+1) |z|^a = |z|^(A+1) * ((A+2) - (A+1)|z|) / (1-|z|)^2,
     # and every coefficient ceil(a/r)+1 is at most a+1
     a = abs(z)
     m = terms + 1
-    return a**m * ((m + 1) - m * a) / (1.0 - a) ** 2
+    tail = a**m * ((m + 1) - m * a) / (1.0 - a) ** 2
+    return offset + math.fsum(parts), tail / k + fp
 
 
 def power_series_check(r: int, z: float, terms: int = 200) -> VerifyReport:
     """Partial sum of (ceil(a/r)+1) z^a against the closed form."""
-    if terms < 1:
-        raise ConfigError(f"terms must be >= 1, got {terms}")
     rhs = power_series_closed_form(r, z)
-    c = minpow_divisor_counts(r, terms + 1)
-    parts = [c[a] * z**a for a in range(1, terms + 1)]
-    lhs = math.fsum(parts)
-    fp = 4.0 * _EPS * (math.fsum(abs(t) for t in parts) + abs(rhs))
-    bound = _series_tail_bound(z, terms) + fp
+    lhs, bound = _partial_sum(r, z, k=1.0, offset=0.0, rhs=rhs, terms=terms)
     return _report(
         "power_series_closed_form",
         {"r": r, "z": z, "terms": terms},
@@ -185,14 +197,9 @@ def local_factor(p: float, s: float, params: ArithParams) -> float:
 
 def local_factor_check(p: float, s: float, params: ArithParams, terms: int = 200) -> VerifyReport:
     """Closed-form local factor against its defining partial sum."""
+    rhs = local_factor(p, s, params)  # rejects s <= 0 before p**-s can overflow
     z = float(p) ** -s
-    k = float(params.k)
-    rhs = local_factor(p, s, params)
-    c = minpow_divisor_counts(params.r, terms + 1)
-    parts = [c[a] * z**a / k for a in range(1, terms + 1)]
-    lhs = 1.0 + math.fsum(parts)
-    fp = 4.0 * _EPS * (1.0 + math.fsum(abs(t) for t in parts) + abs(rhs))
-    bound = _series_tail_bound(z, terms) / k + fp
+    lhs, bound = _partial_sum(params.r, z, k=float(params.k), offset=1.0, rhs=rhs, terms=terms)
     return _report(
         "local_factor_series",
         {"r": params.r, "k": params.k, "p": p, "s": s, "terms": terms},
@@ -306,12 +313,7 @@ def euler_product_truncated(
     return value, abs(value) * math.expm1(tail_log) + fp
 
 
-def global_factorization_check(
-    s: float,
-    params: ArithParams,
-    limit: int = 10**6,
-    cutoff: int = 10**6,
-) -> VerifyReport:
+def global_factorization_check(s: float, params: ArithParams, limit: int, cutoff: int) -> VerifyReport:
     """Three-way comparison: series vs local product vs closed-form factorization.
 
     lhs/rhs/bound and ``passed`` cover series-vs-product (the definitional
@@ -362,8 +364,8 @@ def global_factorization_check(
 def run_battery(
     params: ArithParams,
     s: float = 2.0,
-    limit: int = 10**5,
-    cutoff: int = 10**5,
+    limit: int = BATTERY_SIZE,
+    cutoff: int = BATTERY_SIZE,
 ) -> list[VerifyReport]:
     """The standard identity battery for one parameter pair, in a fixed order."""
     reports = [power_series_check(params.r, z) for z in BATTERY_Z]

@@ -1,3 +1,6 @@
+import argparse
+import ast
+import inspect
 import json
 import os
 import subprocess
@@ -5,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from meanval import cli
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -44,6 +49,20 @@ def test_non_finite_weight_rejected(command):
     res = run_cli(*command, "--k", "inf")
     assert res.returncode == 2
     assert "k must be finite" in res.stderr
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_every_option_is_read(command):
+    # an option that its subcommand never reads is a flag that does nothing
+    (subparsers,) = [a for a in cli.build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    options = {a.dest for a in subparsers.choices[command]._actions
+               if a.option_strings and a.dest != "help"}
+    tree = ast.parse(inspect.getsource(cli._COMMANDS[command]))
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "args"}
+    assert options <= read, sorted(options - read)
 
 
 class TestConstantsCommand:
@@ -116,6 +135,10 @@ class TestConstantsCommand:
                       "--prime-cutoff", "1000", "--tol", "1e-30")
         assert res.returncode == 4
         assert "tolerance" in res.stderr.lower()
+        # verify takes no tolerance: its battery runs zeta at the default one
+        res = run_cli("verify", "--tol", "1e-30")
+        assert res.returncode == 2
+        assert "unrecognized arguments: --tol" in res.stderr
 
 
 class TestSumCommand:
@@ -191,6 +214,12 @@ class TestSumCommand:
         res = run_cli("sum", "--k", "1", "--N", str(10**30))
         assert res.returncode == 3
         assert "overflow" in res.stderr and "Traceback" not in res.stderr
+
+    def test_weight_two_to_1e15_within_default_budget(self):
+        # at k = 2, h lives on the m whose exponents are all >= r + 1: ~1.5e5 of them
+        res = run_cli("sum", "--r", "2", "--k", "2", "--N", str(10**15))
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["rows"][-1]["x"] == 10**15
 
 
 class TestVerifyCommand:

@@ -138,8 +138,11 @@ class TestDispatch:
 
 
 class TestBudget:
-    @pytest.mark.parametrize("k", [1.0, 2.0])
-    @pytest.mark.parametrize("limit", [10**5, 10**7, 10**9])
+    @pytest.mark.parametrize(
+        "limit, k",
+        [(limit, k) for limit in (10**5, 10**7, 10**9) for k in (1.0, 2.0)]
+        + [(10**12, 2.0), (10**15, 2.0)],  # k = 2 counts only the m with exponents >= r + 1
+    )
     def test_estimate_covers_traced_peak(self, limit, k):
         params = ArithParams(2, k)
         xs = geometric_checkpoints(limit)

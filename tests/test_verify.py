@@ -78,6 +78,8 @@ class TestSeriesIdentity:
             power_series_closed_form(2, np.array([0.5, -1.0]))
         with pytest.raises(ConfigError):
             power_series_check(0, 0.5)
+        with pytest.raises(ConfigError):
+            local_factor_check(2, 2.0, ArithParams(2, 1.0), terms=0)
 
 
 class TestLocalFactor:
@@ -219,11 +221,11 @@ class TestGlobalFactorization:
 
     def test_domain_checks(self):
         with pytest.raises(ConfigError):
-            global_factorization_check(1.4, ArithParams(2, 1.0))
+            global_factorization_check(1.4, ArithParams(2, 1.0), limit=10**4, cutoff=10**4)
         with pytest.raises(ConfigError):
-            global_factorization_check(math.inf, ArithParams(2, 1.0))
+            global_factorization_check(math.inf, ArithParams(2, 1.0), limit=10**4, cutoff=10**4)
         with pytest.raises(ConfigError):
-            global_factorization_check(2.0, ArithParams(2, 1.0), limit=10)
+            global_factorization_check(2.0, ArithParams(2, 1.0), limit=10, cutoff=10**4)
 
 
 class TestBatteryAndRendering:
