@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
         if with_n:
             p.add_argument("--N", type=_positive_int, required=True, help="summation limit")
         p.add_argument(
-            "--prime-cutoff", type=_positive_int, default=None,
+            "--prime-cutoff", type=_positive_int, default=coeffs.DEFAULT_PRIME_CUTOFF,
             help="prime cutoff for Euler products",
         )
         p.add_argument("--out", default=None, help="output file (default stdout)")
@@ -102,6 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run the identity battery")
     add_common(p_ver, with_n=False)
+    p_ver.set_defaults(prime_cutoff=verify.BATTERY_SIZE)
     p_ver.add_argument("--s", type=float, default=2.0, help="Dirichlet argument, s >= 1.5")
     p_ver.add_argument("--series-limit", type=_positive_int, default=verify.BATTERY_SIZE,
                        help="series truncation for the factorization check")
@@ -157,8 +158,7 @@ def _render_sum_table(table: sieve.SummatoryTable) -> str:
 
 def _cmd_constants(args) -> int:
     params = ArithParams(r=args.r, k=args.k)
-    cutoff = args.prime_cutoff or coeffs.DEFAULT_PRIME_CUTOFF
-    b = coeffs.bundle(params, cutoff, zeta_tol=args.tol)
+    b = coeffs.bundle(params, args.prime_cutoff, zeta_tol=args.tol)
     if args.format == "table":
         _emit(_render_constants_table(b), args.out)
     else:
@@ -171,14 +171,15 @@ def _cmd_sum(args) -> int:
     grid = parse_grid(args.grid, args.N)
     bundle = None
     if args.with_main:
-        cutoff = args.prime_cutoff or coeffs.DEFAULT_PRIME_CUTOFF
-        bundle = coeffs.bundle(params, cutoff, zeta_tol=args.tol)
+        bundle = coeffs.bundle(params, args.prime_cutoff, zeta_tol=args.tol)
     if args.N >= 10**6:
         _progress(f"summing to N={args.N} (threads={args.threads})")
     t0 = time.perf_counter()
-    table = sieve.summatory(params, args.N, grid=grid, bundle=bundle, threads=args.threads)
+    table = sieve.summatory(params, args.N, grid=grid, threads=args.threads)
     if args.N >= 10**6:
         _progress(f"done in {time.perf_counter() - t0:.1f}s")
+    if bundle is not None:
+        table = fit.residuals(table, bundle).table
     if args.format == "csv":
         import io
 
@@ -194,8 +195,8 @@ def _cmd_sum(args) -> int:
 
 def _cmd_verify(args) -> int:
     params = ArithParams(r=args.r, k=args.k)
-    cutoff = args.prime_cutoff or verify.BATTERY_SIZE
-    reports = verify.run_battery(params, s=args.s, limit=args.series_limit, cutoff=cutoff)
+    reports = verify.run_battery(params, s=args.s, limit=args.series_limit,
+                                 cutoff=args.prime_cutoff)
     if args.format == "table":
         _emit(verify.render_table(reports), args.out)
     else:
@@ -203,7 +204,7 @@ def _cmd_verify(args) -> int:
             "schema_version": "1",
             "kind": "verify_reports",
             "params": {"r": params.r, "k": params.k, "s": args.s,
-                       "N": args.series_limit, "P": cutoff},
+                       "N": args.series_limit, "P": args.prime_cutoff},
             "reports": [rep.to_json_obj() for rep in reports],
         }
         _emit(json.dumps(obj, indent=2), args.out)
@@ -212,10 +213,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_fit(args) -> int:
     params = ArithParams(r=args.r, k=args.k)
-    cutoff = args.prime_cutoff or coeffs.DEFAULT_PRIME_CUTOFF
     grid = parse_grid(args.grid, args.N)
-    _progress(f"constants at prime cutoff {cutoff}")
-    b = coeffs.bundle(params, cutoff, zeta_tol=args.tol)
+    _progress(f"constants at prime cutoff {args.prime_cutoff}")
+    b = coeffs.bundle(params, args.prime_cutoff, zeta_tol=args.tol)
     _progress(f"summatory table to N={args.N} (threads={args.threads})")
     table = sieve.summatory(params, args.N, grid=grid, threads=args.threads)
     report = fit.fit_exponent(fit.residuals(table, b), x_min=args.x_min)

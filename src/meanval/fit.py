@@ -1,18 +1,20 @@
 """Residuals against the asymptotic main term and the empirical error exponent.
 
-Given a summatory table and a constants bundle, ``residuals`` fills
-R(x) = S(x) - C*x*ln(x) - K*x at every checkpoint, and ``fit_exponent`` runs
-an ordinary least-squares fit of ln|R| on ln x. The fitted slope theta is an
-empirical stand-in for the true error-term exponent: at desk scale it cannot
-resolve 1/2 from 1/2 + eps, so downstream assertions only bracket it from
-above. Checkpoints where R sits numerically on a sign change
-(|R| < 1e-6 * sqrt(x)) are excluded, since the log of a near-zero residual
-would destabilize the regression.
+``residuals`` is the one place where S - main is formed, for ``fit`` and for
+``sum --with-main`` alike: given a summatory table (S only) and a constants
+bundle, it fills main(x) = C*x*ln(x) + K*x and R(x) = S(x) - main(x) into
+every row, once per checkpoint. ``fit_exponent`` then runs an ordinary
+least-squares fit of ln|R| on ln x. The fitted slope theta is an empirical
+stand-in for the true error-term exponent: at desk scale it cannot resolve
+1/2 from 1/2 + eps, so downstream assertions only bracket it from above.
+Checkpoints where R sits numerically on a sign change (|R| < 1e-6 * sqrt(x))
+are excluded, since the log of a near-zero residual would destabilize the
+regression.
 
 For weights k != 1, where the closed-form constants are not verified exact,
 the report also carries plainly-labeled descriptive normalizations
-(S/(x ln x) and S/(x (ln x)^(2/k - 1)) at the usable checkpoints); they
-assert nothing.
+(S/(x ln x) and S/(x (ln x)^(2/k - 1)), with S read from the table, at the
+usable checkpoints with x >= 2, where ln x > 0); they assert nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .arith import ArithParams
 from .coeffs import ConstantsBundle
 from .errors import ConfigError, InsufficientDataError
 from .sieve import SummatoryTable
@@ -35,14 +36,14 @@ _NEAR_ZERO_FACTOR = 1e-6
 
 @dataclass(frozen=True)
 class FitReport:
-    """Residual series and, once fitted, the empirical exponent estimate."""
+    """Residual series and, once fitted, the empirical exponent estimate.
 
-    params: ArithParams
-    prime_cutoff: int
-    leading: float
-    x_coeff: float
-    xs: tuple[int, ...]
-    residuals: tuple[float, ...]
+    ``table`` carries S, main and R at every checkpoint; ``consts`` is the
+    bundle its main column came from.
+    """
+
+    table: SummatoryTable
+    consts: ConstantsBundle
     sign_changes: int
     theta: Optional[float] = None
     intercept: Optional[float] = None
@@ -53,14 +54,22 @@ class FitReport:
     points_used: Optional[int] = None
     diagnostics: Optional[dict] = None
 
+    @property
+    def xs(self) -> tuple[int, ...]:
+        return tuple(row.x for row in self.table.rows)
+
+    @property
+    def residuals(self) -> tuple[float, ...]:
+        return tuple(row.residual for row in self.table.rows)
+
     def to_json_obj(self) -> dict:
         obj = {
             "schema_version": "1",
             "kind": "fit_report",
-            "params": {"r": self.params.r, "k": self.params.k},
-            "prime_cutoff": self.prime_cutoff,
-            "C": repr(self.leading),
-            "K": repr(self.x_coeff),
+            "params": {"r": self.table.params.r, "k": self.table.params.k},
+            "prime_cutoff": self.consts.prime_cutoff,
+            "C": repr(self.consts.leading),
+            "K": repr(self.consts.x_coeff),
             "points": [
                 {"x": x, "R": repr(rv)} for x, rv in zip(self.xs, self.residuals)
             ],
@@ -87,31 +96,25 @@ class FitReport:
 
 
 def residuals(table: SummatoryTable, consts: ConstantsBundle) -> FitReport:
-    """Residual R(x) = S(x) - main(x) at each checkpoint of the table.
+    """Fill the main and residual columns of every row: R(x) = S(x) - main(x).
 
     Each R(x) is ``ConstantsBundle.residual``: the subtraction happens in
     rational arithmetic before the single rounding to float, so an exact-mode
     S loses nothing to cancellation even at x around 1e9, and a float-mode S
     gives the double S - main.
     """
-    if table.params.r != consts.params.r or table.params.k != consts.params.k:
+    if table.params != consts.params:
         raise ConfigError(
             f"table params (r={table.params.r}, k={table.params.k}) do not match "
             f"bundle params (r={consts.params.r}, k={consts.params.k})"
         )
-    xs = [row.x for row in table.rows]
-    rs = [consts.residual(row.x, row.value) for row in table.rows]
-    signs = [r > 0 for r in rs if r != 0.0]
-    flips = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-    return FitReport(
-        params=table.params,
-        prime_cutoff=consts.prime_cutoff,
-        leading=consts.leading,
-        x_coeff=consts.x_coeff,
-        xs=tuple(xs),
-        residuals=tuple(rs),
-        sign_changes=flips,
+    rows = tuple(
+        replace(row, main=consts.main_term(row.x), residual=consts.residual(row.x, row.value))
+        for row in table.rows
     )
+    signs = [row.residual > 0 for row in rows if row.residual != 0.0]
+    flips = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    return FitReport(table=replace(table, rows=rows), consts=consts, sign_changes=flips)
 
 
 def _ols(u: list[float], v: list[float]) -> tuple[float, float, float, float]:
@@ -150,24 +153,18 @@ def fit_exponent(report: FitReport, x_min: int = DEFAULT_X_MIN) -> FitReport:
     slope, intercept, rss, se = _ols(u, v)
     witness = max(abs(rv) / x**0.6 for x, rv in pts)
     diagnostics = None
-    if report.params.k != 1:
-        expo = 2.0 / report.params.k - 1.0
-        usable = [(x, rv) for x, rv in zip(report.xs, report.residuals) if x >= x_min]
-        s_of = {
-            x: rv + report.leading * x * math.log(x) + report.x_coeff * x
-            for x, rv in usable
-        }
+    k = report.table.params.k
+    if k != 1:
+        expo = 2.0 / k - 1.0
+        usable = [(row.x, float(row.value), math.log(row.x))
+                  for row in report.table.rows if row.x >= max(x_min, 2)]
         diagnostics = {
             "note": "descriptive only, asserts nothing; closed-form constants "
             "are verified exact only at k = 1",
-            "S_over_x_ln_x": {
-                str(x): repr(s_of[x] / (x * math.log(x))) for x, _ in usable
-            },
+            "S_over_x_ln_x": {str(x): repr(s / (x * lnx)) for x, s, lnx in usable},
             "S_over_x_lnx_pow": {
                 "exponent": repr(expo),
-                "values": {
-                    str(x): repr(s_of[x] / (x * math.log(x) ** expo)) for x, _ in usable
-                },
+                "values": {str(x): repr(s / (x * lnx**expo)) for x, s, lnx in usable},
             },
         }
     return replace(

@@ -21,6 +21,8 @@ and the reported round-off bound is half an ulp of the result.
 ``summatory`` at k = 1 or k = 2 exactly does not sieve: ``hyperbola`` gives
 the same exact rationals from h over the powerful numbers in about sqrt(N)
 time and memory. Every other k, and ``verify``'s per-n table, use the sieve.
+``summatory`` returns S only; ``fit.residuals`` fills the main-term and
+residual columns of its rows.
 """
 
 from __future__ import annotations
@@ -222,9 +224,11 @@ def _decimal_str(v: Union[Fraction, float], digits: int = 36) -> str:
 class SummatoryRow:
     """One checkpoint: x, the prefix sum S, and its comparison columns.
 
-    ``residual`` is ``ConstantsBundle.residual(x, S)``: S - main formed in
-    rationals and rounded once, which for a float S is exactly the double
-    S - main, so the columns stay consistent.
+    ``summatory`` leaves ``main`` and ``residual`` as None; ``fit.residuals``
+    fills them with ``ConstantsBundle.main_term(x)`` and
+    ``ConstantsBundle.residual(x, S)``: S - main formed in rationals and
+    rounded once, which for a float S is exactly the double S - main, so the
+    columns stay consistent.
     """
 
     x: int
@@ -307,17 +311,15 @@ def summatory(
     params: ArithParams,
     limit: int,
     grid: Optional[Sequence[int]] = None,
-    bundle=None,
     threads: int = 1,
 ) -> SummatoryTable:
-    """Prefix sums S(x) at the grid checkpoints, with optional main terms.
+    """Prefix sums S(x) at the grid checkpoints; main and residual stay None.
 
-    ``bundle`` (a ConstantsBundle) fills the asymptotic main-term column
-    C*x*ln(x) + K*x and the residual column. At k = 1 and k = 2 the sums come
-    from ``hyperbola.prefix_sums`` and ``threads`` is not used. Otherwise
-    worker threads share the tabulation chunks and the segment class totals;
-    the totals are exact integers, so the result is identical to a serial
-    run, bit for bit.
+    At k = 1 and k = 2 the sums come from ``hyperbola.prefix_sums`` and
+    ``threads`` is not used. Otherwise worker threads share the tabulation
+    chunks and the segment class totals; the totals are exact integers, so
+    the result is identical to a serial run, bit for bit. ``fit.residuals``
+    adds the main-term and residual columns.
     """
     if limit < 1:
         raise ConfigError(f"N must be >= 1, got {limit}")
@@ -329,11 +331,6 @@ def summatory(
     if any((not 1 <= x <= limit) for x in checkpoints):
         raise ConfigError(f"grid points must lie in [1, {limit}]")
     checkpoints = sorted(set(checkpoints))
-    if bundle is not None and (bundle.params.r != params.r or bundle.params.k != params.k):
-        raise ConfigError(
-            f"constants bundle is for (r={bundle.params.r}, k={bundle.params.k}), "
-            f"table wants (r={params.r}, k={params.k})"
-        )
 
     exact = params.exact
     mode = "exact" if exact else "float"
@@ -342,11 +339,7 @@ def summatory(
     def finish(x: int, s: Fraction) -> None:
         value = s if exact else float(s)
         err = 0.0 if exact else math.ulp(value) / 2
-        main = resid = None
-        if bundle is not None:
-            main = bundle.main_term(x)
-            resid = bundle.residual(x, value)
-        rows.append(SummatoryRow(x=x, value=value, main=main, residual=resid, err_bound=err))
+        rows.append(SummatoryRow(x=x, value=value, main=None, residual=None, err_bound=err))
 
     if checkpoints[0] == 1:
         finish(1, Fraction(1))

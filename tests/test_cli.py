@@ -65,6 +65,36 @@ def test_every_option_is_read(command):
     assert options <= read, sorted(options - read)
 
 
+@pytest.mark.parametrize("k", ["1", "1.5"])
+def test_sum_with_main_residuals_match_fit_points(k):
+    common = ("--r", "2", "--k", k, "--N", "100000", "--grid", "geom:4", "--prime-cutoff", "10000")
+    summed = run_cli("sum", *common, "--with-main")
+    fitted = run_cli("fit", *common)
+    assert summed.returncode == 0 and fitted.returncode == 0, summed.stderr + fitted.stderr
+    rows = json.loads(summed.stdout)["rows"]
+    points = json.loads(fitted.stdout)["points"]
+    assert [(row["x"], row["residual"]) for row in rows] == [(p["x"], p["R"]) for p in points]
+
+
+@pytest.mark.parametrize("command", [["sum", "--with-main"], ["fit"]])
+def test_residual_formed_once_per_checkpoint(command, monkeypatch, capsys):
+    from meanval.coeffs import ConstantsBundle
+
+    calls = []
+    original = ConstantsBundle.residual
+
+    def spy(self, x, s):
+        calls.append(x)
+        return original(self, x, s)
+
+    monkeypatch.setattr(ConstantsBundle, "residual", spy)
+    argv = [command[0], "--k", "1.5", "--N", "100000", "--prime-cutoff", "10000", *command[1:]]
+    assert cli.main(argv) == 0
+    obj = json.loads(capsys.readouterr().out)
+    xs = [row["x"] for row in obj.get("rows") or obj["points"]]
+    assert calls == xs
+
+
 class TestConstantsCommand:
     def test_json_output(self):
         res = run_cli("constants", "--r", "2", "--k", "1", "--prime-cutoff", "100000")
@@ -269,6 +299,16 @@ class TestFitCommand:
                       "--prime-cutoff", "10000", "--grid", "list:1000,2000,4000,8000,16000")
         assert res.returncode == 2
         assert "at least" in res.stderr
+
+    def test_weight_two_from_x_one(self):
+        # the diagnostics skip x = 1, where ln x = 0; the fit keeps it
+        res = run_cli("fit", "--r", "2", "--k", "2", "--N", "100000", "--grid",
+                      "list:1,10,20,50,100,200,500,1000,2000,5000,10000,100000",
+                      "--x-min", "1", "--prime-cutoff", "10000")
+        assert res.returncode == 0, res.stderr
+        obj = json.loads(res.stdout)
+        assert obj["fit"]["points_used"] == 12
+        assert "1" not in obj["diagnostics"]["S_over_x_ln_x"]
 
     def test_progress_goes_to_stderr_only(self):
         res = run_cli("fit", "--r", "2", "--k", "1", "--N", "100000",

@@ -131,7 +131,7 @@ class TestFitExponent:
     def test_determinism(self):
         params = ArithParams(2, 1.0)
         consts = bundle(params, 10**4)
-        t = summatory(params, 10**5, bundle=consts)
+        t = summatory(params, 10**5)
         a = fit_exponent(residuals(t, consts))
         b = fit_exponent(residuals(t, consts))
         assert a == b

@@ -224,11 +224,12 @@ class TestSummatory:
 
     def test_first_row_does_not_depend_on_limit(self):
         from meanval.coeffs import bundle
+        from meanval.fit import residuals
 
         for params in (ArithParams(2, 1.5), ArithParams(2, 1.0)):
             consts = bundle(params, 10**4)
-            alone = summatory(params, 1, bundle=consts).rows[0]
-            first = summatory(params, 10, grid=[1, 10], bundle=consts).rows[0]
+            alone = residuals(summatory(params, 1), consts).table.rows[0]
+            first = residuals(summatory(params, 10, grid=[1, 10]), consts).table.rows[0]
             assert alone == first
 
     def test_grid_validation(self):
@@ -249,14 +250,15 @@ class TestSummatory:
 
     def test_residual_column_consistent_with_value_and_main(self):
         from meanval.coeffs import bundle
+        from meanval.fit import residuals
 
         consts = bundle(ArithParams(2, 1.0), 10**4)
-        t = summatory(ArithParams(2, 1.0), 10**4, bundle=consts)
+        t = residuals(summatory(ArithParams(2, 1.0), 10**4), consts).table
         for row in t.rows:
             assert row.main == consts.main_term(row.x)
             assert row.residual == float(row.value - Fraction(row.main))
         consts_f = bundle(ArithParams(2, 1.5), 10**4)
-        tf = summatory(ArithParams(2, 1.5), 10**4, bundle=consts_f)
+        tf = residuals(summatory(ArithParams(2, 1.5), 10**4), consts_f).table
         for row in tf.rows:
             assert row.residual == row.value - row.main
 
