@@ -72,9 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     threads_help = (
-        "worker threads for the sieve's tabulation pass and the segment sums; "
-        "the output is bit-identical for any count. Only the sieve uses them: "
-        "at k = 1 and k = 2 the sums come from the powerful numbers instead"
+        "has no effect: the sums run on one thread, and the output is the same "
+        "for any count (accepted for existing scripts; a count above 1 prints a note)"
     )
 
     def add_common(p: argparse.ArgumentParser, with_n: bool) -> None:
@@ -133,6 +132,11 @@ def _progress(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
 
 
+def _note_threads(threads: int) -> None:
+    if threads > 1:
+        _progress(f"note: --threads {threads} has no effect; the sums run on one thread")
+
+
 def _render_constants_table(b: coeffs.ConstantsBundle) -> str:
     rows = [
         ("C (x ln x coefficient)", b.leading, b.tail_bounds["C"]),
@@ -172,10 +176,11 @@ def _cmd_sum(args) -> int:
     bundle = None
     if args.with_main:
         bundle = coeffs.bundle(params, args.prime_cutoff, zeta_tol=args.tol)
+    _note_threads(args.threads)
     if args.N >= 10**6:
-        _progress(f"summing to N={args.N} (threads={args.threads})")
+        _progress(f"summing to N={args.N}")
     t0 = time.perf_counter()
-    table = sieve.summatory(params, args.N, grid=grid, threads=args.threads)
+    table = sieve.summatory(params, args.N, grid=grid)
     if args.N >= 10**6:
         _progress(f"done in {time.perf_counter() - t0:.1f}s")
     if bundle is not None:
@@ -216,8 +221,9 @@ def _cmd_fit(args) -> int:
     grid = parse_grid(args.grid, args.N)
     _progress(f"constants at prime cutoff {args.prime_cutoff}")
     b = coeffs.bundle(params, args.prime_cutoff, zeta_tol=args.tol)
-    _progress(f"summatory table to N={args.N} (threads={args.threads})")
-    table = sieve.summatory(params, args.N, grid=grid, threads=args.threads)
+    _note_threads(args.threads)
+    _progress(f"summatory table to N={args.N}")
+    table = sieve.summatory(params, args.N, grid=grid)
     report = fit.fit_exponent(fit.residuals(table, b), x_min=args.x_min)
     if args.format == "csv":
         import io

@@ -250,13 +250,14 @@ class ConstantsBundle:
         """C * x * ln(x) + K * x."""
         return self.leading * x * math.log(x) + self.x_coeff * x
 
-    def residual(self, x: float, s: ExactValue) -> float:
-        """S(x) - main_term(x), formed in rationals and rounded once.
+    def residual(self, s: ExactValue, main: float) -> float:
+        """S(x) - main, with main = main_term(x) as the caller formed it, in
+        rationals and rounded once.
 
         For a float ``s`` this is bit-identical to the double ``s - main``;
         for an exact ``s`` nothing is lost to cancellation.
         """
-        return float(Fraction(s) - Fraction(self.main_term(x)))
+        return float(Fraction(s) - Fraction(main))
 
     def to_json_obj(self) -> dict:
         return {

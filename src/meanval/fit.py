@@ -108,13 +108,13 @@ def residuals(table: SummatoryTable, consts: ConstantsBundle) -> FitReport:
             f"table params (r={table.params.r}, k={table.params.k}) do not match "
             f"bundle params (r={consts.params.r}, k={consts.params.k})"
         )
-    rows = tuple(
-        replace(row, main=consts.main_term(row.x), residual=consts.residual(row.x, row.value))
-        for row in table.rows
-    )
+    rows = []
+    for row in table.rows:
+        main = consts.main_term(row.x)
+        rows.append(replace(row, main=main, residual=consts.residual(row.value, main)))
     signs = [row.residual > 0 for row in rows if row.residual != 0.0]
     flips = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-    return FitReport(table=replace(table, rows=rows), consts=consts, sign_changes=flips)
+    return FitReport(table=replace(table, rows=tuple(rows)), consts=consts, sign_changes=flips)
 
 
 def _ols(u: list[float], v: list[float]) -> tuple[float, float, float, float]:

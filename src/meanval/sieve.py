@@ -7,29 +7,26 @@ The pipeline is fully vectorized:
    at its multiples, largest first, so the smallest prime dividing n wins.
 2. ``tabulate`` gets each n's divisor count, omega and exponent of spf(n)
    from those of m = n / spf(n) < lo, in one pass over doubling blocks
-   [lo, 2*lo); a block's chunks are independent, so threads share them.
-3. Memory is 10 bytes per entry plus per-worker chunk scratch.
+   [lo, 2*lo), a chunk of 2**20 entries at a time.
+3. Memory is 10 bytes per entry plus one chunk's scratch.
 
-Summation is segmented (SEGMENT = 2**20 entries): per segment the integer
-divisor counts are totalled by omega class, and the running class totals T_w
-are exact integers, so a run with worker threads is bit-identical to a serial
-run. Every weight k is a binary float, so k = a/b exactly, and each checkpoint
-is the rational S(x) = sum_w T_w * b**w * a**(W - w) / a**W. For integer k
-that rational is returned; otherwise it is rounded once to the nearest float,
-and the reported round-off bound is half an ulp of the result.
-
-``summatory`` at k = 1 or k = 2 exactly does not sieve: ``hyperbola`` gives
-the same exact rationals from h over the powerful numbers in about sqrt(N)
-time and memory. Every other k, and ``verify``'s per-n table, use the sieve.
-``summatory`` returns S only; ``fit.residuals`` fills the main-term and
-residual columns of its rows.
+The per-n table serves ``verify`` and the tests; ``summatory`` does not
+sieve. At k = 1 or k = 2 exactly, ``hyperbola`` gives S(x) from h over the
+powerful numbers in about sqrt(N) time and memory. Every other k takes the
+exact integer class totals T_w(x), the sum of d(minpow_r(n)) over n <= x with
+omega(n) = w, from ``classtotals`` in about N**(3/4) time. Every weight k is
+a binary float, so k = a/b exactly, and each checkpoint is the rational
+S(x) = sum_w T_w * b**w * a**(W - w) / a**W. For integer k that rational is
+returned; otherwise it is rounded once to the nearest float, and the
+reported round-off bound is half an ulp of the result. ``summatory`` returns
+S only; ``fit.residuals`` fills the main-term and residual columns of its
+rows.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -37,7 +34,7 @@ from typing import IO, Optional, Sequence, Union
 
 import numpy as np
 
-from . import hyperbola
+from . import classtotals, hyperbola
 from .arith import ArithParams, ExactValue, minpow_divisor_counts
 from .errors import ConfigError, ResourceError
 from .primes import primes_up_to
@@ -53,16 +50,13 @@ __all__ = [
     "tabulate",
 ]
 
-SEGMENT = 1 << 20  # entries per summation segment
 DEFAULT_MEM_LIMIT_MB = 4096
 MEM_ENV_VAR = "MEANVAL_MEM_LIMIT_MB"
 
 # resident tables, bytes per sieved integer: spf and counts (int32), exponent
-# and omega (int8); spf is dropped before the segment reduction
+# and omega (int8)
 BYTES_PER_ENTRY = 10
-# per-worker scratch, bytes per entry of the 2**20 chunk or segment it holds:
-# a tabulate chunk needs about 21, a segment's bincount 16 (intp omegas and
-# float64 weights)
+# scratch, bytes per entry of the 2**20 chunk that tabulate works on: about 21
 SCRATCH_BYTES_PER_ENTRY = 24
 SPF_BLOCK = 1 << 18  # entries per build_spf block: 1 MiB of int32, an L2's worth
 TAB_CHUNK = 1 << 20  # entries per tabulate work item
@@ -85,12 +79,11 @@ def _require_budget(need_bytes: float, what: str, detail: str) -> None:
         )
 
 
-def _check_budget(limit: int, workers: int = 1) -> None:
-    scratch = workers * min(limit, TAB_CHUNK) * SCRATCH_BYTES_PER_ENTRY
+def _check_budget(limit: int) -> None:
     _require_budget(
-        limit * BYTES_PER_ENTRY + scratch,
+        limit * BYTES_PER_ENTRY + min(limit, TAB_CHUNK) * SCRATCH_BYTES_PER_ENTRY,
         f"sieve to {limit}",
-        f"{BYTES_PER_ENTRY} B/entry plus scratch for {workers} worker(s)",
+        f"{BYTES_PER_ENTRY} B/entry plus chunk scratch",
     )
 
 
@@ -126,13 +119,13 @@ def build_spf(limit: int) -> SpfSieve:
     return SpfSieve(limit=limit, spf=spf)
 
 
-def _decompose(sieve: SpfSieve, params: ArithParams, pool: Optional[Executor]) -> tuple[np.ndarray, np.ndarray]:
+def _decompose(sieve: SpfSieve, params: ArithParams) -> tuple[np.ndarray, np.ndarray]:
     """Divisor counts and omegas for 0..limit, from n = p * m with p = spf(n).
 
     p divides m iff spf(m) == p, and then e = expo[m], else e = 0. So n has
     exponent e + 1 at p, counts[n] = counts[m] // c[e] * c[e + 1] with
     c[a] = ceil(a/r) + 1, and omegas[n] = omegas[m] + (e == 0). In a doubling
-    block [lo, 2*lo) every m < lo, so ``pool`` may run its chunks in any order.
+    block [lo, 2*lo) every m < lo, so each chunk reads only finished entries.
     """
     N, spf, r = sieve.limit, sieve.spf, params.r
     c = np.array(minpow_divisor_counts(r, 32), dtype=np.int32)
@@ -142,7 +135,7 @@ def _decompose(sieve: SpfSieve, params: ArithParams, pool: Optional[Executor]) -
     counts[:2] = (0, 1)
     omegas[:2] = expo[:2] = 0
 
-    def chunk(a: int, b: int) -> None:
+    def chunk(a: int, b: int) -> None:  # its scratch is freed before the next chunk's
         p = spf[a:b]
         m = (np.arange(a, b, dtype=np.int32) // p).astype(np.intp)  # index once, gather four times
         e = expo[m]
@@ -151,12 +144,11 @@ def _decompose(sieve: SpfSieve, params: ArithParams, pool: Optional[Executor]) -
         expo[a:b] = e + 1
         np.add(omegas[m], e == 0, out=omegas[a:b])
 
-    run = map if pool is None else pool.map
     lo = 2
     while lo <= N:
         hi = min(2 * lo, N + 1)
-        starts = range(lo, hi, TAB_CHUNK)
-        list(run(chunk, starts, [*starts[1:], hi]))  # waits, and re-raises a worker's error
+        for a in range(lo, hi, TAB_CHUNK):
+            chunk(a, min(a + TAB_CHUNK, hi))
         lo = hi
     return counts, omegas
 
@@ -183,14 +175,13 @@ class ValueTable:
         return float(self.counts[n]) / float(self.params.k) ** int(self.omegas[n])
 
 
-def tabulate(sieve: SpfSieve, params: ArithParams, pool: Optional[Executor] = None) -> ValueTable:
+def tabulate(sieve: SpfSieve, params: ArithParams) -> ValueTable:
     """Evaluate the studied multiplicative function for every n <= limit.
 
     Values agree exactly with the single-integer path in ``arith``; the sieve
     recovers each factorization incrementally instead of trial-dividing.
-    ``pool`` runs the chunks of each doubling block; the table does not depend on it.
     """
-    counts, omegas = _decompose(sieve, params, pool)
+    counts, omegas = _decompose(sieve, params)
     return ValueTable(params=params, limit=sieve.limit, counts=counts, omegas=omegas)
 
 
@@ -225,8 +216,8 @@ class SummatoryRow:
     """One checkpoint: x, the prefix sum S, and its comparison columns.
 
     ``summatory`` leaves ``main`` and ``residual`` as None; ``fit.residuals``
-    fills them with ``ConstantsBundle.main_term(x)`` and
-    ``ConstantsBundle.residual(x, S)``: S - main formed in rationals and
+    fills them with main = ``ConstantsBundle.main_term(x)`` and
+    ``ConstantsBundle.residual(S, main)``: S - main formed in rationals and
     rounded once, which for a float S is exactly the double S - main, so the
     columns stay consistent.
     """
@@ -286,8 +277,9 @@ class SummatoryTable:
 def _segment_bounds(limit: int, checkpoints: Sequence[int], segment: int) -> list[tuple[int, int, bool]]:
     """Split [2, limit] at segment multiples and checkpoints.
 
-    Returns (start, end, is_checkpoint_end) with inclusive ends; identical
-    for every thread count, which is what makes parallel runs reproducible.
+    Returns (start, end, is_checkpoint_end) with inclusive ends. No summation
+    path calls it any more; perfbench/trace_cli.py still wraps it by name, so
+    it goes when that tracer is retired.
     """
     cuts = {limit}
     cuts.update(x for x in checkpoints if x >= 2)
@@ -311,20 +303,17 @@ def summatory(
     params: ArithParams,
     limit: int,
     grid: Optional[Sequence[int]] = None,
-    threads: int = 1,
 ) -> SummatoryTable:
     """Prefix sums S(x) at the grid checkpoints; main and residual stay None.
 
-    At k = 1 and k = 2 the sums come from ``hyperbola.prefix_sums`` and
-    ``threads`` is not used. Otherwise worker threads share the tabulation
-    chunks and the segment class totals; the totals are exact integers, so
-    the result is identical to a serial run, bit for bit. ``fit.residuals``
-    adds the main-term and residual columns.
+    At k = 1 and k = 2 the sums come from ``hyperbola.prefix_sums``, and at
+    every other k from the class totals of ``classtotals.class_totals``:
+    exact integers, turned into the exact rational S(x) and, for a
+    non-integer k, rounded once. ``fit.residuals`` adds the main-term and
+    residual columns.
     """
     if limit < 1:
         raise ConfigError(f"N must be >= 1, got {limit}")
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
     checkpoints = list(grid) if grid is not None else geometric_checkpoints(limit)
     if not checkpoints:
         raise ConfigError("checkpoint grid is empty")
@@ -343,7 +332,8 @@ def summatory(
 
     if checkpoints[0] == 1:
         finish(1, Fraction(1))
-    if limit == 1:
+    xs = [x for x in checkpoints if x > 1]
+    if not xs:
         return SummatoryTable(params=params, limit=limit, mode=mode, rows=tuple(rows))
 
     if params.k in (1.0, 2.0):
@@ -352,32 +342,21 @@ def summatory(
             f"exact S(x) to {limit}",
             f"{hyperbola.POWERFUL_BYTES} B per powerful number plus the D(y) table",
         )
-        for x, s in hyperbola.prefix_sums(params, limit, [x for x in checkpoints if x > 1]):
+        for x, s in hyperbola.prefix_sums(params, limit, xs):
             finish(x, s)
         return SummatoryTable(params=params, limit=limit, mode=mode, rows=tuple(rows))
 
-    _check_budget(limit, workers=threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        table = tabulate(build_spf(limit), params, pool)
-        g, om = table.counts, table.omegas
-        W = int(om.max())
-        a, b = float(params.k).as_integer_ratio()  # k = a/b exactly
-        scale = [b**w * a ** (W - w) for w in range(W + 1)]  # T_w * scale[w] / a**W = T_w / k**w
-        denom = a**W
-
-        def seg_sums(bounds: tuple[int, int, bool]) -> np.ndarray:
-            lo, hi, _ = bounds
-            # integer class totals; float64 bincount is exact here because
-            # every partial sum stays far below 2**53
-            return np.bincount(om[lo : hi + 1], weights=g[lo : hi + 1], minlength=W + 1).astype(np.int64)
-
-        totals = [0] * (W + 1)
-        totals[0] = 1  # n = 1 contributes count 1 with omega 0
-        segments = _segment_bounds(limit, checkpoints, SEGMENT)
-        for (_, hi, is_ckpt), part in zip(segments, pool.map(seg_sums, segments, chunksize=4)):
-            for w in range(W + 1):
-                totals[w] += int(part[w])
-            if is_ckpt:
-                finish(hi, Fraction(sum(t * c for t, c in zip(totals, scale)), denom))
-
+    _require_budget(
+        classtotals.required_bytes(xs),
+        f"class totals to {xs[-1]}",
+        f"{classtotals.VALUE_BYTES} B plus {classtotals.CLASS_BYTES} B per omega class "
+        "for each floor value x // i",
+    )
+    totals = classtotals.class_totals(params.r, xs)
+    W = totals.shape[1] - 1
+    a, b = float(params.k).as_integer_ratio()  # k = a/b exactly
+    scale = [b**w * a ** (W - w) for w in range(W + 1)]  # T_w * scale[w] / a**W = T_w / k**w
+    denom = a**W
+    for x, row in zip(xs, totals.tolist()):
+        finish(x, Fraction(sum(t * c for t, c in zip(row, scale)), denom))
     return SummatoryTable(params=params, limit=limit, mode=mode, rows=tuple(rows))

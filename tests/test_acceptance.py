@@ -140,7 +140,7 @@ def test_criterion_09_asymptotic_fit_weight_one():
         t0 = time.perf_counter()
         params = ArithParams(2, 1.0)
         consts = bundle(params, 10**6)
-        table = summatory(params, 10**7, threads=1)
+        table = summatory(params, 10**7)
         report = fit_exponent(residuals(table, consts), x_min=10**3)
         assert report.theta <= 0.75, report.theta
         assert math.isfinite(report.witness)

@@ -31,15 +31,26 @@ def run_cli(*args, env_extra=None):
     )
 
 
-def run_cli_peak_rss(tmp_path, *args):
-    """Exit code, stderr and the child's own peak RSS in MiB (from os.wait4)."""
-    err_path = tmp_path / "stderr"
+# A child that this process starts by vfork, as subprocess does, takes this
+# process's peak RSS into its own ru_maxrss at exec. So a small launcher
+# starts the CLI and reports the CLI's peak, which then carries only the
+# launcher's own few MiB from before the exec.
+_PEAK_LAUNCHER = """import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "meanval.cli", *sys.argv[2:]], os.environ)
+_, status, usage = os.wait4(pid, 0)
+with open(sys.argv[1], "w") as fp:
+    fp.write(f"{os.waitstatus_to_exitcode(status)} {usage.ru_maxrss}")
+"""
+
+
+def run_cli_peak_rss(tmp_path, *args, env_extra=None):
+    """Exit code, stderr and the CLI process's own peak RSS in MiB (from os.wait4)."""
+    err_path, result_path = tmp_path / "stderr", tmp_path / "result"
     with open(os.devnull, "w") as out, open(err_path, "w") as err:
-        proc = subprocess.Popen([sys.executable, "-m", "meanval.cli", *args],
-                                stdout=out, stderr=err, env=_env())
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-    return proc.returncode, err_path.read_text(), usage.ru_maxrss / 1024
+        subprocess.run([sys.executable, "-c", _PEAK_LAUNCHER, str(result_path), *args],
+                       stdout=out, stderr=err, env=_env(env_extra), check=True)
+    code, maxrss_kib = map(int, result_path.read_text().split())
+    return code, err_path.read_text(), maxrss_kib / 1024
 
 
 @pytest.mark.parametrize(
@@ -80,19 +91,26 @@ def test_sum_with_main_residuals_match_fit_points(k):
 def test_residual_formed_once_per_checkpoint(command, monkeypatch, capsys):
     from meanval.coeffs import ConstantsBundle
 
-    calls = []
-    original = ConstantsBundle.residual
+    calls, mains = [], []
+    original, original_main = ConstantsBundle.residual, ConstantsBundle.main_term
 
-    def spy(self, x, s):
-        calls.append(x)
-        return original(self, x, s)
+    def spy(self, s, main):
+        calls.append(main)
+        return original(self, s, main)
+
+    def main_spy(self, x):
+        mains.append((x, original_main(self, x)))
+        return mains[-1][1]
 
     monkeypatch.setattr(ConstantsBundle, "residual", spy)
+    monkeypatch.setattr(ConstantsBundle, "main_term", main_spy)
     argv = [command[0], "--k", "1.5", "--N", "100000", "--prime-cutoff", "10000", *command[1:]]
     assert cli.main(argv) == 0
     obj = json.loads(capsys.readouterr().out)
     xs = [row["x"] for row in obj.get("rows") or obj["points"]]
-    assert calls == xs
+    # the main term too is formed once per checkpoint, and residual takes it
+    assert [x for x, _ in mains] == xs
+    assert calls == [main for _, main in mains]
 
 
 class TestConstantsCommand:
@@ -235,10 +253,26 @@ class TestSumCommand:
         assert "MEANVAL_MEM_LIMIT_MB" in res.stderr and "powerful" in res.stderr
 
     def test_int32_limit_exits_3_before_allocating(self, tmp_path):
-        code, err, peak_mib = run_cli_peak_rss(tmp_path, "sum", "--k", "1.5", "--N", "2147483647")
+        # sums no longer sieve; verify's per-n table is the one int32 layout left
+        code, err, peak_mib = run_cli_peak_rss(tmp_path, "verify", "--series-limit", "2147483647")
         assert code == 3, err
-        assert "Traceback" not in err
+        assert "int32" in err and "Traceback" not in err
         assert peak_mib < 100
+
+    def test_weight_one_and_a_half_to_1e9_within_256_mib(self, tmp_path):
+        # the sieve would need about 10 GiB here; the class totals need a few MiB
+        code, err, peak_mib = run_cli_peak_rss(
+            tmp_path, "sum", "--r", "3", "--k", "1.5", "--N", "1000000000", "--grid", "geom:2",
+            env_extra={"MEANVAL_MEM_LIMIT_MB": "256"},
+        )
+        assert code == 0, err
+        assert peak_mib < 256
+
+    def test_threads_note(self):
+        res = run_cli("sum", "--r", "2", "--k", "1.5", "--N", "100", "--threads", "3")
+        assert res.returncode == 0
+        assert res.stderr == "note: --threads 3 has no effect; the sums run on one thread\n"
+        assert run_cli("sum", "--r", "2", "--k", "1.5", "--N", "100", "--threads", "1").stderr == ""
 
     def test_int64_overflow_exits_3(self):
         res = run_cli("sum", "--k", "1", "--N", str(10**30))

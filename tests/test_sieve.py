@@ -3,14 +3,13 @@ import io
 import json
 import math
 import random
-import sys
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from meanval import cli
 from meanval.arith import ArithParams, composite_weighted_divisor, factorize
 from meanval.errors import ConfigError, ResourceError
 from meanval import sieve as sieve_mod
@@ -73,21 +72,19 @@ class TestBuildSpf:
             with pytest.raises(ConfigError):
                 build_spf(10**5)
 
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("limit", [10**5, 2 * 10**6, 10**7])
-    def test_budget_covers_traced_peak(self, limit, workers, monkeypatch):
+    def test_budget_covers_traced_peak(self, limit, monkeypatch):
         tracemalloc.start()
         try:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                tabulate(build_spf(limit), ArithParams(2, 1.0), pool if workers > 1 else None)
+            tabulate(build_spf(limit), ArithParams(2, 1.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # the gate must refuse a budget equal to the measured peak, that is,
-        # its estimate for this limit and worker count is above the peak
+        # its estimate for this limit is above the peak
         monkeypatch.setenv(sieve_mod.MEM_ENV_VAR, str(peak / 2**20))
         with pytest.raises(ResourceError):
-            _check_budget(limit, workers)
+            _check_budget(limit)
 
 
 class TestTabulate:
@@ -121,22 +118,6 @@ class TestTabulate:
         table = tabulate(build_spf(10), ArithParams(2, 1.0))
         with pytest.raises(ConfigError):
             table.value(11)
-
-    def test_pool_gives_identical_tables(self, monkeypatch):
-        monkeypatch.setattr(sieve_mod, "TAB_CHUNK", 1000)  # blocks from 1024 on split
-        sieve = build_spf(10**5)
-        params = ArithParams(3, 2.0)
-        serial = tabulate(sieve, params)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads often, so chunks interleave
-        try:
-            for workers in (2, 4):
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    table = tabulate(sieve, params, pool)
-                assert np.array_equal(table.counts, serial.counts)
-                assert np.array_equal(table.omegas, serial.omegas)
-        finally:
-            sys.setswitchinterval(interval)
 
     def test_agrees_with_direct_evaluation_at_doubling_block_edges(self):
         sieve = build_spf(10**6)
@@ -198,12 +179,14 @@ class TestSummatory:
         b = summatory(ArithParams(2, 2.0), 10**4)
         assert a == b
 
-    def test_threads_bit_identical(self, monkeypatch):
-        monkeypatch.setattr(sieve_mod, "SEGMENT", 1 << 14)
-        for params in (ArithParams(2, 1.0), ArithParams(2, 1.75)):
-            serial = summatory(params, 10**5, threads=1)
-            parallel = summatory(params, 10**5, threads=4)
-            assert serial.rows == parallel.rows
+    def test_threads_bit_identical(self, capsys):
+        # the sum CLI still takes --threads, and any count gives the same bytes
+        for k in ("1", "1.75"):
+            outs = []
+            for threads in ("1", "4"):
+                assert cli.main(["sum", "--k", k, "--N", "100000", "--threads", threads]) == 0
+                outs.append(capsys.readouterr().out)
+            assert outs[0] == outs[1]
 
     def test_float_error_bound_small(self):
         t = summatory(ArithParams(2, 1.5), 10**5)
@@ -212,15 +195,22 @@ class TestSummatory:
 
     @pytest.mark.parametrize("threads", [1, 4])
     @pytest.mark.parametrize("r, k", [(3, 1.5), (2, 1.3), (2, 2.0 + 1e-12)])
-    def test_float_rows_are_correctly_rounded_exact_sums(self, r, k, threads, monkeypatch):
-        monkeypatch.setattr(sieve_mod, "SEGMENT", 1 << 8)
+    def test_float_rows_are_correctly_rounded_exact_sums(self, r, k, threads, capsys):
         grid = [1, *geometric_checkpoints(2000)]
-        t = summatory(ArithParams(r, k), 2000, grid=grid, threads=threads)
-        assert t.mode == "float" and [row.x for row in t.rows] == grid
         oracle = _enumerated_prefix_sums(r, k, tuple(grid))
+        t = summatory(ArithParams(r, k), 2000, grid=grid)
+        assert t.mode == "float" and [row.x for row in t.rows] == grid
         for row in t.rows:
             assert row.value == float(oracle[row.x]), row.x
             assert row.err_bound == math.ulp(row.value) / 2, row.x
+        # the same rows through the sum CLI, whose --threads has no effect
+        argv = ["sum", "--r", str(r), "--k", repr(k), "--N", "2000", "--threads", str(threads),
+                "--grid", "list:" + ",".join(map(str, grid))]
+        assert cli.main(argv) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [(row["x"], float(row["S"]), float(row["err_bound"])) for row in rows] == [
+            (row.x, row.value, row.err_bound) for row in t.rows
+        ]
 
     def test_first_row_does_not_depend_on_limit(self):
         from meanval.coeffs import bundle
