@@ -37,6 +37,7 @@ __all__ = [
     "composite_weighted_divisor",
     "divisor_count",
     "factorize",
+    "max_omega",
     "minimal_power",
     "minpow_divisor_counts",
     "omega",
@@ -146,6 +147,16 @@ def factorize(n: int) -> PrimeFactorization:
     if m > 1:
         out.append((m, 1))
     return PrimeFactorization(tuple(out))
+
+
+def max_omega(limit: int) -> int:
+    """The largest omega(n) over 1 <= n <= limit: the w with 2 * 3 * ... * p_w <= limit."""
+    w, primorial = 0, 1
+    for p in _TRIAL_PRIMES:
+        if primorial * p > limit:
+            break
+        w, primorial = w + 1, primorial * p
+    return w
 
 
 def divisor_count(f: PrimeFactorization) -> int:

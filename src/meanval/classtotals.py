@@ -1,7 +1,8 @@
 """Exact omega-class totals T_w(x) at many x, in about x**(3/4) time.
 
 T_w(x) is the sum of g(n) = d(minpow_r(n)) over the n <= x with omega(n) = w.
-Every weight k is one exact rational from them: S(x) = sum_w T_w(x) / k**w.
+Every weight k is one exact rational from them: S(x) = sum_w T_w(x) / k**w,
+which ``prefix_sums`` forms for any k, since a float k is a binary rational.
 g is multiplicative, with g(p**a) = c[a] = ceil(a/r) + 1 and g(p) = 2.
 
 All the sums are taken over V, the union of {x // i : i >= 1} over the
@@ -30,15 +31,16 @@ R stays below it, so the sums are exact int64 while that bound is.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .arith import minpow_divisor_counts
+from .arith import ArithParams, max_omega, minpow_divisor_counts
 from .errors import ResourceError
 from .primes import primes_up_to
 
-__all__ = ["class_totals", "floor_values", "required_bytes"]
+__all__ = ["class_totals", "floor_values", "prefix_sums", "required_bytes"]
 
 # peak bytes per entry joined into V (an upper bound on its size), per class
 # w = 1..W: the class table and the rows a step gathers, int64 each
@@ -47,16 +49,7 @@ CLASS_BYTES = 16
 # step, and the union's join and sort; tracemalloc measures 90 to 130 B per
 # entry of V in all, for W = 6 to 9
 VALUE_BYTES = 64
-
-
-def _max_omega(limit: int) -> int:
-    """The largest omega(n) over n <= limit: w with 2*3*...*p_w <= limit."""
-    w, primorial = 0, 1
-    for p in primes_up_to(256).tolist():
-        if primorial * p > limit:
-            break
-        w, primorial = w + 1, primorial * p
-    return w
+BUDGET_DETAIL = f"{VALUE_BYTES} B plus {CLASS_BYTES} B per omega class for each floor value x // i"
 
 
 def _check_int64_reach(top: int) -> None:
@@ -65,15 +58,16 @@ def _check_int64_reach(top: int) -> None:
         raise ResourceError(f"class totals to x={top} could overflow their int64 sums")
 
 
-def required_bytes(xs: Sequence[int]) -> float:
-    """Peak memory of ``class_totals`` over the checkpoints xs, an upper estimate.
+def required_bytes(params: ArithParams, xs: Sequence[int]) -> float:
+    """Peak memory of ``prefix_sums`` over the checkpoints xs, an upper estimate.
 
-    Like ``class_totals``, raises ResourceError past int64 reach.
+    It does not depend on params. Like ``class_totals``, raises ResourceError
+    past int64 reach.
     """
     top = max(xs)
     _check_int64_reach(top)
     count = math.isqrt(top) + sum(math.isqrt(x) for x in xs)  # as ``floor_values`` joins them
-    return count * (VALUE_BYTES + CLASS_BYTES * max(_max_omega(top), 1)) + 8 * math.isqrt(top)
+    return count * (VALUE_BYTES + CLASS_BYTES * max(max_omega(top), 1)) + 8 * math.isqrt(top)
 
 
 def floor_values(xs: Sequence[int]) -> np.ndarray:
@@ -106,7 +100,7 @@ def class_totals(r: int, xs: Sequence[int]) -> np.ndarray:
         lo = int(at(p * p))
         pi[lo:] -= pi[at(values[lo:] // p)] - pi[p - 2]  # values[p - 2] == p - 1
 
-    w_max = max(_max_omega(top), 1)
+    w_max = max(max_omega(top), 1)
     c = minpow_divisor_counts(r, top.bit_length() + 2)
     table = np.zeros((w_max, values.size), dtype=np.int64)  # row w - 1 holds class w
     table[0] = 2 * pi
@@ -139,3 +133,9 @@ def class_totals(r: int, xs: Sequence[int]) -> np.ndarray:
     totals[:, 0] = 1  # n = 1
     totals[:, 1:] = table[:, at(xs)].T
     return totals
+
+
+def prefix_sums(params: ArithParams, xs: Sequence[int]) -> list[Fraction]:
+    """Exact S(x) = sum_w T_w(x) / k**w for each x in xs (each x >= 1), at any k."""
+    k = Fraction(params.k)  # exact: every float is a binary rational
+    return [sum(t / k**w for w, t in enumerate(row)) for row in class_totals(params.r, xs).tolist()]

@@ -14,7 +14,8 @@ where G = D, the divisor summatory function, at k = 1 and G(y) = y at k = 2.
 h(m) = num(m) / k**omega(m) with an integer numerator, so S(x) is the integer
 sum_m num(m) * k**(W - omega(m)) * G(x // m) over k**W, where W is the largest
 omega on the support. Every partial sum is an exact int64: ``prefix_sums``
-and ``required_bytes`` refuse an N where one could overflow.
+and ``required_bytes`` refuse checkpoints where one could overflow. Both
+size everything from N, the largest checkpoint.
 
 At k = 1, D(y) is read from a table for y <= L (``table_size``, 2 * sqrt(N)),
 built as one cumsum of a divisor-pair sieve. The m with x // m > L take
@@ -30,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import ArithParams, minpow_divisor_counts
+from .arith import ArithParams, max_omega, minpow_divisor_counts
 from .errors import ResourceError
 from .primes import primes_up_to
 
@@ -49,6 +50,7 @@ __all__ = [
 # measures 41 B (k = 1) to 48 B (k = 2) at N = 1e10 to 1e12
 POWERFUL_BYTES = 56
 TABLE_BYTES = 8  # one int64 D(y) per table entry
+BUDGET_DETAIL = f"{POWERFUL_BYTES} B per powerful number plus the D(y) table"
 FORMULA_CHUNK = 1 << 16  # divisors i per numpy step of the hyperbola formula
 # zeta(3/2): there are at most zeta(3/2) * sqrt(N) powerful numbers <= N,
 # since each is a**2 * b**3 with b squarefree, for at most sqrt(N / b**3) values of a
@@ -169,21 +171,18 @@ def _check_int64_reach(params: ArithParams, limit: int) -> None:
     """Raise ResourceError when an int64 partial sum to ``limit`` could overflow.
 
     Each is at most k**W * sum_m G(x / m) <= k**W * 2 * G(N), with
-    D(y) <= y * (ln y + 1), and W the largest w with (p_1 * ... * p_w)**2 <= N.
+    D(y) <= y * (ln y + 1), and W the largest w with (p_1 * ... * p_w)**2 <= N,
+    that is p_1 * ... * p_w <= isqrt(N).
     """
     k = int(params.k)
-    w, primorial = 0, 1
-    for p in primes_up_to(256).tolist():
-        if (primorial * p) ** 2 > limit:
-            break
-        w, primorial = w + 1, primorial * p
+    w = max_omega(math.isqrt(limit))
     g_max = limit * (math.log(limit) + 2.0) if k == 1 else limit
     if k**w * _POWERFUL_RECIPROCALS * g_max >= 2**63:
-        raise ResourceError(f"exact S(x) to N={limit} at k={k} could overflow its int64 sums")
+        raise ResourceError(f"exact S(x) to x={limit} at k={k} could overflow its int64 sums")
 
 
-def required_bytes(params: ArithParams, limit: int) -> float:
-    """Peak memory of ``prefix_sums`` to ``limit``, an upper estimate.
+def required_bytes(params: ArithParams, xs: Sequence[int]) -> float:
+    """Peak memory of ``prefix_sums`` over the checkpoints xs, an upper estimate.
 
     h(m) != 0 only where every exponent of m is at least e0, the first a >= 2
     with h(p**a) != 0: 2 at k = 1, r + 1 at k = 2. Each such m is uniquely
@@ -192,8 +191,9 @@ def required_bytes(params: ArithParams, limit: int) -> float:
     <= binom(2*e0 - 1, e0) * N**(1/e0) of them, as zeta(1 + x) <= 1 + 1/x.
     The count taken is the smaller of that and the count of all powerful m.
 
-    Like ``prefix_sums``, raises ResourceError for a ``limit`` past int64 reach.
+    Like ``prefix_sums``, raises ResourceError for an N = max(xs) past int64 reach.
     """
+    limit = max(xs)
     _check_int64_reach(params, limit)
     num_a = h_numerators(params.r, int(params.k), params.r + 2)
     e0 = next(a for a in range(2, len(num_a)) if num_a[a])
@@ -206,8 +206,9 @@ def required_bytes(params: ArithParams, limit: int) -> float:
     return need
 
 
-def prefix_sums(params: ArithParams, limit: int, xs: Sequence[int]) -> list[tuple[int, Fraction]]:
-    """Exact S(x) for each x in xs (1 <= x <= limit), at k = 1 or k = 2."""
+def prefix_sums(params: ArithParams, xs: Sequence[int]) -> list[Fraction]:
+    """Exact S(x) for each x in xs (each x >= 1), at k = 1 or k = 2."""
+    limit = max(xs)
     _check_int64_reach(params, limit)
     k = int(params.k)
     m, num, om = powerful_support(params, limit)
@@ -226,5 +227,5 @@ def prefix_sums(params: ArithParams, limit: int, xs: Sequence[int]) -> list[tupl
                 int(wt) * divisor_summatory(x // mi) for wt, mi in zip(weight[:j].tolist(), m[:j].tolist())
             )
             total += int(np.dot(weight[j:n], table[x // m[j:n]]))
-        out.append((x, Fraction(total, k**w_max)))
+        out.append(Fraction(total, k**w_max))
     return out

@@ -11,16 +11,17 @@ The pipeline is fully vectorized:
 3. Memory is 10 bytes per entry plus one chunk's scratch.
 
 The per-n table serves ``verify`` and the tests; ``summatory`` does not
-sieve. At k = 1 or k = 2 exactly, ``hyperbola`` gives S(x) from h over the
-powerful numbers in about sqrt(N) time and memory. Every other k takes the
-exact integer class totals T_w(x), the sum of d(minpow_r(n)) over n <= x with
-omega(n) = w, from ``classtotals`` in about N**(3/4) time. Every weight k is
-a binary float, so k = a/b exactly, and each checkpoint is the rational
-S(x) = sum_w T_w * b**w * a**(W - w) / a**W. For integer k that rational is
-returned; otherwise it is rounded once to the nearest float, and the
-reported round-off bound is half an ulp of the result. ``summatory`` returns
-S only; ``fit.residuals`` fills the main-term and residual columns of its
-rows.
+sieve. It takes S(x) from one of two exact backends, which share one
+contract: ``prefix_sums(params, xs)`` returns the exact rational S(x) for
+each checkpoint x >= 1, and ``required_bytes(params, xs)`` estimates its peak
+memory; both size everything from max(xs) and refuse, with ResourceError, an
+x whose int64 sums could overflow. At k = 1 or k = 2 exactly, ``hyperbola``
+sums h over the powerful numbers in about sqrt(N) time and memory; every
+other k takes ``classtotals``, the omega-class totals T_w(x) in about
+N**(3/4) time. For integer k the rational is returned; otherwise it is
+rounded once to the nearest float, and the reported round-off bound is half
+an ulp of the result. ``summatory`` returns S only; ``fit.residuals`` fills
+the main-term and residual columns of its rows.
 """
 
 from __future__ import annotations
@@ -306,11 +307,9 @@ def summatory(
 ) -> SummatoryTable:
     """Prefix sums S(x) at the grid checkpoints; main and residual stay None.
 
-    At k = 1 and k = 2 the sums come from ``hyperbola.prefix_sums``, and at
-    every other k from the class totals of ``classtotals.class_totals``:
-    exact integers, turned into the exact rational S(x) and, for a
-    non-integer k, rounded once. ``fit.residuals`` adds the main-term and
-    residual columns.
+    The exact S(x) come from ``hyperbola`` at k = 1 and k = 2 and from
+    ``classtotals`` at every other k; for a non-integer k each is rounded
+    once. ``fit.residuals`` adds the main-term and residual columns.
     """
     if limit < 1:
         raise ConfigError(f"N must be >= 1, got {limit}")
@@ -321,42 +320,16 @@ def summatory(
         raise ConfigError(f"grid points must lie in [1, {limit}]")
     checkpoints = sorted(set(checkpoints))
 
+    backend = hyperbola if params.k in (1.0, 2.0) else classtotals
+    _require_budget(
+        backend.required_bytes(params, checkpoints),
+        f"exact S(x) to {checkpoints[-1]}",
+        backend.BUDGET_DETAIL,
+    )
     exact = params.exact
-    mode = "exact" if exact else "float"
     rows: list[SummatoryRow] = []
-
-    def finish(x: int, s: Fraction) -> None:
+    for x, s in zip(checkpoints, backend.prefix_sums(params, checkpoints)):
         value = s if exact else float(s)
         err = 0.0 if exact else math.ulp(value) / 2
         rows.append(SummatoryRow(x=x, value=value, main=None, residual=None, err_bound=err))
-
-    if checkpoints[0] == 1:
-        finish(1, Fraction(1))
-    xs = [x for x in checkpoints if x > 1]
-    if not xs:
-        return SummatoryTable(params=params, limit=limit, mode=mode, rows=tuple(rows))
-
-    if params.k in (1.0, 2.0):
-        _require_budget(
-            hyperbola.required_bytes(params, limit),
-            f"exact S(x) to {limit}",
-            f"{hyperbola.POWERFUL_BYTES} B per powerful number plus the D(y) table",
-        )
-        for x, s in hyperbola.prefix_sums(params, limit, xs):
-            finish(x, s)
-        return SummatoryTable(params=params, limit=limit, mode=mode, rows=tuple(rows))
-
-    _require_budget(
-        classtotals.required_bytes(xs),
-        f"class totals to {xs[-1]}",
-        f"{classtotals.VALUE_BYTES} B plus {classtotals.CLASS_BYTES} B per omega class "
-        "for each floor value x // i",
-    )
-    totals = classtotals.class_totals(params.r, xs)
-    W = totals.shape[1] - 1
-    a, b = float(params.k).as_integer_ratio()  # k = a/b exactly
-    scale = [b**w * a ** (W - w) for w in range(W + 1)]  # T_w * scale[w] / a**W = T_w / k**w
-    denom = a**W
-    for x, row in zip(xs, totals.tolist()):
-        finish(x, Fraction(sum(t * c for t, c in zip(row, scale)), denom))
-    return SummatoryTable(params=params, limit=limit, mode=mode, rows=tuple(rows))
+    return SummatoryTable(params=params, limit=limit, mode="exact" if exact else "float", rows=tuple(rows))

@@ -11,12 +11,13 @@ from meanval.arith import (
     composite_weighted_divisor,
     divisor_count,
     factorize,
+    max_omega,
     minimal_power,
     omega,
     weighted_divisor,
 )
 
-from oracles import brute_minimal_power, count_divisors_scan, trial_factorize
+from oracles import brute_minimal_power, count_divisors_scan, omega_scan, trial_factorize
 
 
 class TestFactorize:
@@ -78,6 +79,15 @@ class TestDivisorCountOmega:
     def test_720_against_scan(self):
         assert count_divisors_scan(720) == 30
         assert divisor_count(factorize(720)) == 30
+
+    def test_max_omega_against_running_max(self):
+        best = 0
+        for n in range(1, 2 * 10**4 + 1):
+            best = max(best, omega_scan(n))
+            assert max_omega(n) == best, n
+        # each primorial 2 * 3 * ... * p_w is the first n with omega(n) = w
+        for primorial, w in {30: 3, 210: 4, 2310: 5, 510510: 7}.items():
+            assert max_omega(primorial - 1) == w - 1 and max_omega(primorial) == w
 
 
 class TestMinimalPower:

@@ -1,7 +1,6 @@
 import math
 import random
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -74,11 +73,10 @@ class TestAgainstHyperbola:
     @pytest.mark.parametrize("r", [2, 3])
     @pytest.mark.parametrize("k", [1, 2])
     def test_weights_one_and_two(self, r, k):
-        xs = geometric_checkpoints(10**7)
-        totals = classtotals.class_totals(r, xs)
-        got = [sum(Fraction(t, k**w) for w, t in enumerate(row)) for row in totals.tolist()]
-        want = [s for _, s in hyperbola.prefix_sums(ArithParams(r, float(k)), 10**7, xs)]
-        assert got == want
+        # two independent exact algorithms under one contract; r = 2, k = 1 to 1e10 takes ~3 s
+        params = ArithParams(r, float(k))
+        xs = geometric_checkpoints({(2, 1): 10**10, (2, 2): 10**9}.get((r, k), 10**7))
+        assert classtotals.prefix_sums(params, xs) == hyperbola.prefix_sums(params, xs)
 
 
 class TestDispatch:
@@ -98,7 +96,7 @@ class TestDispatch:
 
         monkeypatch.setattr(classtotals, "class_totals", spy)
         t = summatory(ArithParams(2, k), 1000, grid=[1, 10, 1000])
-        assert calls == [[10, 1000]]
+        assert calls == [[1, 10, 1000]]
         assert [row.x for row in t.rows] == [1, 10, 1000]
 
 
@@ -111,13 +109,14 @@ class TestBudget:
     )
     def test_estimate_covers_traced_peak(self, xs):
         classtotals.class_totals(3, [10])  # np.unique imports numpy.ma on its first call
+        params = ArithParams(3, 1.5)
         tracemalloc.start()
         try:
-            classtotals.class_totals(3, xs)
+            classtotals.prefix_sums(params, xs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert classtotals.required_bytes(xs) > peak
+        assert classtotals.required_bytes(params, xs) > peak
 
     def test_budget_enforced(self, monkeypatch):
         monkeypatch.setenv(sieve_mod.MEM_ENV_VAR, "1")
@@ -130,5 +129,5 @@ class TestBudget:
             summatory(ArithParams(2, 1.5), 10**18)
         with pytest.raises(ResourceError, match="overflow"):
             classtotals.class_totals(2, [10**18])
-        classtotals.required_bytes([10**16])
+        classtotals.required_bytes(ArithParams(2, 1.5), [10**16])
         assert 10**16 * (math.log(10**16) + 1) < 2**63

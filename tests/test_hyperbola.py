@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from meanval import hyperbola
+from meanval import classtotals, hyperbola
 from meanval import sieve as sieve_mod
 from meanval.arith import ArithParams
 from meanval.errors import ResourceError
@@ -101,20 +101,26 @@ class TestPrefixSums:
               9 * big, 2401, limit - 1, limit]
         params = ArithParams(r, float(k))
         want = table_prefix_sums(tabulate(spf_1e6, params), k, xs)
-        assert dict(hyperbola.prefix_sums(params, limit, xs)) == want
+        assert dict(zip(xs, hyperbola.prefix_sums(params, xs))) == want
 
     @pytest.mark.parametrize("r, k", [(2, 1), (2, 2), (3, 1), (3, 2)])
     def test_enumerated_oracle(self, r, k):
         params = ArithParams(r, float(k))
         xs = [1, 2, 3, 4, 7, 8, 9, 16, 27, 32, 36, 72, 100, 128, 199, 200]
-        got = dict(hyperbola.prefix_sums(params, 200, xs))
+        got = dict(zip(xs, hyperbola.prefix_sums(params, xs)))
         assert got == {x: enumerated_sum(x, r, k) for x in xs}
+
+    def test_pinned_values(self):
+        got = hyperbola.prefix_sums(ArithParams(2, 1.0), [10**10, 10**11, 10**12])
+        assert got == [168563540767, 1847839222597, 20100430329742]
+        assert hyperbola.prefix_sums(ArithParams(2, 2.0), [10**10]) == [Fraction(44527035351, 4)]
 
     @pytest.mark.parametrize("k", [1.0, 2.0])
     def test_limits_one_and_two(self, k):
         params = ArithParams(2, k)
-        assert hyperbola.prefix_sums(params, 1, [1]) == [(1, Fraction(1))]
-        assert hyperbola.prefix_sums(params, 2, [1, 2]) == [(1, Fraction(1)), (2, 1 + Fraction(2) / k)]
+        for backend in (hyperbola, classtotals):
+            assert backend.prefix_sums(params, [1]) == [1]
+            assert backend.prefix_sums(params, [1, 2]) == [1, 1 + Fraction(2) / k]
         assert [row.value for row in summatory(params, 1).rows] == [1]
         assert [row.value for row in summatory(params, 2, grid=[1, 2]).rows] == [1, 1 + Fraction(2) / k]
 
@@ -148,22 +154,27 @@ class TestBudget:
         xs = geometric_checkpoints(limit)
         tracemalloc.start()
         try:
-            hyperbola.prefix_sums(params, limit, xs)
+            hyperbola.prefix_sums(params, xs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert hyperbola.required_bytes(params, limit) > peak
+        assert hyperbola.required_bytes(params, xs) > peak
 
     def test_budget_enforced(self, monkeypatch):
         monkeypatch.setenv(sieve_mod.MEM_ENV_VAR, "1")
         with pytest.raises(ResourceError, match=sieve_mod.MEM_ENV_VAR):
             summatory(ArithParams(2, 1.0), 10**10)
 
+    def test_sized_from_the_grid_not_n(self, monkeypatch):
+        # the powerful numbers and the D table go up to the largest checkpoint
+        monkeypatch.setenv(sieve_mod.MEM_ENV_VAR, "16")
+        assert summatory(ArithParams(2, 1.0), 10**15, grid=[1000]).final == 5504 == enumerated_sum(1000, 2, 1)
+
     @pytest.mark.parametrize("k", [1.0, 2.0])
     def test_overflow_refused(self, k):
         with pytest.raises(ResourceError, match="overflow"):
             summatory(ArithParams(2, k), 10**30)
         with pytest.raises(ResourceError, match="overflow"):
-            hyperbola.prefix_sums(ArithParams(2, k), 10**18, [10**18])
+            hyperbola.prefix_sums(ArithParams(2, k), [10**18])
         # N = 1e16 is within int64 reach at both weights
-        hyperbola.required_bytes(ArithParams(2, k), 10**16)
+        hyperbola.required_bytes(ArithParams(2, k), [10**16])
