@@ -23,10 +23,13 @@ and refuses to proceed on disagreement. The gate calls the same array kernels
 prime sum run over all primes, so it checks the code that does the work.
 
 The sums over primes (the log-product and the prime sum) are correctly
-rounded, through ``xsum.fsum``, so their round-off is one rounding each.
+rounded, through ``xsum.ExactSum``, so their round-off is one rounding each.
+They take the primes one block of ``prime_blocks`` at a time, and the exact
+sum does not depend on the blocks, so no array of all pi(P) primes is held.
 
-``bundle`` forms every s = 1 quantity once: the primes, the product, zeta and
-zeta' at r and at 2, and H(1). ``leading_coefficient`` and
+``bundle`` forms every s = 1 quantity once: one walk over the prime blocks
+feeds both prime sums, and the product, zeta and zeta' at r and at 2, and
+H(1) follow from them. ``leading_coefficient`` and
 ``cofactor_derivative_at_1`` are its two steps and take those as inputs;
 ``cofactor_value`` is H(s) at any s > 1/2.
 """
@@ -36,14 +39,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .arith import ArithParams, ExactValue
 from .errors import ConfigError, ToleranceError
-from .primes import primes_up_to
-from .xsum import fsum
+# primes_up_to stays importable here, where callers patch it to count prime sieves
+from .primes import prime_blocks, primes_up_to  # noqa: F401
+from .xsum import ExactSum
 from .zeta import EULER_GAMMA, ZetaValue, zeta, zeta_prime
 
 __all__ = [
@@ -61,8 +65,11 @@ _GATE_TOL = 1e-8
 _GATE_PRIMES = (2, 3, 5, 101)
 
 
-def _prime_floats(cutoff: int) -> np.ndarray:
-    return primes_up_to(cutoff).astype(np.float64)
+def _prime_float_blocks(cutoff: int, primes: Optional[np.ndarray] = None) -> Iterable[np.ndarray]:
+    """The primes <= cutoff as float64 blocks: ``primes`` as one block when given."""
+    if primes is not None:
+        return [np.asarray(primes, dtype=np.float64)]
+    return (block.astype(np.float64) for block in prime_blocks(cutoff))
 
 
 def _factor_term(p, s: float, params: ArithParams):
@@ -81,8 +88,9 @@ def _log_factors(ps: np.ndarray, s: float, params: ArithParams) -> np.ndarray:
     return np.log1p(-_factor_term(ps, s, params))
 
 
-def _product_factors(s: float, params: ArithParams, ps: np.ndarray, cutoff: int) -> tuple[float, float]:
-    """log of the truncated product over the primes ps (all p <= cutoff), and a tail bound on it.
+def _product_factors(s: float, params: ArithParams, log_prod: float, cutoff: int) -> tuple[float, float]:
+    """(log, tail bound) of the truncated product, whose log ``log_prod`` is
+    the sum of ``_log_factors`` over the primes p <= cutoff.
 
     Tail: each dropped -ln(1 - x_p) with x_p = 1/(k*(p**(r*s)+p**((r-1)*s)))
     is at most x_p/(1 - x_P) <= n**(-r*s)/(k*(1 - x_P)) summed over n > P,
@@ -91,7 +99,6 @@ def _product_factors(s: float, params: ArithParams, ps: np.ndarray, cutoff: int)
     if cutoff < 2:
         raise ConfigError(f"prime cutoff must be >= 2, got {cutoff}")
     r, k = params.r, float(params.k)
-    log_prod = fsum(_log_factors(ps, s, params))
     x_at_cut = float(_factor_term(np.float64(cutoff), s, params))
     rs = r * s
     tail_log = cutoff ** (1.0 - rs) / ((rs - 1.0) * k * (1.0 - x_at_cut))
@@ -115,8 +122,10 @@ def cofactor_value(
     """
     if not s > 0.5:
         raise ConfigError(f"s={s} not in the analytic region s > 1/2")
-    ps = _prime_floats(cutoff) if primes is None else primes
-    product = _product_factors(s, params, ps, cutoff)
+    log_sum = ExactSum()
+    for ps in _prime_float_blocks(cutoff, primes):
+        log_sum.add(_log_factors(ps, s, params))
+    product = _product_factors(s, params, log_sum.value(), cutoff)
     return _cofactor(product, zeta(params.r * s, tol=zeta_tol), zeta(2 * s, tol=zeta_tol))
 
 
@@ -188,7 +197,7 @@ def _gate_log_factor_derivative(params: ArithParams) -> None:
 
 def cofactor_derivative_at_1(
     params: ArithParams,
-    ps: np.ndarray,
+    prime_sum: float,
     cutoff: int,
     h1: tuple[float, float],
     at_r: tuple[ZetaValue, ZetaValue],
@@ -196,19 +205,16 @@ def cofactor_derivative_at_1(
 ) -> tuple[float, float]:
     """H'(1) = H(1) * (r*zeta'(r)/zeta(r) - 2*zeta'(2)/zeta(2) + prime sum).
 
-    ``ps`` are the primes <= cutoff as float64, ``h1`` is H(1) with its bound,
-    and ``at_r`` and ``at_2`` are (zeta, zeta') at r and at 2. The prime sum
-    collects the per-prime log-factor derivatives up to the cutoff; its tail
-    is bounded through |g_p| <= r*ln(p)/(k*p**r - 1) and an integral
-    comparison. Returns (value, rigorous tail bound).
+    ``prime_sum`` is the sum of ``log_factor_derivative`` over the primes <=
+    cutoff, which ``bundle`` forms after the gate has passed that kernel;
+    ``h1`` is H(1) with its bound, and ``at_r`` and ``at_2`` are (zeta,
+    zeta') at r and at 2. The prime sum's tail is bounded through
+    |g_p| <= r*ln(p)/(k*p**r - 1) and an integral comparison. Returns
+    (value, rigorous tail bound).
     """
-    _gate_log_factor_derivative(params)
     r, k = params.r, float(params.k)
     h1, h1_tail = h1
     (zr, zrp), (z2, z2p) = at_r, at_2
-
-    prime_sum = fsum(log_factor_derivative(ps, params))
-
     log_deriv = r * zrp.value / zr.value - 2.0 * z2p.value / z2.value + prime_sum
     value = h1 * log_deriv
 
@@ -278,18 +284,25 @@ def bundle(
 ) -> ConstantsBundle:
     """Assemble all main-term constants at one prime cutoff, in one pass at s = 1.
 
-    The primes, the s = 1 product, zeta and zeta' at r and at 2, and H(1) are
-    each formed once here; ``leading_coefficient`` and
-    ``cofactor_derivative_at_1`` take them as inputs.
+    One walk over the prime blocks feeds the s = 1 log-product and the prime
+    sum; the product, zeta and zeta' at r and at 2, and H(1) are each formed
+    once here; ``leading_coefficient`` and ``cofactor_derivative_at_1`` take
+    them as inputs.
     """
     r = float(params.r)
-    ps = _prime_floats(cutoff)
-    product = _product_factors(1.0, params, ps, cutoff)
+    _gate_log_factor_derivative(params)
+    log_sum, deriv_sum = ExactSum(), ExactSum()
+    for ps in _prime_float_blocks(cutoff):
+        log_sum.add(_log_factors(ps, 1.0, params))
+        deriv_sum.add(log_factor_derivative(ps, params))
+    product = _product_factors(1.0, params, log_sum.value(), cutoff)
     zr, z2 = zeta(r, tol=zeta_tol), zeta(2.0, tol=zeta_tol)
     zrp, z2p = zeta_prime(r, tol=zeta_tol), zeta_prime(2.0, tol=zeta_tol)
     h1 = _cofactor(product, zr, z2)
     c, c_tail = leading_coefficient(product, zr, h1)
-    hp, hp_tail = cofactor_derivative_at_1(params, ps, cutoff, h1, (zr, zrp), (z2, z2p))
+    hp, hp_tail = cofactor_derivative_at_1(
+        params, deriv_sum.value(), cutoff, h1, (zr, zrp), (z2, z2p)
+    )
     b = hp + 2.0 * EULER_GAMMA * c
     kx = b - c
     b_tail = hp_tail + 2.0 * EULER_GAMMA * c_tail + 4.0 * _EPS * abs(b)

@@ -1,6 +1,13 @@
-"""Bulk tabulation via a smallest-prime-factor sieve, and checkpointed sums.
+"""Per-n divisor data by sieving, and checkpointed sums.
 
-The pipeline is fully vectorized:
+``value_blocks`` streams each n's divisor count and omega over 1..N in
+blocks of SERIES_BLOCK integers; in each block every prime p <= sqrt(N)
+strides over its multiples and those of its powers, and what is left of n
+is 1 or its one prime factor above sqrt(N). No array of length N is held.
+It serves ``verify``'s Dirichlet series.
+
+The whole per-n table is built independently, and serves the tests as the
+oracle for those blocks and for the sums:
 
 1. ``build_spf`` marks the smallest prime factor of every n <= N (int32) in
    blocks of 2**18 entries; in each block every prime p <= sqrt(N) writes p
@@ -10,18 +17,17 @@ The pipeline is fully vectorized:
    [lo, 2*lo), a chunk of 2**20 entries at a time.
 3. Memory is 10 bytes per entry plus one chunk's scratch.
 
-The per-n table serves ``verify`` and the tests; ``summatory`` does not
-sieve. It takes S(x) from one of two exact backends, which share one
-contract: ``prefix_sums(params, xs)`` returns the exact rational S(x) for
-each checkpoint x >= 1, and ``required_bytes(params, xs)`` estimates its peak
-memory; both size everything from max(xs) and refuse, with ResourceError, an
-x whose int64 sums could overflow. At k = 1 or k = 2 exactly, ``hyperbola``
-sums h over the powerful numbers in about sqrt(N) time and memory; every
-other k takes ``classtotals``, the omega-class totals T_w(x) in about
-N**(3/4) time. For integer k the rational is returned; otherwise it is
-rounded once to the nearest float, and the reported round-off bound is half
-an ulp of the result. ``summatory`` returns S only; ``fit.residuals`` fills
-the main-term and residual columns of its rows.
+``summatory`` does not sieve. It takes S(x) from one of two exact backends,
+which share one contract: ``prefix_sums(params, xs)`` returns the exact
+rational S(x) for each checkpoint x >= 1, and ``required_bytes(params, xs)``
+estimates its peak memory; both size everything from max(xs) and refuse,
+with ResourceError, an x whose int64 sums could overflow. At k = 1 or k = 2
+exactly, ``hyperbola`` sums h over the powerful numbers in about sqrt(N)
+time and memory; every other k takes ``classtotals``, the omega-class totals
+T_w(x) in about N**(3/4) time. For integer k the rational is returned;
+otherwise it is rounded once to the nearest float, and the reported
+round-off bound is half an ulp of the result. ``summatory`` returns S only;
+``fit.residuals`` fills the main-term and residual columns of its rows.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import os
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import IO, Optional, Sequence, Union
+from typing import IO, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -49,6 +55,7 @@ __all__ = [
     "geometric_checkpoints",
     "summatory",
     "tabulate",
+    "value_blocks",
 ]
 
 DEFAULT_MEM_LIMIT_MB = 4096
@@ -61,6 +68,7 @@ BYTES_PER_ENTRY = 10
 SCRATCH_BYTES_PER_ENTRY = 24
 SPF_BLOCK = 1 << 18  # entries per build_spf block: 1 MiB of int32, an L2's worth
 TAB_CHUNK = 1 << 20  # entries per tabulate work item
+SERIES_BLOCK = 1 << 18  # integers per value_blocks block
 
 
 def _require_budget(need_bytes: float, what: str, detail: str) -> None:
@@ -184,6 +192,49 @@ def tabulate(sieve: SpfSieve, params: ArithParams) -> ValueTable:
     """
     counts, omegas = _decompose(sieve, params)
     return ValueTable(params=params, limit=sieve.limit, counts=counts, omegas=omegas)
+
+
+def value_blocks(params: ArithParams, limit: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(lo, counts, omegas) for n in [lo, lo + len(counts)), block by block over 1..limit.
+
+    Equal to the slices of ``tabulate``'s table, without it: in each block of
+    SERIES_BLOCK integers every prime p <= sqrt(limit) adds 1 to omega at its
+    multiples and multiplies the p-smooth part at the multiples of each
+    p**a. What is left, n / smooth, is 1 or the one prime factor above
+    sqrt(limit). Then counts starts at 2**omega, and as c[a] = ceil(a/r) + 1
+    steps up only at a = j*r + 1, the multiples of p**(j*r + 1) trade c[a-1]
+    for c[a].
+    """
+    if limit < 1:
+        raise ConfigError(f"series limit must be >= 1, got {limit}")
+    if limit > 2**31 - 2:
+        raise ResourceError(f"series limit {limit} exceeds the int32 layout")
+    r = params.r
+    c = minpow_divisor_counts(r, 32)
+    small = primes_up_to(math.isqrt(limit)).tolist()
+    for lo in range(1, limit + 1, SERIES_BLOCK):
+        n = np.arange(lo, min(lo + SERIES_BLOCK, limit + 1), dtype=np.int32)
+        hi = lo + n.size
+        omegas = np.zeros(n.size, dtype=np.int8)
+        smooth = np.ones(n.size, dtype=np.int32)
+        for p in small:
+            omegas[-lo % p :: p] += 1
+            q = p
+            while q < hi:
+                smooth[-lo % q :: q] *= p
+                q *= p
+        omegas += smooth != n
+        counts = np.left_shift(1, omegas, dtype=np.int32)
+        for p in small:
+            q, a = p ** (r + 1), r + 1
+            if q >= hi:
+                break
+            while q < hi:
+                step = counts[-lo % q :: q]  # a view, so the update lands in counts
+                step //= c[a - 1]
+                step *= c[a]
+                q, a = q * p**r, a + r
+        yield lo, counts, omegas
 
 
 def geometric_checkpoints(limit: int, per_decade: int = 8) -> list[int]:

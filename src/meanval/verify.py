@@ -34,8 +34,8 @@ local factor.
 The truncated series and the log of the truncated product are summed with
 ``xsum``, which rounds the exact sum of the float terms once, so each
 round-off allowance needs one rounding for the sum on top of those of the
-terms. The series is formed and summed SERIES_CHUNK terms at a time, from a
-per-n table built for the call.
+terms. The series is formed and summed one block of ``sieve.value_blocks`` at
+a time, so its memory does not grow with the series length.
 """
 
 from __future__ import annotations
@@ -47,11 +47,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arith import ArithParams, minpow_divisor_counts
+from .arith import ArithParams, max_omega, minpow_divisor_counts
 from .coeffs import cofactor_value
 from .errors import ConfigError
 from .primes import primes_up_to
-from .sieve import build_spf, tabulate
+from .sieve import value_blocks
 from .xsum import ExactSum, fsum
 from .zeta import zeta
 
@@ -71,7 +71,6 @@ __all__ = [
 ]
 
 _EPS = 2.220446049250313e-16
-SERIES_CHUNK = 1 << 16  # series terms formed and summed at a time
 BATTERY_Z = (0.1, 0.3, 0.5, 0.9)  # power-series arguments z in the battery
 BATTERY_PRIMES = (2, 3, 5, 101)  # primes whose local factor the battery checks
 BATTERY_SIZE = 10**5  # default series length and prime cutoff of the factorization check
@@ -278,13 +277,10 @@ def dirichlet_series_truncated(params: ArithParams, s: float, limit: int) -> tup
     """
     if not s > 1.0:
         raise ConfigError(f"series tail bound needs s > 1, got {s}")
-    table = tabulate(build_spf(limit), params)
-    counts, omegas = table.counts, table.omegas
-    k_pows = np.power(float(params.k), -np.arange(int(omegas.max()) + 1.0))
+    k_pows = np.power(float(params.k), -np.arange(max_omega(limit) + 1.0))
     acc = ExactSum()
-    for a in range(1, limit + 1, SERIES_CHUNK):
-        b = min(a + SERIES_CHUNK, limit + 1)
-        acc.add(counts[a:b] * k_pows[omegas[a:b]] * np.arange(a, b, dtype=np.float64) ** -s)
+    for lo, counts, omegas in value_blocks(params, limit):
+        acc.add(counts * k_pows[omegas] * np.arange(lo, lo + counts.size, dtype=np.float64) ** -s)
     value = acc.value()
     ln_n = math.log(limit)
     tail = s * limit ** (1.0 - s) * (ln_n / (s - 1.0) + (s - 1.0) ** -2 + 1.0 / (s - 1.0))

@@ -109,6 +109,17 @@ def primes_list(limit: int) -> list[int]:
     return [i for i in range(limit + 1) if sieve[i]]
 
 
+def primes_by_trial_division(limit: int) -> np.ndarray:
+    """The n in 2..limit that no d in 2..sqrt(limit) other than n divides.
+
+    Each d is tried on all the n left at once.
+    """
+    left = np.arange(2, max(limit + 1, 2), dtype=np.int64)
+    for d in range(2, math.isqrt(limit) + 1):
+        left = left[(left % d != 0) | (left == d)]
+    return left
+
+
 def accelerated_gamma(m: int = 10**5) -> float:
     """Euler-Mascheroni via the harmonic limit with series acceleration."""
     h = math.fsum(1.0 / j for j in range(1, m + 1))

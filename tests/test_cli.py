@@ -253,11 +253,19 @@ class TestSumCommand:
         assert "MEANVAL_MEM_LIMIT_MB" in res.stderr and "powerful" in res.stderr
 
     def test_int32_limit_exits_3_before_allocating(self, tmp_path):
-        # sums no longer sieve; verify's per-n table is the one int32 layout left
+        # verify's series blocks hold each n and its smooth part as int32
         code, err, peak_mib = run_cli_peak_rss(tmp_path, "verify", "--series-limit", "2147483647")
         assert code == 3, err
         assert "int32" in err and "Traceback" not in err
         assert peak_mib < 100
+
+    @pytest.mark.parametrize("command", [["verify", "--series-limit", "10000000"],
+                                         ["constants", "--prime-cutoff", "30000000"]])
+    def test_series_and_prime_sums_within_64_mib(self, tmp_path, command):
+        # both stream fixed-size blocks: a whole per-n table took 144 MiB, all the primes 101 MiB
+        code, err, peak_mib = run_cli_peak_rss(tmp_path, *command)
+        assert code == 0, err
+        assert peak_mib < 64
 
     def test_weight_one_and_a_half_to_1e9_within_256_mib(self, tmp_path):
         # the sieve would need about 10 GiB here; the class totals need a few MiB

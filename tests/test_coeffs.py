@@ -1,10 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from meanval import coeffs as coeffs_mod
+from meanval import primes as primes_mod
 from meanval.arith import ArithParams
 from meanval.coeffs import bundle, cofactor_value, log_factor_derivative
 from meanval.errors import ConfigError, ToleranceError
@@ -229,16 +231,34 @@ class TestBundleSharing:
             assert len(calls["_cofactor"]) == 1
 
     def test_prime_sum_runs_the_gated_kernel(self, monkeypatch):
-        sizes = []
+        # the gate's calls take its 4 primes; the prime sum's calls take every
+        # prime <= P once, in order, whatever the blocks
+        seen = []
         inner = coeffs_mod.log_factor_derivative
 
         def spy(ps, params):
-            sizes.append(np.size(ps))
+            seen.append(np.array(ps, dtype=np.float64))
             return inner(ps, params)
 
         monkeypatch.setattr(coeffs_mod, "log_factor_derivative", spy)
-        bundle(ArithParams(3, 1.5), 10**5)
-        assert len(primes_up_to(10**5)) in sizes
+        for block in (1 << 18, 1000):
+            monkeypatch.setattr(primes_mod, "PRIME_BLOCK", block)
+            seen.clear()
+            bundle(ArithParams(3, 1.5), 10**5)
+            gate = [ps.tolist() == [2.0, 3.0, 5.0, 101.0] for ps in seen]
+            summed = [ps for ps, is_gate in zip(seen, gate) if not is_gate]
+            assert sum(gate) == 1
+            assert np.array_equal(np.concatenate(summed), primes_up_to(10**5).astype(np.float64))
+
+    def test_bundle_memory_is_one_block(self):
+        # the whole prime array at P = 1e7 and its float temporaries took 25 MiB
+        tracemalloc.start()
+        try:
+            bundle(ArithParams(3, 1.5), 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_gate_checks_the_array_kernel(self, monkeypatch):
         # a kernel right on scalars but off on arrays must not get past the gate

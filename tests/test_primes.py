@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from meanval import primes as primes_mod
-from meanval.primes import PRIME_BLOCK, primes_up_to
+from meanval.primes import PRIME_BLOCK, prime_blocks, primes_up_to
 
-from oracles import primes_list
+from oracles import primes_by_trial_division, primes_list
 
 
 def _check(limit):
@@ -30,3 +30,24 @@ class TestPrimesUpTo:
         monkeypatch.setattr(primes_mod, "PRIME_BLOCK", block)
         for limit in (*range(2 * block + 10), 997, 2025, 5003):
             _check(limit)
+
+
+class TestPrimeBlocks:
+    @pytest.mark.parametrize(
+        "limit",
+        [0, 1, 2, 3, 8, 9, 10, 2 * PRIME_BLOCK - 1, 2 * PRIME_BLOCK, 2 * PRIME_BLOCK + 1,
+         7 * PRIME_BLOCK + 3],
+    )
+    def test_blocks_join_to_all_primes(self, limit):
+        # a block holds the primes among PRIME_BLOCK odd slots; 7 * PRIME_BLOCK + 3 spans four
+        blocks = list(prime_blocks(limit))
+        assert len(blocks) == (-(-((limit + 1) // 2) // PRIME_BLOCK) if limit >= 2 else 0)
+        assert all(block.dtype == np.int64 for block in blocks)
+        joined = np.concatenate([np.empty(0, dtype=np.int64), *blocks])
+        assert np.array_equal(joined, primes_by_trial_division(limit))
+        assert np.array_equal(joined, primes_up_to(limit))
+
+    def test_each_block_holds_its_own_slots(self, monkeypatch):
+        monkeypatch.setattr(primes_mod, "PRIME_BLOCK", 8)
+        for lo, block in zip(range(0, 10**3, 16), prime_blocks(10**3)):
+            assert block.tolist() == [p for p in primes_list(10**3) if lo <= p < lo + 16]

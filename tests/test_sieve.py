@@ -20,6 +20,7 @@ from meanval.sieve import (
     geometric_checkpoints,
     summatory,
     tabulate,
+    value_blocks,
 )
 
 from oracles import enumerated_sum, prime_count, smallest_prime_factors
@@ -85,6 +86,39 @@ class TestBuildSpf:
         monkeypatch.setenv(sieve_mod.MEM_ENV_VAR, str(peak / 2**20))
         with pytest.raises(ResourceError):
             _check_budget(limit)
+
+
+class TestValueBlocks:
+    @pytest.mark.parametrize("limit", [1, 2, 5007, 2**17 + 3])
+    @pytest.mark.parametrize("r", [2, 3, 5, 40])
+    def test_blocks_equal_the_table(self, monkeypatch, r, limit):
+        # with blocks of 1000 a prime power's multiples start at another offset in each block
+        monkeypatch.setattr(sieve_mod, "SERIES_BLOCK", 1000)
+        for k in (1.0, 1.5, 2.0, 3.0):
+            params = ArithParams(r, k)
+            table = tabulate(build_spf(max(limit, 2)), params)
+            end = 1
+            for lo, counts, omegas in value_blocks(params, limit):
+                assert lo == end and counts.size == omegas.size <= 1000
+                assert counts.dtype == np.int32 and omegas.dtype == np.int8
+                end = lo + counts.size
+                assert np.array_equal(counts, table.counts[lo:end])
+                assert np.array_equal(omegas, table.omegas[lo:end])
+            assert end == limit + 1
+
+    def test_default_blocks_equal_the_table(self):
+        params = ArithParams(2, 1.5)
+        table = tabulate(build_spf(10**6), params)
+        blocks = list(value_blocks(params, 10**6))
+        assert len(blocks) == -(-10**6 // sieve_mod.SERIES_BLOCK)
+        assert np.array_equal(np.concatenate([c for _, c, _ in blocks]), table.counts[1:])
+        assert np.array_equal(np.concatenate([o for _, _, o in blocks]), table.omegas[1:])
+
+    def test_limits_refused(self):
+        with pytest.raises(ConfigError):
+            next(value_blocks(ArithParams(2, 1.0), 0))
+        with pytest.raises(ResourceError, match="int32"):
+            next(value_blocks(ArithParams(2, 1.0), 2**31 - 1))
 
 
 class TestTabulate:

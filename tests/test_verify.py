@@ -1,10 +1,12 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from meanval import sieve as sieve_mod
 from meanval import verify as verify_mod
 from meanval.arith import ArithParams
 from meanval.errors import ConfigError
@@ -183,13 +185,23 @@ class TestGlobalFactorization:
         assert v2 - v1 <= t1  # dropped mass is inside the tail bound
 
     def test_streamed_series_equals_fsum_of_whole_term_array(self, monkeypatch):
-        # chunks of 1000 terms leave a short last chunk at N = 5007
-        monkeypatch.setattr(verify_mod, "SERIES_CHUNK", 1000)
+        # blocks of 1000 terms leave a short last block at N = 5007
+        monkeypatch.setattr(sieve_mod, "SERIES_BLOCK", 1000)
         for params, s in ((ArithParams(2, 1.0), 2.0), (ArithParams(3, 1.5), 1.7)):
             table = tabulate(build_spf(5007), params)
             vals = table.counts[1:] * np.power(float(params.k), -table.omegas[1:].astype(np.float64))
             expected = math.fsum(vals * np.arange(1, 5008, dtype=np.float64) ** -s)
             assert dirichlet_series_truncated(params, s, 5007)[0] == expected
+
+    def test_series_memory_is_one_block(self):
+        # the whole per-n table at 3e6 took 47 MiB; one block of terms takes a few
+        tracemalloc.start()
+        try:
+            dirichlet_series_truncated(ArithParams(2, 1.0), 2.0, 3 * 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_three_way_agreement_weight_one(self):
         rep = global_factorization_check(2.0, ArithParams(2, 1.0), limit=10**4, cutoff=10**4)
