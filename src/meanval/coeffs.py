@@ -25,7 +25,8 @@ prime sum run over all primes, so it checks the code that does the work.
 The sums over primes (the log-product and the prime sum) are correctly
 rounded, through ``xsum.ExactSum``, so their round-off is one rounding each.
 They take the primes one block of ``prime_blocks`` at a time, and the exact
-sum does not depend on the blocks, so no array of all pi(P) primes is held.
+sum does not depend on the blocks, so no array of all pi(P) primes is held;
+``bundle`` and ``cofactor_value`` each make one such walk.
 
 ``bundle`` forms every s = 1 quantity once: one walk over the prime blocks
 feeds both prime sums, and the product, zeta and zeta' at r and at 2, and
@@ -39,14 +40,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterator
 
 import numpy as np
 
 from .arith import ArithParams, ExactValue
 from .errors import ConfigError, ToleranceError
-# primes_up_to stays importable here, where callers patch it to count prime sieves
-from .primes import prime_blocks, primes_up_to  # noqa: F401
+from .primes import prime_blocks
 from .xsum import ExactSum
 from .zeta import EULER_GAMMA, ZetaValue, zeta, zeta_prime
 
@@ -65,10 +65,8 @@ _GATE_TOL = 1e-8
 _GATE_PRIMES = (2, 3, 5, 101)
 
 
-def _prime_float_blocks(cutoff: int, primes: Optional[np.ndarray] = None) -> Iterable[np.ndarray]:
-    """The primes <= cutoff as float64 blocks: ``primes`` as one block when given."""
-    if primes is not None:
-        return [np.asarray(primes, dtype=np.float64)]
+def _prime_float_blocks(cutoff: int) -> Iterator[np.ndarray]:
+    """The primes <= cutoff as float64, one block of ``prime_blocks`` at a time."""
     return (block.astype(np.float64) for block in prime_blocks(cutoff))
 
 
@@ -110,20 +108,17 @@ def cofactor_value(
     params: ArithParams,
     cutoff: int = DEFAULT_PRIME_CUTOFF,
     zeta_tol: float = 1e-12,
-    *,
-    primes: Optional[np.ndarray] = None,
 ) -> tuple[float, float]:
     """H(s) from the truncated product; returns (value, rigorous tail bound).
 
     Defined for s > 1/2, where r*s and 2*s stay inside the zeta evaluator's
     range. The bound covers the dropped prime factors, both zeta radii, and
-    float round-off. ``primes`` (the primes <= cutoff as float64) saves
-    sieving them when the caller already has them.
+    float round-off. The log-product is one walk over the prime blocks.
     """
     if not s > 0.5:
         raise ConfigError(f"s={s} not in the analytic region s > 1/2")
     log_sum = ExactSum()
-    for ps in _prime_float_blocks(cutoff, primes):
+    for ps in _prime_float_blocks(cutoff):
         log_sum.add(_log_factors(ps, s, params))
     product = _product_factors(s, params, log_sum.value(), cutoff)
     return _cofactor(product, zeta(params.r * s, tol=zeta_tol), zeta(2 * s, tol=zeta_tol))

@@ -327,28 +327,8 @@ class SummatoryTable:
 
 
 def _segment_bounds(limit: int, checkpoints: Sequence[int], segment: int) -> list[tuple[int, int, bool]]:
-    """Split [2, limit] at segment multiples and checkpoints.
-
-    Returns (start, end, is_checkpoint_end) with inclusive ends. No summation
-    path calls it any more; perfbench/trace_cli.py still wraps it by name, so
-    it goes when that tracer is retired.
-    """
-    cuts = {limit}
-    cuts.update(x for x in checkpoints if x >= 2)
-    s = segment
-    while s < limit:
-        cuts.add(s)
-        s += segment
-    marks = sorted(cuts)
-    ckpt = set(checkpoints)
-    out = []
-    start = 2
-    for m in marks:
-        if m < start:
-            continue
-        out.append((start, m, m in ckpt))
-        start = m + 1
-    return out
+    """No caller: kept only as the name perfbench/trace_cli.py wraps."""
+    return []
 
 
 def summatory(

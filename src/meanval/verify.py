@@ -24,7 +24,8 @@ Verified identities:
 
 The closed forms take a scalar or an array: ``euler_product_truncated`` runs
 ``local_factor_excess`` (the function ``local_factor_check`` validates) over
-the whole prime array, so the check covers the code that forms the product.
+each block of ``primes.prime_blocks``, so the check covers the code that forms
+the product.
 
 One partial-sum check serves both series identities: it sums
 offset + (1/k) * sum_{a<=A} (ceil(a/r)+1) z^a and bounds its tail and
@@ -32,10 +33,11 @@ round-off, at offset 0 and k = 1 for the power series and at offset 1 for the
 local factor.
 
 The truncated series and the log of the truncated product are summed with
-``xsum``, which rounds the exact sum of the float terms once, so each
+``xsum.ExactSum``, which rounds the exact sum of the float terms once, so each
 round-off allowance needs one rounding for the sum on top of those of the
 terms. The series is formed and summed one block of ``sieve.value_blocks`` at
-a time, so its memory does not grow with the series length.
+a time, and each product one block of ``primes.prime_blocks`` at a time, so
+their memory grows with neither the series length nor the prime cutoff.
 """
 
 from __future__ import annotations
@@ -50,9 +52,9 @@ import numpy as np
 from .arith import ArithParams, max_omega, minpow_divisor_counts
 from .coeffs import cofactor_value
 from .errors import ConfigError
-from .primes import primes_up_to
+from .primes import prime_blocks
 from .sieve import value_blocks
-from .xsum import ExactSum, fsum
+from .xsum import ExactSum
 from .zeta import zeta
 
 __all__ = [
@@ -288,21 +290,19 @@ def dirichlet_series_truncated(params: ArithParams, s: float, limit: int) -> tup
     return value, tail + fp
 
 
-def euler_product_truncated(
-    params: ArithParams, s: float, cutoff: int, *, primes: Optional[np.ndarray] = None
-) -> tuple[float, float]:
+def euler_product_truncated(params: ArithParams, s: float, cutoff: int) -> tuple[float, float]:
     """prod_{p <= P} L_p(s) and a rigorous bound for the dropped factors.
 
     ln L_p <= (2/k) * p**-s / ((1-2**-s)(1-2**(-r*s))), so the dropped
     log-mass is at most c * P**(1-s)/(s-1) by integral comparison.
-    ``primes`` are the primes <= cutoff, when the caller already has them.
     """
     if not s > 1.0:
         raise ConfigError(f"product tail bound needs s > 1, got {s}")
     r, k = params.r, float(params.k)
-    ps = primes_up_to(cutoff) if primes is None else primes
-    log_prod = fsum(np.log1p(local_factor_excess(ps, s, params)))
-    value = math.exp(log_prod)
+    log_sum = ExactSum()
+    for ps in prime_blocks(cutoff):
+        log_sum.add(np.log1p(local_factor_excess(ps, s, params)))
+    value = math.exp(log_sum.value())
     c = (2.0 / k) / ((1.0 - 2.0**-s) * (1.0 - 2.0 ** (-r * s)))
     tail_log = c * cutoff ** (1.0 - s) / (s - 1.0)
     fp = 16.0 * _EPS * abs(value)
@@ -322,10 +322,9 @@ def global_factorization_check(s: float, params: ArithParams, limit: int, cutoff
     if limit < 10**3 or cutoff < 10**3:
         raise ConfigError("series length and prime cutoff must both be >= 1000")
     series, series_tail = dirichlet_series_truncated(params, s, limit)
-    ps = primes_up_to(cutoff).astype(np.float64)  # one sieve for both products
-    product, product_tail = euler_product_truncated(params, s, cutoff, primes=ps)
+    product, product_tail = euler_product_truncated(params, s, cutoff)
     zs = zeta(s)
-    h, h_tail = cofactor_value(s, params, cutoff, primes=ps)
+    h, h_tail = cofactor_value(s, params, cutoff)
     closed = zs.value**2 * h
     closed_bound = closed * (2.0 * zs.error_radius / zs.value + h_tail / abs(h) + 8.0 * _EPS)
     gap_closed = series - closed

@@ -6,7 +6,9 @@ Each value is split by bit view into its sign-and-exponent field and its
 Those integer sums are exact, and they are folded into one Python int (in
 units of 2**-1074) before they could lose a bit; int true division then
 rounds the total once. The result is that of ``math.fsum`` (R. M. Neal, *Fast
-exact summation using small and large superaccumulators*, arXiv:1505.05571).
+exact summation using small and large superaccumulators*, arXiv:1505.05571),
+except where fsum's running sum overflows midway. A caller adds a whole
+array, or its blocks one at a time, to one ``ExactSum`` and reads ``value()``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 
 import numpy as np
 
-__all__ = ["ExactSum", "fsum"]
+__all__ = ["ExactSum"]
 
 _BINS = 4096  # sign bit and 11-bit exponent field
 _HALF = 26
@@ -32,7 +34,8 @@ class ExactSum:
     ``value()`` equals math.fsum over all values added, however they were
     chunked: a nan, or both infinities, gives fsum's nan or ValueError, and an
     infinity is returned. The one difference: where a finite running sum
-    overflows midway, fsum raises OverflowError but this sums exactly.
+    overflows midway, fsum raises OverflowError but this rounds the exact sum
+    once, and raises OverflowError only when that total is out of range.
     """
 
     def __init__(self) -> None:
@@ -74,17 +77,7 @@ class ExactSum:
 
     def value(self) -> float:
         self._fold()
-        total = self._total / (1 << 1074)  # rounds once; OverflowError past the float range
-        return math.fsum(self._special) if self._special else total
+        if self._special:
+            return math.fsum(self._special)
+        return self._total / (1 << 1074)  # rounds once; OverflowError past the float range
 
-
-def fsum(values) -> float:
-    """math.fsum(values) for a float64 array, bit for bit and errors included."""
-    x = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    # fsum's partial sums stay below sum |x| <= max |x| * size; where that could
-    # overflow, or x holds a nan or inf, fsum's own error handling applies
-    if x.size and not float(max(x.max(), -x.min())) * x.size < 2.0**1020:
-        return math.fsum(x)
-    acc = ExactSum()
-    acc.add(x)
-    return acc.value()

@@ -260,9 +260,12 @@ class TestSumCommand:
         assert peak_mib < 100
 
     @pytest.mark.parametrize("command", [["verify", "--series-limit", "10000000"],
-                                         ["constants", "--prime-cutoff", "30000000"]])
+                                         ["constants", "--prime-cutoff", "30000000"],
+                                         ["verify", "--r", "2", "--k", "1", "--series-limit", "1000",
+                                          "--prime-cutoff", "30000000"]])
     def test_series_and_prime_sums_within_64_mib(self, tmp_path, command):
-        # both stream fixed-size blocks: a whole per-n table took 144 MiB, all the primes 101 MiB
+        # all stream fixed-size blocks: a whole per-n table took 144 MiB, all
+        # the primes 101 MiB in constants and 116 MiB in verify's two products
         code, err, peak_mib = run_cli_peak_rss(tmp_path, *command)
         assert code == 0, err
         assert peak_mib < 64

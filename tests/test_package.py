@@ -37,3 +37,25 @@ def test_traced_benchmark_patch_targets_exist():
         if not hasattr(module, attr):
             missing.append(f"{module.__name__}.{attr}")
     assert missing == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # a name imported only so that a test can patch it, or re-exported from a
+    # module other than the package's __init__, is dead code; a name counts as
+    # used when it appears as a Name node, the root of every Attribute chain
+    pkg = Path(meanval.__file__).parent
+    unused = []
+    for path in sorted(pkg.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -165,7 +166,7 @@ class TestGlobalFactorization:
 
     def test_product_runs_the_checked_local_factor(self, monkeypatch):
         # the product forms its factors through local_factor_excess, the
-        # function local_factor_check validates, over the whole prime array
+        # function local_factor_check validates, over each prime block (one here)
         sizes = []
         inner = verify_mod.local_factor_excess
 
@@ -217,18 +218,32 @@ class TestGlobalFactorization:
         assert not rep.details["closed_form_within_bound"]
 
     def test_primes_sieved_once(self, monkeypatch):
-        from meanval import coeffs as coeffs_mod
+        # each product walks the prime blocks to the cutoff once, and no full
+        # array of primes reaches past isqrt(cutoff): the largest are the
+        # blocks' base primes (the series' too, at limit = cutoff), which
+        # recurse to smaller ones; so no array of all the primes <= cutoff is built
+        from meanval import coeffs as coeffs_mod, primes as primes_mod
 
-        calls = []
+        walks, sieved = [], []
+
+        def walked(name):
+            def spy(limit):
+                walks.append((name, limit))
+                return primes_mod.prime_blocks(limit)
+            return spy
 
         def counted(limit):
-            calls.append(limit)
+            sieved.append(limit)
             return primes_up_to(limit)
 
-        monkeypatch.setattr(verify_mod, "primes_up_to", counted)
-        monkeypatch.setattr(coeffs_mod, "primes_up_to", counted)
-        rep = global_factorization_check(2.0, ArithParams(2, 1.0), limit=10**4, cutoff=10**4)
-        assert calls == [10**4]
+        monkeypatch.setattr(verify_mod, "prime_blocks", walked("verify"))
+        monkeypatch.setattr(coeffs_mod, "prime_blocks", walked("coeffs"))
+        for mod in [m for name, m in sys.modules.items() if name.startswith("meanval")]:
+            if hasattr(mod, "primes_up_to"):
+                monkeypatch.setattr(mod, "primes_up_to", counted)
+        rep = global_factorization_check(2.0, ArithParams(2, 1.0), limit=10**5, cutoff=10**5)
+        assert walks == [("verify", 10**5), ("coeffs", 10**5)]
+        assert sieved and max(sieved) == math.isqrt(10**5)
         assert rep.passed and rep.details["closed_form_within_bound"]
 
     def test_domain_checks(self):
