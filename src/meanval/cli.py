@@ -7,6 +7,13 @@ sum         checkpointed summatory table S(x), optionally with main terms
 verify      the identity battery, with PASS/FAIL/GAP reporting
 fit         full pipeline: sum + constants + residual exponent fit
 
+Every output document is formed here and nowhere else: the library
+modules return data, and ``render_constants``, ``render_summatory``,
+``render_verify`` and ``render_fit`` turn it into the JSON documents whose
+field names ``schema.json`` freezes (one envelope, ``_document``), the CSV
+files and the text tables. Each returns text ending in one newline, which
+``_emit`` writes unchanged, so ``--out`` holds exactly what stdout would.
+
 stdout carries data only; progress notes go to stderr. Exit codes are a
 stable contract: 0 success, 2 invalid configuration, 3 resource budget
 exceeded, 4 internal tolerance failure.
@@ -18,13 +25,22 @@ import argparse
 import json
 import sys
 import time
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import coeffs, fit, sieve, verify
 from .arith import ArithParams
 from .errors import ConfigError, MeanvalError, ResourceError, ToleranceError
 
-__all__ = ["build_parser", "main"]
+__all__ = [
+    "build_parser",
+    "main",
+    "render_constants",
+    "render_fit",
+    "render_summatory",
+    "render_verify",
+]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -121,8 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out, "w", encoding="utf-8", newline="") as fp:
             fp.write(text)
@@ -137,36 +151,162 @@ def _note_threads(threads: int) -> None:
         _progress(f"note: --threads {threads} has no effect; the sums run on one thread")
 
 
-def _render_constants_table(b: coeffs.ConstantsBundle) -> str:
-    rows = [
-        ("C (x ln x coefficient)", b.leading, b.tail_bounds["C"]),
-        ("H'(1)", b.cofactor_deriv, b.tail_bounds["H1_prime"]),
-        ("B (pole coefficient)", b.pole_coeff, b.tail_bounds["B"]),
-        ("K (x coefficient)", b.x_coeff, b.tail_bounds["K"]),
-    ]
-    lines = [f"r={b.params.r} k={b.params.k} prime_cutoff={b.prime_cutoff}"]
-    for name, v, t in rows:
-        lines.append(f"{name:<24} {v:+.15e}  (tail <= {t:.3e})")
-    return "\n".join(lines)
+def _document(kind: str, params: dict, **fields) -> str:
+    """One JSON document of schema.json: the envelope, then the kind's own fields."""
+    obj = {"schema_version": "1", "kind": kind, "params": params, **fields}
+    return json.dumps(obj, indent=2) + "\n"
 
 
-def _render_sum_table(table: sieve.SummatoryTable) -> str:
-    lines = [f"{'x':>12} {'S':>24} {'main':>20} {'residual':>14} {'err_bound':>12}"]
+def _lines(lines: list[str]) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+def _decimal(v) -> str:
+    """A rational to 36 significant digits; a float as its repr."""
+    if isinstance(v, Fraction):
+        with localcontext() as ctx:
+            ctx.prec = 36
+            d = Decimal(v.numerator) / Decimal(v.denominator)
+        return format(d, "f")
+    return repr(float(v))
+
+
+def render_constants(b: coeffs.ConstantsBundle, fmt: str) -> str:
+    """The constants as a ``constants_bundle`` document ("json") or a text table."""
+    if fmt == "table":
+        rows = [
+            ("C (x ln x coefficient)", b.leading, b.tail_bounds["C"]),
+            ("H'(1)", b.cofactor_deriv, b.tail_bounds["H1_prime"]),
+            ("B (pole coefficient)", b.pole_coeff, b.tail_bounds["B"]),
+            ("K (x coefficient)", b.x_coeff, b.tail_bounds["K"]),
+        ]
+        lines = [f"r={b.params.r} k={b.params.k} prime_cutoff={b.prime_cutoff}"]
+        lines += [f"{name:<24} {v:+.15e}  (tail <= {t:.3e})" for name, v, t in rows]
+        return _lines(lines)
+    return _document(
+        "constants_bundle",
+        {"r": b.params.r, "k": b.params.k},
+        prime_cutoff=b.prime_cutoff,
+        C=repr(b.leading),
+        H1_prime=repr(b.cofactor_deriv),
+        B=repr(b.pole_coeff),
+        K=repr(b.x_coeff),
+        tail_bounds={name: repr(v) for name, v in sorted(b.tail_bounds.items())},
+    )
+
+
+def render_summatory(table: sieve.SummatoryTable, fmt: str) -> str:
+    """The table as a ``summatory_table`` document ("json"), CSV ("csv") or a text table."""
+    if fmt == "table":
+        lines = [f"{'x':>12} {'S':>24} {'main':>20} {'residual':>14} {'err_bound':>12}"]
+        for row in table.rows:
+            s_txt = f"{float(row.value):.10g}"
+            main = "" if row.main is None else f"{row.main:.6f}"
+            resid = "" if row.residual is None else f"{row.residual:+.6f}"
+            lines.append(f"{row.x:>12} {s_txt:>24} {main:>20} {resid:>14} {row.err_bound:>12.3e}")
+        return _lines(lines)
+    if fmt == "csv":
+        lines = ["x,S,main,residual,err_bound"]
+        for row in table.rows:
+            main = "" if row.main is None else repr(row.main)
+            resid = "" if row.residual is None else repr(row.residual)
+            lines.append(f"{row.x},{_decimal(row.value)},{main},{resid},{repr(row.err_bound)}")
+        return _lines(lines)
+    rows = []
     for row in table.rows:
-        s_txt = f"{float(row.value):.10g}"
-        main = "" if row.main is None else f"{row.main:.6f}"
-        resid = "" if row.residual is None else f"{row.residual:+.6f}"
-        lines.append(f"{row.x:>12} {s_txt:>24} {main:>20} {resid:>14} {row.err_bound:>12.3e}")
-    return "\n".join(lines)
+        rec = {
+            "x": row.x,
+            "S": _decimal(row.value),
+            "main": None if row.main is None else repr(row.main),
+            "residual": None if row.residual is None else repr(row.residual),
+            "err_bound": repr(row.err_bound),
+        }
+        if isinstance(row.value, Fraction):
+            rec["S_exact"] = f"{row.value.numerator}/{row.value.denominator}"
+        rows.append(rec)
+    return _document(
+        "summatory_table",
+        {"r": table.params.r, "k": table.params.k},
+        N=table.limit,
+        mode=table.mode,
+        rows=rows,
+    )
+
+
+def render_verify(reports: Sequence[verify.VerifyReport], params: dict, fmt: str) -> str:
+    """The battery as a ``verify_reports`` document ("json") or a PASS/FAIL table.
+
+    ``params`` is the document's own: r, k, s, N (series length), P (prime cutoff).
+    """
+    if fmt == "table":
+        header = f"{'identity':<28} {'parameters':<38} {'gap':>12} {'bound':>12} {'verdict':>8}"
+        lines = [header, "-" * len(header)]
+        for rep in reports:
+            pstr = " ".join(f"{k}={v}" for k, v in rep.params.items())
+            verdict = "PASS" if rep.passed else "FAIL"
+            lines.append(
+                f"{rep.identity:<28} {pstr:<38} {rep.gap:>12.3e} {rep.bound:>12.3e} {verdict:>8}"
+            )
+            if rep.identity == "global_factorization":
+                gap2 = float(rep.details["closed_form_gap"])
+                b2 = float(rep.details["closed_form_combined_bound"])
+                within = "PASS" if rep.details["closed_form_within_bound"] else "GAP"
+                lines.append(
+                    f"{'  vs closed form':<28} {'':<38} {abs(gap2):>12.3e} {b2:>12.3e} {within:>8}"
+                )
+        return _lines(lines)
+    return _document(
+        "verify_reports",
+        params,
+        reports=[
+            {
+                "identity": rep.identity,
+                "params": rep.params,
+                "lhs": repr(rep.lhs),
+                "rhs": repr(rep.rhs),
+                "gap": repr(rep.gap),
+                "bound": repr(rep.bound),
+                "pass": rep.passed,
+                "notes": rep.notes,
+                "details": rep.details,
+            }
+            for rep in reports
+        ],
+    )
+
+
+def render_fit(report: fit.FitReport, fmt: str) -> str:
+    """The report as a ``fit_report`` document ("json") or an "x R" dump ("csv")."""
+    points = list(zip(report.xs, report.residuals))
+    if fmt == "csv":
+        return _lines([f"{x} {repr(rv)}" for x, rv in points])
+    fields = {
+        "prime_cutoff": report.consts.prime_cutoff,
+        "C": repr(report.consts.leading),
+        "K": repr(report.consts.x_coeff),
+        "points": [{"x": x, "R": repr(rv)} for x, rv in points],
+        "sign_changes": report.sign_changes,
+    }
+    if report.theta is not None:
+        fields["fit"] = {
+            "theta": repr(report.theta),
+            "intercept": repr(report.intercept),
+            "rss": repr(report.rss),
+            "half_width": repr(report.half_width),
+            "witness_x06": repr(report.witness),
+            "x_min": report.x_min,
+            "points_used": report.points_used,
+        }
+    if report.diagnostics is not None:
+        fields["diagnostics"] = report.diagnostics
+    params = report.table.params
+    return _document("fit_report", {"r": params.r, "k": params.k}, **fields)
 
 
 def _cmd_constants(args) -> int:
     params = ArithParams(r=args.r, k=args.k)
     b = coeffs.bundle(params, args.prime_cutoff, zeta_tol=args.tol)
-    if args.format == "table":
-        _emit(_render_constants_table(b), args.out)
-    else:
-        _emit(json.dumps(b.to_json_obj(), indent=2), args.out)
+    _emit(render_constants(b, args.format), args.out)
     return EXIT_OK
 
 
@@ -185,16 +325,7 @@ def _cmd_sum(args) -> int:
         _progress(f"done in {time.perf_counter() - t0:.1f}s")
     if bundle is not None:
         table = fit.residuals(table, bundle).table
-    if args.format == "csv":
-        import io
-
-        buf = io.StringIO()
-        table.write_csv(buf)
-        _emit(buf.getvalue(), args.out)
-    elif args.format == "table":
-        _emit(_render_sum_table(table), args.out)
-    else:
-        _emit(json.dumps(table.to_json_obj(), indent=2), args.out)
+    _emit(render_summatory(table, args.format), args.out)
     return EXIT_OK
 
 
@@ -202,17 +333,9 @@ def _cmd_verify(args) -> int:
     params = ArithParams(r=args.r, k=args.k)
     reports = verify.run_battery(params, s=args.s, limit=args.series_limit,
                                  cutoff=args.prime_cutoff)
-    if args.format == "table":
-        _emit(verify.render_table(reports), args.out)
-    else:
-        obj = {
-            "schema_version": "1",
-            "kind": "verify_reports",
-            "params": {"r": params.r, "k": params.k, "s": args.s,
-                       "N": args.series_limit, "P": args.prime_cutoff},
-            "reports": [rep.to_json_obj() for rep in reports],
-        }
-        _emit(json.dumps(obj, indent=2), args.out)
+    doc_params = {"r": params.r, "k": params.k, "s": args.s,
+                  "N": args.series_limit, "P": args.prime_cutoff}
+    _emit(render_verify(reports, doc_params, args.format), args.out)
     return EXIT_OK
 
 
@@ -225,14 +348,7 @@ def _cmd_fit(args) -> int:
     _progress(f"summatory table to N={args.N}")
     table = sieve.summatory(params, args.N, grid=grid)
     report = fit.fit_exponent(fit.residuals(table, b), x_min=args.x_min)
-    if args.format == "csv":
-        import io
-
-        buf = io.StringIO()
-        report.write_residual_dump(buf)
-        _emit(buf.getvalue(), args.out)
-    else:
-        _emit(json.dumps(report.to_json_obj(), indent=2), args.out)
+    _emit(render_fit(report, args.format), args.out)
     return EXIT_OK
 
 

@@ -260,20 +260,6 @@ class ConstantsBundle:
         """
         return float(Fraction(s) - Fraction(main))
 
-    def to_json_obj(self) -> dict:
-        return {
-            "schema_version": "1",
-            "kind": "constants_bundle",
-            "params": {"r": self.params.r, "k": self.params.k},
-            "prime_cutoff": self.prime_cutoff,
-            "C": repr(self.leading),
-            "H1_prime": repr(self.cofactor_deriv),
-            "B": repr(self.pole_coeff),
-            "K": repr(self.x_coeff),
-            "tail_bounds": {name: repr(v) for name, v in sorted(self.tail_bounds.items())},
-        }
-
-
 def bundle(
     params: ArithParams, cutoff: int = DEFAULT_PRIME_CUTOFF, zeta_tol: float = 1e-12
 ) -> ConstantsBundle:

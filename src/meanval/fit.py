@@ -62,39 +62,6 @@ class FitReport:
     def residuals(self) -> tuple[float, ...]:
         return tuple(row.residual for row in self.table.rows)
 
-    def to_json_obj(self) -> dict:
-        obj = {
-            "schema_version": "1",
-            "kind": "fit_report",
-            "params": {"r": self.table.params.r, "k": self.table.params.k},
-            "prime_cutoff": self.consts.prime_cutoff,
-            "C": repr(self.consts.leading),
-            "K": repr(self.consts.x_coeff),
-            "points": [
-                {"x": x, "R": repr(rv)} for x, rv in zip(self.xs, self.residuals)
-            ],
-            "sign_changes": self.sign_changes,
-        }
-        if self.theta is not None:
-            obj["fit"] = {
-                "theta": repr(self.theta),
-                "intercept": repr(self.intercept),
-                "rss": repr(self.rss),
-                "half_width": repr(self.half_width),
-                "witness_x06": repr(self.witness),
-                "x_min": self.x_min,
-                "points_used": self.points_used,
-            }
-        if self.diagnostics is not None:
-            obj["diagnostics"] = self.diagnostics
-        return obj
-
-    def write_residual_dump(self, fp) -> None:
-        """Two-column (x, R) dump for external plotting."""
-        for x, rv in zip(self.xs, self.residuals):
-            fp.write(f"{x} {repr(rv)}\n")
-
-
 def residuals(table: SummatoryTable, consts: ConstantsBundle) -> FitReport:
     """Fill the main and residual columns of every row: R(x) = S(x) - main(x).
 

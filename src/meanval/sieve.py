@@ -35,9 +35,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import IO, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -254,15 +253,6 @@ def geometric_checkpoints(limit: int, per_decade: int = 8) -> list[int]:
     return sorted(pts)
 
 
-def _decimal_str(v: Union[Fraction, float], digits: int = 36) -> str:
-    if isinstance(v, Fraction):
-        with localcontext() as ctx:
-            ctx.prec = digits
-            d = Decimal(v.numerator) / Decimal(v.denominator)
-        return format(d, "f")
-    return repr(float(v))
-
-
 @dataclass(frozen=True)
 class SummatoryRow:
     """One checkpoint: x, the prefix sum S, and its comparison columns.
@@ -293,38 +283,6 @@ class SummatoryTable:
     @property
     def final(self) -> ExactValue:
         return self.rows[-1].value
-
-    def to_json_obj(self) -> dict:
-        obj = {
-            "schema_version": "1",
-            "kind": "summatory_table",
-            "params": {"r": self.params.r, "k": self.params.k},
-            "N": self.limit,
-            "mode": self.mode,
-            "rows": [],
-        }
-        for row in self.rows:
-            rec = {
-                "x": row.x,
-                "S": _decimal_str(row.value),
-                "main": None if row.main is None else repr(row.main),
-                "residual": None if row.residual is None else repr(row.residual),
-                "err_bound": repr(row.err_bound),
-            }
-            if isinstance(row.value, Fraction):
-                rec["S_exact"] = f"{row.value.numerator}/{row.value.denominator}"
-            obj["rows"].append(rec)
-        return obj
-
-    def write_csv(self, fp: IO[str]) -> None:
-        fp.write("x,S,main,residual,err_bound\n")
-        for row in self.rows:
-            main = "" if row.main is None else repr(row.main)
-            resid = "" if row.residual is None else repr(row.residual)
-            fp.write(
-                f"{row.x},{_decimal_str(row.value)},{main},{resid},{repr(row.err_bound)}\n"
-            )
-
 
 def _segment_bounds(limit: int, checkpoints: Sequence[int], segment: int) -> list[tuple[int, int, bool]]:
     """No caller: kept only as the name perfbench/trace_cli.py wraps."""

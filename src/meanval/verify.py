@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -68,7 +68,6 @@ __all__ = [
     "local_factor_check",
     "local_factor_excess",
     "numerator_identity_check",
-    "render_table",
     "run_battery",
 ]
 
@@ -94,20 +93,6 @@ class VerifyReport:
     @property
     def gap(self) -> float:
         return abs(self.lhs - self.rhs)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "identity": self.identity,
-            "params": self.params,
-            "lhs": repr(self.lhs),
-            "rhs": repr(self.rhs),
-            "gap": repr(self.gap),
-            "bound": repr(self.bound),
-            "pass": self.passed,
-            "notes": self.notes,
-            "details": self.details,
-        }
-
 
 def _report(identity: str, params: dict, lhs: float, rhs: float, bound: float,
             notes: str = "", details: Optional[dict] = None) -> VerifyReport:
@@ -353,7 +338,7 @@ def global_factorization_check(s: float, params: ArithParams, limit: int, cutoff
 
 
 # ---------------------------------------------------------------------------
-# battery and rendering
+# battery
 
 
 def run_battery(
@@ -369,22 +354,3 @@ def run_battery(
     reports.append(global_factorization_check(s, params, limit=limit, cutoff=cutoff))
     return reports
 
-
-def render_table(reports: Sequence[VerifyReport]) -> str:
-    """Fixed-width PASS/FAIL table with the observed gap per identity."""
-    header = f"{'identity':<28} {'parameters':<38} {'gap':>12} {'bound':>12} {'verdict':>8}"
-    lines = [header, "-" * len(header)]
-    for rep in reports:
-        pstr = " ".join(f"{k}={v}" for k, v in rep.params.items())
-        verdict = "PASS" if rep.passed else "FAIL"
-        lines.append(
-            f"{rep.identity:<28} {pstr:<38} {rep.gap:>12.3e} {rep.bound:>12.3e} {verdict:>8}"
-        )
-        if rep.identity == "global_factorization":
-            gap2 = float(rep.details["closed_form_gap"])
-            b2 = float(rep.details["closed_form_combined_bound"])
-            within = "PASS" if rep.details["closed_form_within_bound"] else "GAP"
-            lines.append(
-                f"{'  vs closed form':<28} {'':<38} {abs(gap2):>12.3e} {b2:>12.3e} {within:>8}"
-            )
-    return "\n".join(lines)

@@ -113,6 +113,44 @@ def test_residual_formed_once_per_checkpoint(command, monkeypatch, capsys):
     assert calls == [main for _, main in mains]
 
 
+SCHEMA = json.loads((Path(__file__).resolve().parent.parent / "schema.json").read_text())
+
+
+def _names_differ(obj, spec, absent, where):
+    """Where obj's keys, and those of its documented sub-objects, differ from spec's."""
+    want = set(spec) - absent
+    errors = [f"{where}: {sorted(set(obj) ^ want)}"] if set(obj) != want else []
+    for name, sub in spec.items():
+        if isinstance(sub, dict) and name in obj:
+            errors += _names_differ(obj[name], sub, absent, f"{where}.{name}")
+        elif isinstance(sub, list) and name in obj:
+            for i, item in enumerate(obj[name]):
+                errors += _names_differ(item, sub[0], absent, f"{where}.{name}[{i}]")
+    return errors
+
+
+@pytest.mark.parametrize("argv, kind, absent", [
+    (["constants", "--prime-cutoff", "10000"], "constants_bundle", set()),
+    (["sum", "--k", "1", "--N", "1000"], "summatory_table", set()),
+    (["sum", "--k", "1", "--N", "1000", "--with-main", "--prime-cutoff", "10000"],
+     "summatory_table", set()),
+    (["sum", "--k", "1.5", "--N", "1000"], "summatory_table", {"S_exact"}),
+    (["sum", "--k", "1.5", "--N", "1000", "--with-main", "--prime-cutoff", "10000"],
+     "summatory_table", {"S_exact"}),
+    (["verify", "--format", "json", "--series-limit", "1000", "--prime-cutoff", "1000"],
+     "verify_reports", set()),
+    (["fit", "--k", "1", "--N", "100000", "--prime-cutoff", "10000"], "fit_report", {"diagnostics"}),
+    (["fit", "--k", "2", "--N", "100000", "--prime-cutoff", "10000"], "fit_report", set()),
+])
+def test_documents_match_schema(argv, kind, absent, capsys):
+    # schema.json freezes the field names: S_exact appears only in exact mode,
+    # diagnostics only at k != 1, and every other documented name always
+    assert cli.main(argv) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert (obj["schema_version"], obj["kind"]) == (SCHEMA["schema_version"], kind)
+    assert _names_differ(obj, SCHEMA["documents"][kind]["fields"], absent, kind) == []
+
+
 class TestConstantsCommand:
     def test_json_output(self):
         res = run_cli("constants", "--r", "2", "--k", "1", "--prime-cutoff", "100000")
@@ -240,6 +278,24 @@ class TestSumCommand:
         assert res.returncode == 0
         assert res.stdout == ""
         assert out.read_text().splitlines()[0] == "x,S,main,residual,err_bound"
+
+    @pytest.mark.parametrize("command", [
+        ["constants", "--prime-cutoff", "10000", "--format", "json"],
+        ["constants", "--prime-cutoff", "10000", "--format", "table"],
+        ["sum", "--N", "100", "--format", "json"],
+        ["sum", "--N", "100", "--format", "csv"],
+        ["sum", "--N", "100", "--format", "table"],
+        ["verify", "--series-limit", "1000", "--prime-cutoff", "1000", "--format", "json"],
+        ["verify", "--series-limit", "1000", "--prime-cutoff", "1000", "--format", "table"],
+        ["fit", "--N", "100000", "--prime-cutoff", "10000", "--format", "json"],
+        ["fit", "--N", "100000", "--prime-cutoff", "10000", "--format", "csv"],
+    ])
+    def test_out_file_matches_stdout(self, tmp_path, command):
+        out = tmp_path / "out"
+        to_stdout, to_file = run_cli(*command), run_cli(*command, "--out", str(out))
+        assert to_stdout.returncode == to_file.returncode == 0, to_stdout.stderr
+        assert to_file.stdout == ""
+        assert out.read_bytes() == to_stdout.stdout.encode()
 
     def test_memory_budget_env(self):
         # k = 1.5 sieves; k = 1 takes the powerful-number sum and its own gate

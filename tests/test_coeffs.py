@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from meanval import cli
 from meanval import coeffs as coeffs_mod
 from meanval import primes as primes_mod
 from meanval.arith import ArithParams
@@ -189,7 +190,7 @@ class TestBundle:
 
     def test_json_round_trip(self):
         b = bundle(ArithParams(2, 2.0), 10**4)
-        obj = b.to_json_obj()
+        obj = json.loads(cli.render_constants(b, "json"))
         assert obj["kind"] == "constants_bundle"
         assert obj["schema_version"] == "1"
         assert float(obj["C"]) == b.leading

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from meanval import cli
 from meanval.arith import ArithParams
 from meanval.coeffs import ConstantsBundle, bundle
 from meanval.errors import ConfigError, InsufficientDataError
@@ -167,22 +168,18 @@ class TestDiagnostics:
         consts = toy_bundle(params)
         t = synthetic_table(params, consts, 10**6, lambda x: x**0.5)
         rep = fit_exponent(residuals(t, consts))
-        obj = rep.to_json_obj()
+        obj = json.loads(cli.render_fit(rep, "json"))
         assert obj["kind"] == "fit_report"
         assert "fit" in obj and "diagnostics" in obj
         assert float(obj["fit"]["theta"]) == rep.theta
         json.dumps(obj)
 
     def test_residual_dump_two_columns(self):
-        import io
-
         params = ArithParams(2, 1.0)
         consts = toy_bundle(params)
         t = synthetic_table(params, consts, 10**4, lambda x: x**0.5)
         rep = residuals(t, consts)
-        buf = io.StringIO()
-        rep.write_residual_dump(buf)
-        lines = buf.getvalue().splitlines()
+        lines = cli.render_fit(rep, "csv").splitlines()
         assert len(lines) == len(rep.xs)
         x0, r0 = lines[0].split()
         assert int(x0) == rep.xs[0]

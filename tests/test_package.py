@@ -59,3 +59,17 @@ def test_no_module_imports_a_name_it_never_uses():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_only_the_cli_forms_documents():
+    # the document envelope is written in cli._document alone, so a new
+    # document cannot grow an envelope of its own in a library module
+    pkg = Path(meanval.__file__).parent
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(pkg.rglob("*.py"))
+        if path.name != "cli.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and node.value == "schema_version"
+    ]
+    assert offenders == []

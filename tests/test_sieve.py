@@ -1,5 +1,4 @@
 import functools
-import io
 import json
 import math
 import random
@@ -290,9 +289,7 @@ class TestSummatory:
 class TestExports:
     def test_csv_shape(self):
         t = summatory(ArithParams(2, 2.0), 100, grid=[10, 100])
-        buf = io.StringIO()
-        t.write_csv(buf)
-        lines = buf.getvalue().splitlines()
+        lines = cli.render_summatory(t, "csv").splitlines()
         assert lines[0] == "x,S,main,residual,err_bound"
         assert len(lines) == 3
         x, s, main, resid, err = lines[1].split(",")
@@ -300,7 +297,7 @@ class TestExports:
 
     def test_json_exact_fields(self):
         t = summatory(ArithParams(2, 2.0), 10, grid=[10])
-        obj = t.to_json_obj()
+        obj = json.loads(cli.render_summatory(t, "json"))
         assert obj["schema_version"] == "1"
         assert obj["kind"] == "summatory_table"
         row = obj["rows"][0]
@@ -310,6 +307,6 @@ class TestExports:
 
     def test_json_float_mode(self):
         t = summatory(ArithParams(2, 1.5), 10, grid=[10])
-        row = t.to_json_obj()["rows"][0]
+        row = json.loads(cli.render_summatory(t, "json"))["rows"][0]
         assert "S_exact" not in row
         assert float(row["S"]) == float(t.final)

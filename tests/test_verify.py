@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from meanval import cli
 from meanval import sieve as sieve_mod
 from meanval import verify as verify_mod
 from meanval.arith import ArithParams
@@ -23,7 +24,6 @@ from meanval.verify import (
     local_factor_check,
     local_factor_excess,
     numerator_identity_check,
-    render_table,
     run_battery,
 )
 
@@ -268,7 +268,7 @@ class TestBatteryAndRendering:
 
     def test_render_table(self):
         reports = run_battery(ArithParams(2, 2.0), limit=10**3, cutoff=10**3)
-        text = render_table(reports)
+        text = cli.render_verify(reports, reports[-1].params, "table")
         assert "PASS" in text
         assert "FAIL" in text  # numerator identity fails at k = 2
         assert "GAP" in text  # closed-form row records the gap
@@ -276,6 +276,5 @@ class TestBatteryAndRendering:
 
     def test_json_serializable(self):
         reports = run_battery(ArithParams(2, 1.0), limit=10**3, cutoff=10**3)
-        payload = json.dumps([rep.to_json_obj() for rep in reports])
-        parsed = json.loads(payload)
+        parsed = json.loads(cli.render_verify(reports, reports[-1].params, "json"))["reports"]
         assert all(rec["pass"] for rec in parsed)
