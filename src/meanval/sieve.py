@@ -1,10 +1,20 @@
 """Per-n divisor data by sieving, and checkpointed sums.
 
 ``value_blocks`` streams each n's divisor count and omega over 1..N in
-blocks of SERIES_BLOCK integers; in each block every prime p <= sqrt(N)
-strides over its multiples and those of its powers, and what is left of n
-is 1 or its one prime factor above sqrt(N). No array of length N is held.
-It serves ``verify``'s Dirichlet series.
+blocks of SERIES_BLOCK integers, which stay in cache, and serves
+``verify``'s Dirichlet series. Each block takes every prime p <= sqrt(N)
+and every power of one, in two tiers split at sqrt(SERIES_BLOCK):
+
+* a prime power with at least sqrt(SERIES_BLOCK) multiples in a block is
+  struck in place, one strided pass over the block each;
+* the prime powers above the split, listed once before the first block,
+  have few multiples each, so one vectorised pass forms the offsets of all
+  their multiples in the block and one ``ufunc.at`` call each applies them,
+  as a bucket sieve does (Oliveira e Silva, Herzog and Pardi, *Math. Comp.*
+  83, 2014).
+
+What is left of n is then 1 or its one prime factor above sqrt(N). No array
+of length N is held.
 
 The whole per-n table is built independently, and serves the tests as the
 oracle for those blocks and for the sums:
@@ -67,7 +77,7 @@ BYTES_PER_ENTRY = 10
 SCRATCH_BYTES_PER_ENTRY = 24
 SPF_BLOCK = 1 << 18  # entries per build_spf block: 1 MiB of int32, an L2's worth
 TAB_CHUNK = 1 << 20  # entries per tabulate work item
-SERIES_BLOCK = 1 << 18  # integers per value_blocks block
+SERIES_BLOCK = 1 << 16  # integers per value_blocks block: 256 KiB of int32, 512 KiB per float64 term array
 
 
 def _require_budget(need_bytes: float, what: str, detail: str) -> None:
@@ -199,7 +209,15 @@ def value_blocks(params: ArithParams, limit: int) -> Iterator[tuple[int, np.ndar
     Equal to the slices of ``tabulate``'s table, without it: in each block of
     SERIES_BLOCK integers every prime p <= sqrt(limit) adds 1 to omega at its
     multiples and multiplies the p-smooth part at the multiples of each
-    p**a. What is left, n / smooth, is 1 or the one prime factor above
+    p**a. A prime power q <= sqrt(SERIES_BLOCK) does so in strided passes over
+    the block. The larger ones are listed once, primes first, and in each
+    block the offsets of all their multiples are formed at once: q apart
+    within one q's run, and a jump from the last multiple of one q to the
+    first of the next, then a cumulative sum. The primes' offsets, a prefix
+    of them, add 1 to omega; every offset multiplies the smooth part by its
+    p, and ``ufunc.at`` applies repeated offsets one by one, exactly.
+
+    What is left, n / smooth, is 1 or the one prime factor above
     sqrt(limit). Then counts starts at 2**omega, and as c[a] = ceil(a/r) + 1
     steps up only at a = j*r + 1, the multiples of p**(j*r + 1) trade c[a-1]
     for c[a].
@@ -210,21 +228,48 @@ def value_blocks(params: ArithParams, limit: int) -> Iterator[tuple[int, np.ndar
         raise ResourceError(f"series limit {limit} exceeds the int32 layout")
     r = params.r
     c = minpow_divisor_counts(r, 32)
-    small = primes_up_to(math.isqrt(limit)).tolist()
-    for lo in range(1, limit + 1, SERIES_BLOCK):
-        n = np.arange(lo, min(lo + SERIES_BLOCK, limit + 1), dtype=np.int32)
-        hi = lo + n.size
-        omegas = np.zeros(n.size, dtype=np.int8)
-        smooth = np.ones(n.size, dtype=np.int32)
-        for p in small:
+    split = math.isqrt(SERIES_BLOCK)
+    base = primes_up_to(math.isqrt(limit)).tolist()
+    struck = [p for p in base if p <= split]
+    gathered = [(p, p) for p in base if p > split]
+    n_primes = len(gathered)
+    for p in base:
+        q = p * p
+        while q <= limit:
+            if q > split:
+                gathered.append((q, p))
+            q *= p
+    gq, gp = np.array(gathered, dtype=np.int64).reshape(-1, 2).T
+    gp = gp.astype(np.int32)
+
+    def block_omegas(lo: int, size: int) -> np.ndarray:  # its scratch is freed before the block is used
+        omegas = np.zeros(size, dtype=np.int8)
+        smooth = np.ones(size, dtype=np.int32)
+        for p in struck:
             omegas[-lo % p :: p] += 1
             q = p
-            while q < hi:
+            while q <= split:
                 smooth[-lo % q :: q] *= p
                 q *= p
-        omegas += smooth != n
+        first = -lo % gq  # offset of each q's first multiple
+        runs = (size - first + gq - 1) // gq  # its multiples in the block
+        n_hits = int(runs[:n_primes].sum())
+        live = np.flatnonzero(runs)
+        qs, first, runs = gq[live], first[live], runs[live]
+        last = first + (runs - 1) * qs
+        gaps = np.repeat(qs, runs)
+        gaps[np.cumsum(runs) - runs] = first - np.concatenate(([0], last[:-1]))
+        at = np.cumsum(gaps)  # offsets of the multiples, q by q
+        np.add.at(omegas, at[:n_hits], np.int8(1))  # an int8 operand keeps add.at on its fast path
+        np.multiply.at(smooth, at, np.repeat(gp[live], runs))
+        omegas += smooth != np.arange(lo, lo + size, dtype=np.int32)
+        return omegas
+
+    for lo in range(1, limit + 1, SERIES_BLOCK):
+        omegas = block_omegas(lo, min(SERIES_BLOCK, limit + 1 - lo))
+        hi = lo + omegas.size
         counts = np.left_shift(1, omegas, dtype=np.int32)
-        for p in small:
+        for p in base:
             q, a = p ** (r + 1), r + 1
             if q >= hi:
                 break

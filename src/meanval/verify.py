@@ -267,7 +267,13 @@ def dirichlet_series_truncated(params: ArithParams, s: float, limit: int) -> tup
     k_pows = np.power(float(params.k), -np.arange(max_omega(limit) + 1.0))
     acc = ExactSum()
     for lo, counts, omegas in value_blocks(params, limit):
-        acc.add(counts * k_pows[omegas] * np.arange(lo, lo + counts.size, dtype=np.float64) ** -s)
+        # (counts * k**-omega) * n**-s, formed in two float64 arrays
+        terms = k_pows[omegas]
+        terms *= counts
+        n_s = np.arange(lo, lo + counts.size, dtype=np.float64)
+        n_s **= -s
+        terms *= n_s
+        acc.add(terms)
     value = acc.value()
     ln_n = math.log(limit)
     tail = s * limit ** (1.0 - s) * (ln_n / (s - 1.0) + (s - 1.0) ** -2 + 1.0 / (s - 1.0))

@@ -91,7 +91,10 @@ class TestValueBlocks:
     @pytest.mark.parametrize("limit", [1, 2, 5007, 2**17 + 3])
     @pytest.mark.parametrize("r", [2, 3, 5, 40])
     def test_blocks_equal_the_table(self, monkeypatch, r, limit):
-        # with blocks of 1000 a prime power's multiples start at another offset in each block
+        # with blocks of 1000 a prime power's multiples start at another offset in each block;
+        # the tiers split at isqrt(1000) = 31, so every prime power above 31 (the primes
+        # from 37 to isqrt(limit), and powers such as 2**5 and 37**2) takes the gathered
+        # pass, and those below it the strided passes
         monkeypatch.setattr(sieve_mod, "SERIES_BLOCK", 1000)
         for k in (1.0, 1.5, 2.0, 3.0):
             params = ArithParams(r, k)
@@ -106,12 +109,16 @@ class TestValueBlocks:
             assert end == limit + 1
 
     def test_default_blocks_equal_the_table(self):
-        params = ArithParams(2, 1.5)
-        table = tabulate(build_spf(10**6), params)
-        blocks = list(value_blocks(params, 10**6))
-        assert len(blocks) == -(-10**6 // sieve_mod.SERIES_BLOCK)
-        assert np.array_equal(np.concatenate([c for _, c, _ in blocks]), table.counts[1:])
-        assert np.array_equal(np.concatenate([o for _, _, o in blocks]), table.omegas[1:])
+        # at 4e6 the default block gathers the primes in (isqrt(SERIES_BLOCK), 2000] = (256,
+        # 2000] and the powers above 256 of the smaller primes; 13 of those primes and many
+        # of those powers divide a block's first or last n (2**9 divides every last one)
+        for r, limit in ((2, 10**6), (2, 4 * 10**6), (3, 4 * 10**6)):
+            params = ArithParams(r, 1.5)
+            table = tabulate(build_spf(limit), params)
+            blocks = list(value_blocks(params, limit))
+            assert len(blocks) == -(-limit // sieve_mod.SERIES_BLOCK)
+            assert np.array_equal(np.concatenate([c for _, c, _ in blocks]), table.counts[1:])
+            assert np.array_equal(np.concatenate([o for _, _, o in blocks]), table.omegas[1:])
 
     def test_limits_refused(self):
         with pytest.raises(ConfigError):
