@@ -1,12 +1,14 @@
 """Prime enumeration for the trial divider, the sieves and the product engines.
 
 ``prime_blocks`` is a cache-blocked segmented sieve of Eratosthenes over the
-odd numbers only, which hands out the primes of one block at a time, so a
+odd numbers only, started from a pre-sieved wheel, which hands out the primes of one block at a time, so a
 sum over primes never holds them all; ``primes_up_to`` joins its blocks.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from math import isqrt
 from typing import Iterator
 
@@ -25,22 +27,42 @@ def primes_up_to(limit: int) -> np.ndarray:
 def prime_blocks(limit: int) -> Iterator[np.ndarray]:
     """The primes <= limit, ascending, as one int64 array per sieve block.
 
-    Slot i stands for 2*i + 1. Each block of PRIME_BLOCK slots is crossed off
-    by the odd primes p with p*p at most its top, from p*p or the block's first
-    odd multiple of p on; those primes come from this sieve run to sqrt(limit).
-    The first block also carries 2.
+    Slot i stands for 2*i + 1. Each block of PRIME_BLOCK slots starts as a
+    copy of a wheel, the slots mod 15015 with the multiples of 3, 5, 7, 11 and
+    13 crossed off, doubled up to the block's length; the block that holds
+    one of those primes' own slot puts it back. Then the larger primes p with
+    p*p at most the block's top cross it off, from p*p or the block's first
+    odd multiple of p on, all of those offsets formed at once; those primes
+    come from this sieve run to sqrt(limit). The first block also carries 2.
     """
     if limit < 2:
         return
     slots = (limit + 1) // 2
-    base = primes_up_to(isqrt(limit))[1:].tolist()  # odd primes; 9 is the first odd composite
+    small = (3, 5, 7, 11, 13)  # crossed off by a wheel of 15015 slots, 30030 numbers
+    base = primes_up_to(isqrt(limit))[len(small) + 1 :]  # the odd primes above them
+    starts = (base * base // 2).tolist()  # the slot of p * p
+    halves = base // 2  # the odd multiples of p sit at the slots = p // 2 (mod p)
+    period = math.prod(small)
+    wheel = np.ones(2 * period, dtype=bool)  # slot i mod period, twice over, so any rotation is one slice
+    for p in small:
+        wheel[p // 2 :: p] = False
     for lo in range(0, slots, PRIME_BLOCK):
-        view = np.ones(min(PRIME_BLOCK, slots - lo), dtype=bool)
-        top = 2 * (lo + view.size) - 1
-        for p in base:
-            if p * p > top:
-                break
-            first = max(p * p, (-(-(2 * lo + 1) // p) | 1) * p)  # an odd multiple of p
-            view[first // 2 - lo :: p] = False
+        view = np.empty(min(PRIME_BLOCK, slots - lo), dtype=bool)
+        done = min(period, view.size)
+        view[:done] = wheel[lo % period : lo % period + done]
+        while done < view.size:  # done stays a multiple of period, so each copy keeps the phase
+            step = min(done, view.size - done)
+            view[done : done + step] = view[:step]
+            done += step
+        for p in small:  # the wheel crossed off its own primes
+            if lo <= p // 2 < lo + view.size:
+                view[p // 2 - lo] = True
+        # the primes whose square lies before this block start at their first multiple in it,
+        # those whose square lies in it at the square
+        old, new = bisect_left(starts, lo), bisect_left(starts, lo + view.size)
+        for p, at in zip(base[:old].tolist(), ((halves[:old] - lo) % base[:old]).tolist()):
+            view[at::p] = False
+        for p, start in zip(base[old:new].tolist(), starts[old:new]):
+            view[start - lo :: p] = False
         found = 2 * (np.flatnonzero(view) + lo) + 1
         yield np.concatenate(([2], found[1:])) if lo == 0 else found

@@ -3,7 +3,9 @@
 ``value_blocks`` streams each n's divisor count and omega over 1..N in
 blocks of SERIES_BLOCK integers, which stay in cache, and serves
 ``verify``'s Dirichlet series. Each block takes every prime p <= sqrt(N)
-and every power of one, in two tiers split at sqrt(SERIES_BLOCK):
+and every power of one. Omega for those of 2 to 13 is sliced from one
+periodic pattern (a wheel of period 30030), and the power of 2 in n is
+n & -n; the rest come in two tiers split at sqrt(SERIES_BLOCK):
 
 * a prime power with at least sqrt(SERIES_BLOCK) multiples in a block is
   struck in place, one strided pass over the block each;
@@ -209,7 +211,10 @@ def value_blocks(params: ArithParams, limit: int) -> Iterator[tuple[int, np.ndar
     Equal to the slices of ``tabulate``'s table, without it: in each block of
     SERIES_BLOCK integers every prime p <= sqrt(limit) adds 1 to omega at its
     multiples and multiplies the p-smooth part at the multiples of each
-    p**a. A prime power q <= sqrt(SERIES_BLOCK) does so in strided passes over
+    p**a. Omega starts as a slice of a wheel, the count of the primes 2 to 13
+    that are <= sqrt(limit) and divide n, tabulated over n mod their product;
+    the smooth part starts as n & -n, the power of 2 in n, when 2 <= sqrt(limit).
+    Every other prime power q <= sqrt(SERIES_BLOCK) takes strided passes over
     the block. The larger ones are listed once, primes first, and in each
     block the offsets of all their multiples are formed at once: q apart
     within one q's run, and a jump from the last multiple of one q to the
@@ -230,10 +235,15 @@ def value_blocks(params: ArithParams, limit: int) -> Iterator[tuple[int, np.ndar
     c = minpow_divisor_counts(r, 32)
     split = math.isqrt(SERIES_BLOCK)
     base = primes_up_to(math.isqrt(limit)).tolist()
-    struck = [p for p in base if p <= split]
+    wheel = base[:6]  # those of 2, 3, 5, 7, 11 and 13 that are <= sqrt(limit)
+    period = math.prod(wheel)
+    pattern = np.zeros(period + min(SERIES_BLOCK, limit), dtype=np.int8)  # omega over them, n mod period
+    for p in wheel:
+        pattern[::p] += 1
+    struck = [p for p in base[1:] if p <= split]
     gathered = [(p, p) for p in base if p > split]
     n_primes = len(gathered)
-    for p in base:
+    for p in base[1:]:
         q = p * p
         while q <= limit:
             if q > split:
@@ -242,11 +252,17 @@ def value_blocks(params: ArithParams, limit: int) -> Iterator[tuple[int, np.ndar
     gq, gp = np.array(gathered, dtype=np.int64).reshape(-1, 2).T
     gp = gp.astype(np.int32)
 
-    def block_omegas(lo: int, size: int) -> np.ndarray:  # its scratch is freed before the block is used
-        omegas = np.zeros(size, dtype=np.int8)
-        smooth = np.ones(size, dtype=np.int32)
+    def block_omegas(lo: int, n: np.ndarray) -> np.ndarray:  # its scratch is freed before the block is used
+        size = n.size
+        omegas = pattern[lo % period : lo % period + size].copy()
+        if wheel:  # the 2-part, n & -n
+            smooth = np.negative(n)
+            smooth &= n
+        else:
+            smooth = np.ones(size, dtype=np.int32)
         for p in struck:
-            omegas[-lo % p :: p] += 1
+            if p not in wheel:
+                omegas[-lo % p :: p] += 1
             q = p
             while q <= split:
                 smooth[-lo % q :: q] *= p
@@ -262,11 +278,16 @@ def value_blocks(params: ArithParams, limit: int) -> Iterator[tuple[int, np.ndar
         at = np.cumsum(gaps)  # offsets of the multiples, q by q
         np.add.at(omegas, at[:n_hits], np.int8(1))  # an int8 operand keeps add.at on its fast path
         np.multiply.at(smooth, at, np.repeat(gp[live], runs))
-        omegas += smooth != np.arange(lo, lo + size, dtype=np.int32)
+        omegas += smooth != n
         return omegas
 
+    # the block's integers: one array for the whole walk, cut to the last block and advanced
+    # in place, which also keeps the allocator from returning and refaulting a block's pages
+    n = np.arange(1, 1 + min(SERIES_BLOCK, limit), dtype=np.int32)
     for lo in range(1, limit + 1, SERIES_BLOCK):
-        omegas = block_omegas(lo, min(SERIES_BLOCK, limit + 1 - lo))
+        n = n[: limit + 1 - lo]
+        n += lo - int(n[0])
+        omegas = block_omegas(lo, n)
         hi = lo + omegas.size
         counts = np.left_shift(1, omegas, dtype=np.int32)
         for p in base:

@@ -1,14 +1,19 @@
 """Correctly rounded float64 summation with an exponent-indexed superaccumulator.
 
-Each value is split by bit view into its sign-and-exponent field and its
-52-bit fraction. Per field, ``np.bincount`` sums the fraction's high and low
-26-bit halves and counts the values, each of which carries the hidden bit.
-Those integer sums are exact, and they are folded into one Python int (in
+Each value x is split by bit mask into hi, x with its low 26 fraction bits
+cleared, and lo = x - hi; both are exact float64 values, and the hidden bit
+rides in hi. Per sign-and-exponent field, two ``np.bincount`` passes sum hi
+and lo. With u the spacing of the field's values, hi is a whole number of
+units 2**26 * u below 2**27 of them, and lo a whole number of units u below
+2**26; so a bin of at most 2**26 values stays below 2**53 of its units, and
+float64 adds to it exactly. The bins are folded into one Python int (in
 units of 2**-1074) before they could lose a bit; int true division then
-rounds the total once. The result is that of ``math.fsum`` (R. M. Neal, *Fast
-exact summation using small and large superaccumulators*, arXiv:1505.05571),
-except where fsum's running sum overflows midway. A caller adds a whole
-array, or its blocks one at a time, to one ``ExactSum`` and reads ``value()``.
+rounds the total once. Values in the top exponent fields, whose bins could
+pass 2**1024, go straight to that int.
+The result is that of ``math.fsum`` (R. M. Neal, *Fast exact summation using
+small and large superaccumulators*, arXiv:1505.05571), except where fsum's
+running sum overflows midway. A caller adds a whole array, or its blocks one
+at a time, to one ``ExactSum`` and reads ``value()``.
 """
 
 from __future__ import annotations
@@ -20,12 +25,14 @@ import numpy as np
 __all__ = ["ExactSum"]
 
 _BINS = 4096  # sign bit and 11-bit exponent field
-_HALF = 26
-_HALF_MASK = (1 << _HALF) - 1
+_HI_MASK = np.uint64(~((1 << 26) - 1) & ((1 << 64) - 1))  # clears the low 26 fraction bits
 _CHUNK = 1 << 14  # values per bincount pass: its scratch arrays stay in cache
-# Each half is below 2**26, so a bin that holds the halves of at most _FLUSH
-# = 2**27 values stays below 2**53 and float64 adds to it exactly.
-_FLUSH = 1 << 27
+# hi is below 2**27 units of its grid and lo below 2**26, so a bin that holds
+# at most _FLUSH = 2**26 values stays below 2**53 units and is exact
+_FLUSH = 1 << 26
+# exponent fields from here up: a bin of 2**26 hi values could reach
+# 2**53 * 2**(e - 1049) >= 2**1024 and overflow, so these values skip the bins
+_TOP = 2021
 
 
 class ExactSum:
@@ -42,37 +49,42 @@ class ExactSum:
         self._total = 0  # folded bins, in units of 2**-1074
         self._hi = np.zeros(_BINS)
         self._lo = np.zeros(_BINS)
-        self._count = np.zeros(_BINS, dtype=np.int64)
         self._pending = 0  # values in the bins since the last fold
         self._special: set[float] = set()
 
     def add(self, values) -> None:
         x = np.ascontiguousarray(values, dtype=np.float64).ravel()
         step = min(_CHUNK, _FLUSH)
-        for a in range(0, x.size, step):
-            part = x[a : a + step]
-            if self._pending + part.size > _FLUSH:
-                self._fold()
-            self._pending += part.size
-            bits = part.view(np.int64)
-            key = (bits >> 52) & (_BINS - 1)
-            count = np.bincount(key, minlength=_BINS)
-            self._count += count
-            self._hi += np.bincount(key, (bits >> _HALF) & _HALF_MASK, _BINS)
-            self._lo += np.bincount(key, bits & _HALF_MASK, _BINS)
-            if count[2047] or count[4095]:  # exponent field all ones: inf or nan
-                self._special.update(np.unique(part[~np.isfinite(part)]).tolist())
+        key_buf = np.empty(min(step, x.size), dtype=np.uint64)  # scratch that every chunk reuses
+        split_buf = np.empty_like(key_buf)  # hi, then lo in its place
+        with np.errstate(invalid="ignore"):  # inf - inf in lo, whose bins are dropped
+            for a in range(0, x.size, step):
+                part = x[a : a + step]
+                if self._pending + part.size > _FLUSH:
+                    self._fold()
+                self._pending += part.size
+                bits = part.view(np.uint64)
+                key = np.right_shift(bits, np.uint64(52), out=key_buf[: part.size]).view(np.int64)
+                hi = np.bitwise_and(bits, _HI_MASK, out=split_buf[: part.size]).view(np.float64)
+                hi_bins = np.bincount(key, hi, _BINS)
+                lo_bins = np.bincount(key, np.subtract(part, hi, out=hi), _BINS)
+                top = hi_bins.reshape(2, 2048)[:, _TOP:]  # the top exponent fields, then inf and nan
+                if top.any():
+                    field = key & 2047
+                    self._special.update(np.unique(part[field == 2047]).tolist())
+                    big = part[(field >= _TOP) & (field < 2047)]
+                    self._total += sum(map(int, big.tolist())) << 1074  # each is an exact integer
+                    top[:] = 0.0
+                    lo_bins.reshape(2, 2048)[:, _TOP:] = 0.0
+                self._hi += hi_bins
+                self._lo += lo_bins
 
     def _fold(self) -> None:
-        for key in np.flatnonzero(self._count).tolist():
-            e = key & 2047
-            if e == 2047:
-                continue  # kept in _special
-            m = int(self._count[key]) << 52 if e else 0
-            m = (m + (int(self._hi[key]) << _HALF) + int(self._lo[key])) << max(e - 1, 0)
-            self._total += -m if key >> 11 else m
+        bins = np.concatenate((self._hi, self._lo))
+        for v in bins[bins != 0].tolist():
+            n, d = v.as_integer_ratio()  # d = 2**j with j <= 1074: every bin is on the 2**-1074 grid
+            self._total += n << (1075 - d.bit_length())
         self._hi[:] = self._lo[:] = 0.0
-        self._count[:] = 0
         self._pending = 0
 
     def value(self) -> float:
@@ -80,4 +92,3 @@ class ExactSum:
         if self._special:
             return math.fsum(self._special)
         return self._total / (1 << 1074)  # rounds once; OverflowError past the float range
-

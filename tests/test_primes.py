@@ -47,6 +47,24 @@ class TestPrimeBlocks:
         assert np.array_equal(joined, primes_by_trial_division(limit))
         assert np.array_equal(joined, primes_up_to(limit))
 
+    @pytest.mark.parametrize("block", [PRIME_BLOCK, 5, 7])
+    def test_wheel_at_every_small_limit(self, monkeypatch, block):
+        # the wheel of 3, 5, 7, 11 and 13 crosses off those primes too, and the block that
+        # holds each one's slot puts it back, also where sqrt(limit) is below it
+        monkeypatch.setattr(primes_mod, "PRIME_BLOCK", block)
+        small = primes_by_trial_division(400).tolist()
+        for limit in range(2, 401):
+            joined = np.concatenate([np.empty(0, dtype=np.int64), *prime_blocks(limit)])
+            assert joined.tolist() == [p for p in small if p <= limit], limit
+
+    @pytest.mark.parametrize("turns", [1, 2, 3, 6])
+    def test_wheel_period_edges(self, turns):
+        # one turn of the wheel is 15015 odd slots, 30030 numbers; a turn of slots ends
+        # at 15015 * turns inside a block, and a turn of numbers at 30030 * turns
+        for limit in (15015 * turns - 1, 15015 * turns, 15015 * turns + 1,
+                      30030 * turns - 1, 30030 * turns + 1):
+            assert np.array_equal(primes_up_to(limit), primes_by_trial_division(limit)), limit
+
     def test_each_block_holds_its_own_slots(self, monkeypatch):
         monkeypatch.setattr(primes_mod, "PRIME_BLOCK", 8)
         for lo, block in zip(range(0, 10**3, 16), prime_blocks(10**3)):

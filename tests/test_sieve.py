@@ -88,13 +88,16 @@ class TestBuildSpf:
 
 
 class TestValueBlocks:
-    @pytest.mark.parametrize("limit", [1, 2, 5007, 2**17 + 3])
+    @pytest.mark.parametrize("limit", [1, 2, 3, 24, 48, 120, 168, 169, 170, 5007, 2**17 + 3])
     @pytest.mark.parametrize("r", [2, 3, 5, 40])
     def test_blocks_equal_the_table(self, monkeypatch, r, limit):
         # with blocks of 1000 a prime power's multiples start at another offset in each block;
         # the tiers split at isqrt(1000) = 31, so every prime power above 31 (the primes
-        # from 37 to isqrt(limit), and powers such as 2**5 and 37**2) takes the gathered
-        # pass, and those below it the strided passes
+        # from 37 to isqrt(limit), and powers such as 3**4 and 37**2) takes the gathered
+        # pass, and those below it the strided passes. Omega of 2 to 13 comes from a
+        # wheel of the ones <= isqrt(limit): none at 3, 2 and 3 at 24, up to 5, 7 and 11
+        # at 48, 120 and 168, all six from 169. Blocks of 1000 straddle each multiple of
+        # the wheel's period 30030 below 2**17 + 3.
         monkeypatch.setattr(sieve_mod, "SERIES_BLOCK", 1000)
         for k in (1.0, 1.5, 2.0, 3.0):
             params = ArithParams(r, k)

@@ -194,6 +194,17 @@ class TestGlobalFactorization:
             expected = math.fsum(vals * np.arange(1, 5008, dtype=np.float64) ** -s)
             assert dirichlet_series_truncated(params, s, 5007)[0] == expected
 
+    @pytest.mark.parametrize("limit", [10**5, 10**6])
+    @pytest.mark.parametrize("r, k", [(2, 1.0), (3, 2.0), (3, 1.5)])
+    def test_series_is_the_rounded_sum_of_the_table_terms(self, r, k, limit):
+        # at the default block size: the correctly rounded sum of k**-omega * count * n**-s
+        # over the oracle table, whatever the platform's value of each term
+        params = ArithParams(r, k)
+        table = tabulate(build_spf(limit), params)
+        terms = np.power(k, -table.omegas[1:].astype(np.float64)) * table.counts[1:]
+        terms *= np.arange(1, limit + 1, dtype=np.float64) ** -2.0
+        assert repr(dirichlet_series_truncated(params, 2.0, limit)[0]) == repr(math.fsum(terms))
+
     def test_series_memory_is_one_block(self):
         # the whole per-n table at 3e6 took 47 MiB; one block of terms takes 2.4 MiB at
         # the default 2**16 integers, and 4.5 and 8.7 MiB at 2**17 and 2**18

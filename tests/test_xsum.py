@@ -103,14 +103,67 @@ class TestExactSum:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.lists(moderate, max_size=12), min_size=1, max_size=8))
     def test_forced_fold_keeps_bins_below_limit(self, chunks):
-        # the real interval is 2**27 values; at 5 a fold happens every few values
+        # the real interval is 2**26 values; at 5 a fold happens every few values
+        field = np.maximum(np.arange(4096) & 2047, 1)  # subnormals share field 1's grid
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(xsum, "_FLUSH", 5)
             acc = ExactSum()
             for chunk in chunks:
                 acc.add(np.array(chunk, dtype=np.float64))
-                # the exactness invariant: no bin holds more than _FLUSH values
-                assert acc._count.sum() <= 5
-                assert max(acc._hi.max(), acc._lo.max()) < 5 * 2**26
+                # the exactness invariant: no bin holds more than _FLUSH values, and each
+                # bin is a whole number of units of its grid, below _FLUSH times the bound
+                # of one value (2**27 units for hi, 2**26 for lo), so below 2**53
+                assert acc._pending <= 5
+                hi = np.ldexp(acc._hi, 1049 - field)  # in units of 2**(e - 1049)
+                lo = np.ldexp(acc._lo, 1075 - field)  # in units of 2**(e - 1075)
+                assert np.array_equal(hi, np.trunc(hi)) and np.array_equal(lo, np.trunc(lo))
+                assert np.abs(hi).max() < 5 * 2**27 and np.abs(lo).max() < 5 * 2**26
             flat = [x for chunk in chunks for x in chunk]
             assert repr(acc.value()) == repr(math.fsum(flat))
+
+    @pytest.mark.parametrize("chunks", [
+        [[1e308], [1e308], [-1e308]],
+        [[1.7e308], [1.7e308], [-1.7e308, -1.7e308, 1e300]],
+        [[1e300] * 7, [-1e300] * 3, [1e308, -1e308, 3e307]],
+        [[1e300, 5e307, -1e301], [1e-300, 1.0], [-5e307]],
+        [[1.7976931348623157e308], [-1.7976931348623157e308], [2.0**-1074]],
+        [[2.0**1015] * 1024, [-(2.0**1015)] * 1024, [1.0]],  # one bin of these would reach inf
+    ])
+    def test_top_of_range_across_adds(self, chunks):
+        # values whose bins could pass 2**1024 skip the bins, in every add call
+        flat = [x for chunk in chunks for x in chunk]
+        assert _outcome(_stream, chunks) == _expected(flat)
+
+    @pytest.mark.parametrize("at", [0, 1, xsum._CHUNK - 2, xsum._CHUNK - 1])
+    def test_top_of_range_across_a_chunk_boundary(self, at):
+        # two values near the top of the range, one each side of a chunk boundary when
+        # at = _CHUNK - 1, among small values that the bins take
+        x = np.full(xsum._CHUNK + 3, 1e-3)
+        x[at], x[at + 1], x[-1] = 1e308, 1e308, -1.5e308
+        assert _outcome(_stream, [x]) == _expected(x.tolist())
+
+    @pytest.mark.parametrize("xs", [
+        [5e-324] * (xsum._CHUNK + 5),
+        [-5e-324] * 3 + [2.0**-1022 - 5e-324, 5e-324],
+        [-0.0] * (xsum._CHUNK + 1),
+        [-0.0, 5e-324, -0.0, -5e-324],
+        [2.0**-1022, -(2.0**-1022 - 5e-324), -0.0],
+        [1e-310, 1e308, -1e308, -1e-310, 1e-320],
+    ])
+    def test_subnormals_and_negative_zero(self, xs):
+        assert _outcome(_stream, [xs]) == _expected(xs)
+
+    @pytest.mark.parametrize("xs", [
+        [1.0, math.inf, 2.0],
+        [1e308, math.nan, 1e308],
+        [-math.inf, 1e-310, 3.0, -0.0],
+        [math.inf, 1.0, -math.inf],
+        [5e-324, math.nan, -math.inf, 1e300],
+        [1e308, 1e308, 1e308, -math.inf],
+    ])
+    def test_non_finite_beside_finite_in_one_chunk(self, xs):
+        # the infinities and nans decide the sum; the finite values beside them in the
+        # same chunk still pass through the bins and the top-of-range path
+        assert _outcome(_stream, [xs]) == _expected(xs)
+        assert _outcome(_stream, [xs * (xsum._CHUNK // len(xs) + 1)]) == _expected(
+            xs * (xsum._CHUNK // len(xs) + 1))
