@@ -12,6 +12,8 @@ finite product over prime powers:
 * ``composite_weighted_divisor`` -- the weighted divisor count of the minimal
   power, the arithmetic function whose mean value the rest of the package
   studies.
+* ``local_factor_times`` -- the exact power-series coefficients of the
+  studied function's local factor times a polynomial kernel.
 
 Values are exact ``Fraction``s whenever the weight k is an integer (their
 denominators divide k**omega(n)); for non-integer k a float is returned,
@@ -24,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
 from .errors import ConfigError
 from .primes import primes_up_to
@@ -37,6 +39,7 @@ __all__ = [
     "composite_weighted_divisor",
     "divisor_count",
     "factorize",
+    "local_factor_times",
     "max_omega",
     "minimal_power",
     "minpow_divisor_counts",
@@ -85,6 +88,14 @@ class PrimeFactorization:
         return len(self.factors)
 
 
+def _check_weight(k) -> None:
+    """Reject a divisor weight k that is below 1 or not finite."""
+    if not k >= 1:
+        raise ConfigError(f"k must be >= 1, got {k!r}")
+    if not math.isfinite(k):
+        raise ConfigError(f"k must be finite, got {k!r}")
+
+
 @dataclass(frozen=True)
 class ArithParams:
     """The (r, k) pair: power order r >= 2 and divisor weight k >= 1."""
@@ -95,10 +106,7 @@ class ArithParams:
     def __post_init__(self) -> None:
         if not isinstance(self.r, int) or self.r < 2:
             raise ConfigError(f"r must be an integer >= 2, got {self.r!r}")
-        if not self.k >= 1:
-            raise ConfigError(f"k must be >= 1, got {self.k!r}")
-        if not math.isfinite(self.k):
-            raise ConfigError(f"k must be finite, got {self.k!r}")
+        _check_weight(self.k)
 
     @property
     def exact(self) -> bool:
@@ -193,10 +201,20 @@ def minpow_divisor_counts(r: int, size: int) -> list[int]:
     return [-(-a // r) + 1 for a in range(size)]
 
 
+def local_factor_times(kernel: Sequence, r: int, k, size: int) -> list:
+    """Coefficients of z**0 .. z**(size - 1) in kernel(z) * k * F_p(z), exactly.
+
+    k * F_p(z) = k + sum_{a >= 1} (ceil(a/r) + 1) * z**a is the scaled local
+    factor at z = p**-s; ``kernel`` lists a polynomial's coefficients from
+    degree 0. An int or Fraction k and kernel give ints or Fractions.
+    """
+    series = [k, *minpow_divisor_counts(r, size)[1:]]
+    return [sum(c * series[a - j] for j, c in enumerate(kernel[: a + 1])) for a in range(size)]
+
+
 def weighted_divisor(f: PrimeFactorization, k: float) -> ExactValue:
     """d(n) / k**omega(n); exact Fraction for integer k, float otherwise."""
-    if not k >= 1:
-        raise ValueError(f"k must be >= 1, got {k!r}")
+    _check_weight(k)
     d = divisor_count(f)
     w = omega(f)
     if float(k).is_integer():

@@ -53,6 +53,7 @@ from .zeta import EULER_GAMMA, ZetaValue, zeta, zeta_prime
 __all__ = [
     "ConstantsBundle",
     "bundle",
+    "cofactor_numerator",
     "cofactor_value",
     "log_factor_derivative",
 ]
@@ -79,6 +80,15 @@ def _factor_term(p, s: float, params: ArithParams):
     r, k = params.r, float(params.k)
     with np.errstate(over="ignore"):
         return p ** (-(r - 1) * s) / (k * (p**s + 1.0))
+
+
+def cofactor_numerator(r: int, k) -> list:
+    """Coefficients of k*(1 + z) - z**r from degree 0, for r >= 2 and an int or Fraction k.
+
+    The numerator of the cofactor's local factor: 1 - x_p = that / (k*(1 + z))
+    at z = p**-s, for the x_p of ``_factor_term``.
+    """
+    return [k, k, *[0] * (r - 2), -1]
 
 
 def _log_factors(ps: np.ndarray, s: float, params: ArithParams) -> np.ndarray:

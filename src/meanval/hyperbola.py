@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import ArithParams, max_omega, minpow_divisor_counts
+from .arith import ArithParams, local_factor_times, max_omega
 from .errors import ResourceError
 from .primes import primes_up_to
 
@@ -62,15 +62,11 @@ _POWERFUL_RECIPROCALS = 2.0
 def h_numerators(r: int, k: int, size: int) -> list[int]:
     """k * h(p**a) for a = 0, 1, ..., size - 1, at the weight k = 1 or 2.
 
-    These are the coefficients of (1 - z)**(2/k) * k * F_p(z), whose power
-    series k + sum_{a >= 1} (ceil(a/r) + 1) * z**a has integer coefficients.
-    Entry 0 is k, so h(m) = prod_p numerator(a_p) / k**omega(m).
+    These are the coefficients of (1 - z)**(2/k) * k * F_p(z), formed by
+    ``arith.local_factor_times`` with the kernel (1 - z)**2 or (1 - z); all of
+    them are integers. Entry 0 is k, so h(m) = prod_p numerator(a_p) / k**omega(m).
     """
-    kernel = (1, -2, 1) if k == 1 else (1, -1)  # (1 - z)**2 or (1 - z)
-    series = [k, *minpow_divisor_counts(r, size)[1:]]
-    return [
-        sum(c * series[a - j] for j, c in enumerate(kernel) if j <= a) for a in range(size)
-    ]
+    return local_factor_times((1, -2, 1) if k == 1 else (1, -1), r, k, size)
 
 
 def _iroot(n: int, a: int) -> int:

@@ -2,10 +2,10 @@
 
 Each check produces a ``VerifyReport`` whose ``bound`` is a rigorous
 tolerance: the analytic truncation tail of whatever was cut off, plus an
-explicit allowance for double-precision evaluation. ``passed`` is defined as
-|lhs - rhs| <= bound, nothing else. Where an identity is known to be
-parameter-dependent the verifier does not take sides: it reports the observed
-gap on both routes and lets the reader decide (see
+explicit allowance for double-precision evaluation. ``passed`` is computed
+from the report's own numbers: |lhs - rhs| <= bound, nothing else. Where an
+identity is known to be parameter-dependent the verifier does not take sides:
+it reports the observed gap on both routes and lets the reader decide (see
 ``global_factorization_check``, which compares the truncated Dirichlet series
 against the truncated local product and, separately, against the closed-form
 factorization).
@@ -18,7 +18,9 @@ Verified identities:
 * the exact polynomial comparison of the two candidate local-factor
   numerators, P1 = k*(1-z)*(1-z^r) + z*(2-z^r) versus P2 = k*(1+z) - z^r
   (these agree identically only at k = 1 -- the report carries the
-  coefficient difference vector);
+  coefficient difference vector). P1 comes from ``arith.local_factor_times``,
+  which also gives ``hyperbola.h_numerators``, and P2 from the constants'
+  ``coeffs.cofactor_numerator``;
 * the Euler-product factorization: Dirichlet series == Euler product
   == zeta(s)**2 * closed-form cofactor.
 
@@ -45,12 +47,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from itertools import zip_longest
 
 import numpy as np
 
-from .arith import ArithParams, max_omega, minpow_divisor_counts
-from .coeffs import cofactor_value
+from .arith import ArithParams, local_factor_times, max_omega, minpow_divisor_counts
+from .coeffs import cofactor_numerator, cofactor_value
 from .errors import ConfigError
 from .primes import prime_blocks
 from .sieve import value_blocks
@@ -86,7 +88,6 @@ class VerifyReport:
     lhs: float
     rhs: float
     bound: float
-    passed: bool
     notes: str = ""
     details: dict = field(default_factory=dict)
 
@@ -94,18 +95,9 @@ class VerifyReport:
     def gap(self) -> float:
         return abs(self.lhs - self.rhs)
 
-def _report(identity: str, params: dict, lhs: float, rhs: float, bound: float,
-            notes: str = "", details: Optional[dict] = None) -> VerifyReport:
-    return VerifyReport(
-        identity=identity,
-        params=params,
-        lhs=lhs,
-        rhs=rhs,
-        bound=bound,
-        passed=abs(lhs - rhs) <= bound,
-        notes=notes,
-        details=details or {},
-    )
+    @property
+    def passed(self) -> bool:
+        return self.gap <= self.bound
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +143,7 @@ def power_series_check(r: int, z: float, terms: int = 200) -> VerifyReport:
     """Partial sum of (ceil(a/r)+1) z^a against the closed form."""
     rhs = power_series_closed_form(r, z)
     lhs, bound = _partial_sum(r, z, k=1.0, offset=0.0, rhs=rhs, terms=terms)
-    return _report(
+    return VerifyReport(
         "power_series_closed_form",
         {"r": r, "z": z, "terms": terms},
         lhs,
@@ -186,7 +178,7 @@ def local_factor_check(p: float, s: float, params: ArithParams, terms: int = 200
     rhs = local_factor(p, s, params)  # rejects s <= 0 before p**-s can overflow
     z = float(p) ** -s
     lhs, bound = _partial_sum(params.r, z, k=float(params.k), offset=1.0, rhs=rhs, terms=terms)
-    return _report(
+    return VerifyReport(
         "local_factor_series",
         {"r": params.r, "k": params.k, "p": p, "s": s, "terms": terms},
         lhs,
@@ -199,48 +191,26 @@ def local_factor_check(p: float, s: float, params: ArithParams, terms: int = 200
 # numerator polynomial comparison (exact arithmetic)
 
 
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_add(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    return [
-        (a[i] if i < len(a) else Fraction(0)) + (b[i] if i < len(b) else Fraction(0))
-        for i in range(n)
-    ]
-
-
 def numerator_identity_check(params: ArithParams) -> VerifyReport:
     """Exact coefficient comparison of the two candidate numerators.
 
-    P1 is the common-denominator numerator of the true local factor,
-    P2 the numerator implied by the closed-form factorization. The report
-    carries the per-degree difference vector; no tolerance is involved.
+    P1 is the true local factor's numerator over (1-z)(1-z^r): that kernel
+    times k * F_p(z), a polynomial of degree r+1. P2 is the numerator of the
+    cofactor's local factor. The report carries the per-degree difference
+    vector; no tolerance is involved.
     """
     r = params.r
     k = Fraction(params.k)  # exact for integer k and for any binary float
-    one_minus_z = [Fraction(1), Fraction(-1)]
-    one_minus_zr = [Fraction(1)] + [Fraction(0)] * (r - 1) + [Fraction(-1)]
-    # P1 = k*(1-z)*(1-z^r) + z*(2 - z^r)
-    p1 = [k * c for c in _poly_mul(one_minus_z, one_minus_zr)]
-    z_two_minus_zr = [Fraction(0), Fraction(2)] + [Fraction(0)] * (r - 1) + [Fraction(-1)]
-    p1 = _poly_add(p1, z_two_minus_zr)
-    # P2 = k*(1+z) - z^r
-    p2 = [k, k] + [Fraction(0)] * (r - 2) + [Fraction(-1)]
-    diff = _poly_add(p1, [-c for c in p2])
-    max_gap = max((abs(c) for c in diff), default=Fraction(0))
+    p1 = local_factor_times((1, -1, *[0] * (r - 2), -1, 1), r, k, r + 2)
+    p2 = cofactor_numerator(r, k)
+    diff = [a - b for a, b in zip_longest(p1, p2, fillvalue=0)]
+    max_gap = max(abs(c) for c in diff)
     details = {
         "direct_numerator": [str(c) for c in p1],
         "factored_numerator": [str(c) for c in p2],
         "coefficient_diff": [str(c) for c in diff],
     }
-    return _report(
+    return VerifyReport(
         "numerator_identity",
         {"r": r, "k": params.k},
         float(max_gap),
@@ -331,7 +301,7 @@ def global_factorization_check(s: float, params: ArithParams, limit: int, cutoff
         "closed_form_combined_bound": repr(bound_closed),
         "closed_form_within_bound": bool(abs(gap_closed) <= bound_closed),
     }
-    return _report(
+    return VerifyReport(
         "global_factorization",
         {"r": params.r, "k": params.k, "s": s, "N": limit, "P": cutoff},
         series,

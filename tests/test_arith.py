@@ -11,13 +11,14 @@ from meanval.arith import (
     composite_weighted_divisor,
     divisor_count,
     factorize,
+    local_factor_times,
     max_omega,
     minimal_power,
     omega,
     weighted_divisor,
 )
 
-from oracles import brute_minimal_power, count_divisors_scan, omega_scan, trial_factorize
+from oracles import brute_minimal_power, count_divisors_scan, expand_numerators, omega_scan, trial_factorize
 
 
 class TestFactorize:
@@ -153,6 +154,30 @@ class TestWeightedDivisor:
     def test_weight_below_one_rejected(self):
         with pytest.raises(ValueError):
             weighted_divisor(factorize(6), 0.5)
+
+    @pytest.mark.parametrize("k", [math.inf, math.nan])
+    def test_non_finite_weight_rejected(self, k):
+        # the same rule as ArithParams: inf would give d(n) / inf = 0.0
+        with pytest.raises(ValueError):
+            weighted_divisor(factorize(6), k)
+        with pytest.raises(ValueError):
+            ArithParams(2, k)
+
+
+class TestLocalFactorTimes:
+    @pytest.mark.parametrize("r", range(2, 7))
+    @pytest.mark.parametrize("k", [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7)])
+    def test_kernel_of_the_closed_form_leaves_the_direct_numerator(self, r, k):
+        # (1-z)(1-z^r) * (k + z(2-z^r)/((1-z)(1-z^r))) = k(1-z)(1-z^r) + z(2-z^r)
+        kernel = (1, -1, *[0] * (r - 2), -1, 1)
+        got = local_factor_times(kernel, r, k, r + 41)
+        p1, _ = expand_numerators(r, k)
+        assert got[: r + 2] == [p1.get(d, 0) for d in range(r + 2)]
+        assert got[r + 2 :] == [0] * 39
+
+    def test_unit_kernel_is_the_scaled_local_factor(self):
+        assert local_factor_times((1,), 3, 2, 8) == [2, 2, 2, 2, 3, 3, 3, 4]
+        assert local_factor_times((Fraction(1, 2),), 2, Fraction(3), 3) == [Fraction(3, 2), 1, 1]
 
 
 class TestCompositeValue:

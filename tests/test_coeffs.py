@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from meanval import cli
 from meanval import coeffs as coeffs_mod
 from meanval import primes as primes_mod
 from meanval.arith import ArithParams
-from meanval.coeffs import bundle, cofactor_value, log_factor_derivative
+from meanval.coeffs import bundle, cofactor_numerator, cofactor_value, log_factor_derivative
 from meanval.errors import ConfigError, ToleranceError
 from meanval.primes import primes_up_to
 from meanval.zeta import EULER_GAMMA, zeta
@@ -65,6 +66,20 @@ def cofactor_deriv(params, cutoff):
     """H'(1) and its tail bound, as ``bundle`` gives them."""
     b = bundle(params, cutoff)
     return b.cofactor_deriv, b.tail_bounds["H1_prime"]
+
+
+class TestCofactorNumerator:
+    @pytest.mark.parametrize("r, k", [(2, 1.0), (3, 2.0), (3, 1.5), (5, 1.3), (4, 3.0), (2, 7.0)])
+    def test_is_the_numerator_of_the_kernel(self, r, k):
+        # 1 - x_p = P2(z) / (k(1+z)) at z = p**-s, P2 summed exactly at the rounded z
+        params = ArithParams(r, k)
+        p2 = cofactor_numerator(r, Fraction(k))
+        for p in (2, 3, 5, 101):
+            for s in (1.0, 1.5, 2.0):
+                z = Fraction(float(p) ** -s)
+                want = float(sum(c * z**d for d, c in enumerate(p2)) / (Fraction(k) * (1 + z)))
+                got = 1.0 - coeffs_mod._factor_term(float(p), s, params)
+                assert abs(got - want) <= 4.0 * _EPS * want, (r, k, p, s, got, want)
 
 
 class TestLeadingCoefficient:

@@ -110,6 +110,15 @@ class TestLocalFactor:
         assert abs(excess - 2.0 * p**-2.0) < 10.0 * p**-3.0
 
 
+class TestVerifyReport:
+    def test_verdict_follows_the_numbers(self):
+        assert verify_mod.VerifyReport("x", {}, 1.0, 1.5, 0.5).passed
+        assert not verify_mod.VerifyReport("x", {}, 1.0, 1.5, 0.4).passed
+        assert not verify_mod.VerifyReport("x", {}, math.nan, 0.0, 1.0).passed
+        with pytest.raises(TypeError):
+            verify_mod.VerifyReport("x", {}, 1.0, 1.0, 0.0, passed=False)
+
+
 class TestNumeratorIdentity:
     def test_exact_match_at_weight_one(self):
         for r in range(2, 11):
