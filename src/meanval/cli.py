@@ -171,6 +171,17 @@ def _decimal(v) -> str:
     return repr(float(v))
 
 
+def _plain(v):
+    """Library data with numbers as text: a float as its repr, an int or Fraction as its str."""
+    if isinstance(v, dict):
+        return {str(key): _plain(item) for key, item in v.items()}
+    if isinstance(v, list):
+        return [_plain(item) for item in v]
+    if isinstance(v, (int, float, Fraction)) and not isinstance(v, bool):
+        return repr(float(v)) if isinstance(v, float) else str(v)
+    return v  # a bool, str or None as it is
+
+
 def render_constants(b: coeffs.ConstantsBundle, fmt: str) -> str:
     """The constants as a ``constants_bundle`` document ("json") or a text table."""
     if fmt == "table":
@@ -248,8 +259,8 @@ def render_verify(reports: Sequence[verify.VerifyReport], params: dict, fmt: str
                 f"{rep.identity:<28} {pstr:<38} {rep.gap:>12.3e} {rep.bound:>12.3e} {verdict:>8}"
             )
             if rep.identity == "global_factorization":
-                gap2 = float(rep.details["closed_form_gap"])
-                b2 = float(rep.details["closed_form_combined_bound"])
+                gap2 = rep.details["closed_form_gap"]
+                b2 = rep.details["closed_form_combined_bound"]
                 within = "PASS" if rep.details["closed_form_within_bound"] else "GAP"
                 lines.append(
                     f"{'  vs closed form':<28} {'':<38} {abs(gap2):>12.3e} {b2:>12.3e} {within:>8}"
@@ -268,7 +279,7 @@ def render_verify(reports: Sequence[verify.VerifyReport], params: dict, fmt: str
                 "bound": repr(rep.bound),
                 "pass": rep.passed,
                 "notes": rep.notes,
-                "details": rep.details,
+                "details": _plain(rep.details),
             }
             for rep in reports
         ],
@@ -298,7 +309,7 @@ def render_fit(report: fit.FitReport, fmt: str) -> str:
             "points_used": report.points_used,
         }
     if report.diagnostics is not None:
-        fields["diagnostics"] = report.diagnostics
+        fields["diagnostics"] = _plain(report.diagnostics)
     params = report.table.params
     return _document("fit_report", {"r": params.r, "k": params.k}, **fields)
 

@@ -7,8 +7,8 @@ coefficients come from the analytic cofactor
 
 through C = H(1) (using zeta(2) = pi^2/6) and K = H'(1) + (2*gamma - 1) * C.
 Products are truncated at a prime cutoff P and every returned value carries a
-rigorous tail bound: the dropped log-factors are dominated term by term by
-n**(-r*s)/k, which an integral comparison turns into an explicit remainder.
+rigorous tail bound: the dropped log-factors and prime-sum terms are at most
+multiples of n**(-r*s) and of ln(n)*n**(-r), whose sums past P are ``zeta.power_tails``.
 
 The logarithmic derivative of H needs, per prime, the s-derivative of
 ln(1 - 1/(k*(p**(r*s) + p**((r-1)*s)))) at s = 1.  With u = k*(p**r + p**(r-1))
@@ -48,7 +48,7 @@ from .arith import ArithParams, ExactValue
 from .errors import ConfigError, ToleranceError
 from .primes import prime_blocks
 from .xsum import ExactSum
-from .zeta import EULER_GAMMA, ZetaValue, zeta, zeta_prime
+from .zeta import EPS, EULER_GAMMA, ZetaValue, power_tails, zeta, zeta_prime
 
 __all__ = [
     "ConstantsBundle",
@@ -58,7 +58,6 @@ __all__ = [
     "log_factor_derivative",
 ]
 
-_EPS = 2.220446049250313e-16
 DEFAULT_PRIME_CUTOFF = 10**6
 
 _GATE_STEP = 1e-6
@@ -102,28 +101,23 @@ def _product_factors(s: float, params: ArithParams, log_prod: float, cutoff: int
 
     Tail: each dropped -ln(1 - x_p) with x_p = 1/(k*(p**(r*s)+p**((r-1)*s)))
     is at most x_p/(1 - x_P) <= n**(-r*s)/(k*(1 - x_P)) summed over n > P,
-    which the integral comparison bounds by P**(1-r*s)/((r*s-1)*k*(1-x_P)).
+    that is, I0 of ``power_tails`` at r*s over k*(1 - x_P).
     """
     if cutoff < 2:
         raise ConfigError(f"prime cutoff must be >= 2, got {cutoff}")
     r, k = params.r, float(params.k)
     x_at_cut = float(_factor_term(np.float64(cutoff), s, params))
-    rs = r * s
-    tail_log = cutoff ** (1.0 - rs) / ((rs - 1.0) * k * (1.0 - x_at_cut))
-    return log_prod, tail_log
+    return log_prod, power_tails(cutoff, r * s)[0] / (k * (1.0 - x_at_cut))
 
 
-def cofactor_value(
-    s: float,
-    params: ArithParams,
-    cutoff: int = DEFAULT_PRIME_CUTOFF,
-    zeta_tol: float = 1e-12,
-) -> tuple[float, float]:
+def cofactor_value(s: float, params: ArithParams,
+                   cutoff: int = DEFAULT_PRIME_CUTOFF) -> tuple[float, float]:
     """H(s) from the truncated product; returns (value, rigorous tail bound).
 
     Defined for s > 1/2, where r*s and 2*s stay inside the zeta evaluator's
-    range. The bound covers the dropped prime factors, both zeta radii, and
-    float round-off. The log-product is one walk over the prime blocks.
+    range. The bound covers the dropped prime factors, both zeta radii (at
+    zeta's default tol), and float round-off. The log-product is one walk
+    over the prime blocks.
     """
     if not s > 0.5:
         raise ConfigError(f"s={s} not in the analytic region s > 1/2")
@@ -131,7 +125,7 @@ def cofactor_value(
     for ps in _prime_float_blocks(cutoff):
         log_sum.add(_log_factors(ps, s, params))
     product = _product_factors(s, params, log_sum.value(), cutoff)
-    return _cofactor(product, zeta(params.r * s, tol=zeta_tol), zeta(2 * s, tol=zeta_tol))
+    return _cofactor(product, zeta(params.r * s), zeta(2 * s))
 
 
 def _cofactor(product: tuple[float, float], zr: ZetaValue, z2: ZetaValue) -> tuple[float, float]:
@@ -142,7 +136,7 @@ def _cofactor(product: tuple[float, float], zr: ZetaValue, z2: ZetaValue) -> tup
         math.expm1(tail_log)
         + zr.error_radius / abs(zr.value)
         + z2.error_radius / abs(z2.value)
-        + 64.0 * _EPS
+        + 64.0 * EPS
     )
     return value, abs(value) * rel
 
@@ -159,7 +153,7 @@ def leading_coefficient(
     """
     log_prod, tail_log = product
     value = 6.0 * zr.value / math.pi**2 * math.exp(log_prod)
-    rel = math.expm1(tail_log) + zr.error_radius / abs(zr.value) + 64.0 * _EPS
+    rel = math.expm1(tail_log) + zr.error_radius / abs(zr.value) + 64.0 * EPS
     tail = abs(value) * rel
     h, h_tail = h1
     if abs(h - value) > 1e-11 * abs(value) + h_tail + tail:
@@ -214,7 +208,7 @@ def cofactor_derivative_at_1(
     cutoff, which ``bundle`` forms after the gate has passed that kernel;
     ``h1`` is H(1) with its bound, and ``at_r`` and ``at_2`` are (zeta,
     zeta') at r and at 2. The prime sum's tail is bounded through
-    |g_p| <= r*ln(p)/(k*p**r - 1) and an integral comparison. Returns
+    |g_p| <= r*ln(p)/(k*p**r - 1) and I1 of ``power_tails`` at r. Returns
     (value, rigorous tail bound).
     """
     r, k = params.r, float(params.k)
@@ -225,18 +219,13 @@ def cofactor_derivative_at_1(
 
     # tail of the prime sum: sum_{n > P} r*ln(n)/(k*n**r - 1)
     shrink = 1.0 - float(cutoff) ** -r / k
-    gp_tail = (
-        r
-        / (k * shrink)
-        * cutoff ** (1.0 - r)
-        * (math.log(cutoff) / (r - 1.0) + 1.0 / (r - 1.0) ** 2)
-    )
+    gp_tail = r / (k * shrink) * power_tails(cutoff, r)[1]
 
     def _ratio_err(num: ZetaValue, den: ZetaValue) -> float:
         return num.error_radius / abs(den.value) + abs(num.value) * den.error_radius / den.value**2
 
     log_deriv_err = r * _ratio_err(zrp, zr) + 2.0 * _ratio_err(z2p, z2) + gp_tail
-    tail = abs(h1) * log_deriv_err + abs(log_deriv) * h1_tail + 64.0 * _EPS * abs(value)
+    tail = abs(h1) * log_deriv_err + abs(log_deriv) * h1_tail + 64.0 * EPS * abs(value)
     return value, tail
 
 
@@ -296,8 +285,8 @@ def bundle(
     )
     b = hp + 2.0 * EULER_GAMMA * c
     kx = b - c
-    b_tail = hp_tail + 2.0 * EULER_GAMMA * c_tail + 4.0 * _EPS * abs(b)
-    k_tail = b_tail + c_tail + 4.0 * _EPS * abs(kx)
+    b_tail = hp_tail + 2.0 * EULER_GAMMA * c_tail + 4.0 * EPS * abs(b)
+    k_tail = b_tail + c_tail + 4.0 * EPS * abs(kx)
     return ConstantsBundle(
         params=params,
         prime_cutoff=cutoff,

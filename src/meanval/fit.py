@@ -128,10 +128,10 @@ def fit_exponent(report: FitReport, x_min: int = DEFAULT_X_MIN) -> FitReport:
         diagnostics = {
             "note": "descriptive only, asserts nothing; closed-form constants "
             "are verified exact only at k = 1",
-            "S_over_x_ln_x": {str(x): repr(s / (x * lnx)) for x, s, lnx in usable},
+            "S_over_x_ln_x": {x: s / (x * lnx) for x, s, lnx in usable},
             "S_over_x_lnx_pow": {
-                "exponent": repr(expo),
-                "values": {str(x): repr(s / (x * lnx**expo)) for x, s, lnx in usable},
+                "exponent": expo,
+                "values": {x: s / (x * lnx**expo) for x, s, lnx in usable},
             },
         }
     return replace(

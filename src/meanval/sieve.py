@@ -83,14 +83,14 @@ SERIES_BLOCK = 1 << 16  # integers per value_blocks block: 256 KiB of int32, 512
 
 
 def _require_budget(need_bytes: float, what: str, detail: str) -> None:
-    """Raise ResourceError when need_bytes exceeds MEANVAL_MEM_LIMIT_MB."""
+    """Raise ResourceError when need_bytes exceeds MEANVAL_MEM_LIMIT_MB, a finite number >= 0."""
     env = os.environ.get(MEM_ENV_VAR, DEFAULT_MEM_LIMIT_MB)
     try:
         budget = float(env)
     except ValueError:
         budget = math.nan
-    if not math.isfinite(budget):  # nan would admit any size, and so would inf
-        raise ConfigError(f"{MEM_ENV_VAR}={env!r} is not a finite number")
+    if not 0 <= budget < math.inf:  # nan and inf would admit any size, a negative budget none
+        raise ConfigError(f"{MEM_ENV_VAR}={env!r} is not a finite number >= 0")
     need_mb = need_bytes / 2**20
     if need_mb > budget:
         raise ResourceError(

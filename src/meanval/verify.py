@@ -57,7 +57,7 @@ from .errors import ConfigError
 from .primes import prime_blocks
 from .sieve import value_blocks
 from .xsum import ExactSum
-from .zeta import zeta
+from .zeta import EPS, power_tails, zeta
 
 __all__ = [
     "VerifyReport",
@@ -73,7 +73,6 @@ __all__ = [
     "run_battery",
 ]
 
-_EPS = 2.220446049250313e-16
 BATTERY_Z = (0.1, 0.3, 0.5, 0.9)  # power-series arguments z in the battery
 BATTERY_PRIMES = (2, 3, 5, 101)  # primes whose local factor the battery checks
 BATTERY_SIZE = 10**5  # default series length and prime cutoff of the factorization check
@@ -130,7 +129,7 @@ def _partial_sum(r: int, z: float, k: float, offset: float, rhs: float,
         raise ConfigError(f"terms must be >= 1, got {terms}")
     c = minpow_divisor_counts(r, terms + 1)
     parts = [c[a] * z**a / k for a in range(1, terms + 1)]
-    fp = 4.0 * _EPS * (offset + math.fsum(abs(t) for t in parts) + abs(rhs))
+    fp = 4.0 * EPS * (offset + math.fsum(abs(t) for t in parts) + abs(rhs))
     # sum_{a > A} (a+1) |z|^a = |z|^(A+1) * ((A+2) - (A+1)|z|) / (1-|z|)^2,
     # and every coefficient ceil(a/r)+1 is at most a+1
     a = abs(z)
@@ -206,9 +205,9 @@ def numerator_identity_check(params: ArithParams) -> VerifyReport:
     diff = [a - b for a, b in zip_longest(p1, p2, fillvalue=0)]
     max_gap = max(abs(c) for c in diff)
     details = {
-        "direct_numerator": [str(c) for c in p1],
-        "factored_numerator": [str(c) for c in p2],
-        "coefficient_diff": [str(c) for c in diff],
+        "direct_numerator": p1,
+        "factored_numerator": p2,
+        "coefficient_diff": diff,
     }
     return VerifyReport(
         "numerator_identity",
@@ -229,8 +228,8 @@ def dirichlet_series_truncated(params: ArithParams, s: float, limit: int) -> tup
     """sum_{n <= N} value(n) * n**-s and a rigorous tail bound.
 
     The tail uses value(n) <= d(n) and sum_{n <= x} d(n) <= x*(ln x + 1),
-    which after partial summation gives
-    tail <= s * N**(1-s) * (ln N/(s-1) + 1/(s-1)**2 + 1/(s-1)).
+    which after partial summation gives tail <= s * (I0 + I1), with I0 and
+    I1 the integrals of ``power_tails`` at N and s.
     """
     if not s > 1.0:
         raise ConfigError(f"series tail bound needs s > 1, got {s}")
@@ -245,17 +244,15 @@ def dirichlet_series_truncated(params: ArithParams, s: float, limit: int) -> tup
         terms *= n_s
         acc.add(terms)
     value = acc.value()
-    ln_n = math.log(limit)
-    tail = s * limit ** (1.0 - s) * (ln_n / (s - 1.0) + (s - 1.0) ** -2 + 1.0 / (s - 1.0))
-    fp = 8.0 * _EPS * value
-    return value, tail + fp
+    fp = 8.0 * EPS * value
+    return value, s * sum(power_tails(limit, s)) + fp
 
 
 def euler_product_truncated(params: ArithParams, s: float, cutoff: int) -> tuple[float, float]:
     """prod_{p <= P} L_p(s) and a rigorous bound for the dropped factors.
 
-    ln L_p <= (2/k) * p**-s / ((1-2**-s)(1-2**(-r*s))), so the dropped
-    log-mass is at most c * P**(1-s)/(s-1) by integral comparison.
+    ln L_p <= (2/k) * p**-s / ((1-2**-s)(1-2**(-r*s))) = c * p**-s, so the
+    dropped log-mass is at most c times I0 of ``power_tails`` at P and s.
     """
     if not s > 1.0:
         raise ConfigError(f"product tail bound needs s > 1, got {s}")
@@ -265,8 +262,8 @@ def euler_product_truncated(params: ArithParams, s: float, cutoff: int) -> tuple
         log_sum.add(np.log1p(local_factor_excess(ps, s, params)))
     value = math.exp(log_sum.value())
     c = (2.0 / k) / ((1.0 - 2.0**-s) * (1.0 - 2.0 ** (-r * s)))
-    tail_log = c * cutoff ** (1.0 - s) / (s - 1.0)
-    fp = 16.0 * _EPS * abs(value)
+    tail_log = c * power_tails(cutoff, s)[0]
+    fp = 16.0 * EPS * abs(value)
     return value, abs(value) * math.expm1(tail_log) + fp
 
 
@@ -287,18 +284,18 @@ def global_factorization_check(s: float, params: ArithParams, limit: int, cutoff
     zs = zeta(s)
     h, h_tail = cofactor_value(s, params, cutoff)
     closed = zs.value**2 * h
-    closed_bound = closed * (2.0 * zs.error_radius / zs.value + h_tail / abs(h) + 8.0 * _EPS)
+    closed_bound = closed * (2.0 * zs.error_radius / zs.value + h_tail / abs(h) + 8.0 * EPS)
     gap_closed = series - closed
     bound_closed = series_tail + closed_bound
     details = {
-        "series": repr(series),
-        "series_tail": repr(series_tail),
-        "euler_product": repr(product),
-        "product_tail": repr(product_tail),
-        "closed_form": repr(closed),
-        "closed_form_bound": repr(closed_bound),
-        "closed_form_gap": repr(gap_closed),
-        "closed_form_combined_bound": repr(bound_closed),
+        "series": series,
+        "series_tail": series_tail,
+        "euler_product": product,
+        "product_tail": product_tail,
+        "closed_form": closed,
+        "closed_form_bound": closed_bound,
+        "closed_form_gap": gap_closed,
+        "closed_form_combined_bound": bound_closed,
         "closed_form_within_bound": bool(abs(gap_closed) <= bound_closed),
     }
     return VerifyReport(

@@ -11,9 +11,11 @@ bound for R (the integral form of the remainder, |periodic Bernoulli| <=
 |B_{2q}|) to an explicit allowance for float round-off, so it is a rigorous
 enclosure radius rather than a convergence heuristic. The derivative follows
 by differentiating every term, with the remainder integral bounded through
-the Leibniz expansion of d^m/dx^m [ln(x) * x^-s]. ``zeta`` and ``zeta_prime``
-share one evaluation loop, which validates s and tol and then grows N by
-fours until the radius meets tol.
+the Leibniz expansion of d^m/dx^m [ln(x) * x^-s]. The integral term and the
+remainder integrals of both are ``power_tails``, which also bounds every
+truncated sum in ``coeffs`` and ``verify``. ``zeta`` and ``zeta_prime`` share
+one evaluation loop, which validates s and tol and then grows N by fours
+until the radius meets tol.
 
 The Euler-Mascheroni constant and the Glaisher-Kinkelin constant are stored
 as 30+ digit literals; tests re-derive them from their defining limits. The
@@ -29,9 +31,11 @@ from dataclasses import dataclass
 from .errors import ConfigError, PrecisionError
 
 __all__ = [
+    "EPS",
     "EULER_GAMMA",
     "GLAISHER",
     "ZetaValue",
+    "power_tails",
     "zeta",
     "zeta_prime",
     "zeta_prime_2_closed_form",
@@ -40,8 +44,9 @@ __all__ = [
 EULER_GAMMA = 0.57721566490153286060651209008240243104
 GLAISHER = 1.28242712910062263687534256886979172777
 
-_EPS = 2.220446049250313e-16
+EPS = math.ulp(1.0)  # machine epsilon, the unit of every round-off allowance in the package
 _ORDER = 8  # Bernoulli terms B_2 .. B_16
+_Q2 = 2 * _ORDER  # the remainder's order of differentiation
 _B2J = (
     1.0 / 6.0,             # B_2
     -1.0 / 30.0,           # B_4
@@ -78,35 +83,21 @@ def _rising(s: float, m: int) -> float:
     return out
 
 
-def _tail_remainder_bound(s: float, cutoff: int) -> float:
-    # |R| <= |B_16|/16! * integral_N^inf |d^16/dx^16 x^-s| dx
-    q2 = 2 * _ORDER
-    return abs(_B2J[-1]) / _FACT2J[-1] * _rising(s, q2) * cutoff ** (1.0 - s - q2) / (s + q2 - 1)
+def power_tails(cutoff: int, sigma: float) -> tuple[float, float]:
+    """(I0, I1) = the integrals of t**-sigma * (ln t)**j over t >= P = cutoff, for sigma > 1.
 
-
-def _tail_remainder_bound_deriv(s: float, cutoff: int) -> float:
-    # Leibniz: |d^16/dx^16 [ln(x) x^-s]| <= x^-s-16 (rf(s,16) ln x + c16)
-    q2 = 2 * _ORDER
-    c = 0.0
-    for i in range(1, q2 + 1):
-        c += math.comb(q2, i) * math.factorial(i - 1) * _rising(s, q2 - i)
-    lnN = math.log(cutoff)
-    base = cutoff ** (1.0 - s - q2)
-    j_ln = base * (lnN / (s + q2 - 1) + 1.0 / (s + q2 - 1) ** 2)
-    j_1 = base / (s + q2 - 1)
-    return abs(_B2J[-1]) / _FACT2J[-1] * (_rising(s, q2) * j_ln + c * j_1)
-
-
-def _direct_terms(s: float, cutoff: int, with_log: bool) -> float:
-    if with_log:
-        return math.fsum(-math.log(n) * n**-s for n in range(2, cutoff))
-    return math.fsum(n**-s for n in range(1, cutoff))
+    Where the integrand decreases on [P, inf), as it does for j = 0 and for j = 1 once
+    sigma*ln P >= 1, I_j bounds sum_{n > P} n**-sigma * (ln n)**j: the one integral
+    comparison behind every bound on a cut-off sum in the package.
+    """
+    base, d = cutoff ** (1.0 - sigma), sigma - 1.0
+    return base / d, base * (math.log(cutoff) / d + 1.0 / d**2)
 
 
 def _eval_zeta(s: float, cutoff: int) -> tuple[float, float]:
     pieces = [
-        _direct_terms(s, cutoff, with_log=False),
-        cutoff ** (1.0 - s) / (s - 1.0),
+        math.fsum(n**-s for n in range(1, cutoff)),
+        power_tails(cutoff, s)[0],
         0.5 * cutoff**-s,
     ]
     for j in range(1, _ORDER + 1):
@@ -116,30 +107,33 @@ def _eval_zeta(s: float, cutoff: int) -> tuple[float, float]:
     value = math.fsum(pieces)
     # round-off: <= ~2 ulp per power evaluation across all contributions,
     # plus the exactly-rounded fsum; 8x covers it comfortably
-    fp = 8 * _EPS * math.fsum(abs(p) for p in pieces)
-    return value, _tail_remainder_bound(s, cutoff) + fp
+    fp = 8 * EPS * math.fsum(abs(p) for p in pieces)
+    # |R| <= |B_16|/16! * integral_N^inf |d^16/dx^16 x^-s| dx = |B_16|/16! * rf(s,16) * I0
+    remainder = abs(_B2J[-1]) / _FACT2J[-1] * _rising(s, _Q2) * power_tails(cutoff, s + _Q2)[0]
+    return value, remainder + fp
 
 
 def _eval_zeta_prime(s: float, cutoff: int) -> tuple[float, float]:
     lnN = math.log(cutoff)
     pieces = [
-        _direct_terms(s, cutoff, with_log=True),
-        -(cutoff ** (1.0 - s)) * (lnN / (s - 1.0) + 1.0 / (s - 1.0) ** 2),
+        math.fsum(-math.log(n) * n**-s for n in range(2, cutoff)),
+        -power_tails(cutoff, s)[1],
         -0.5 * lnN * cutoff**-s,
     ]
     for j in range(1, _ORDER + 1):
         rf = _rising(s, 2 * j - 1)
         dig = sum(1.0 / (s + i) for i in range(2 * j - 1))
         pieces.append(
-            _B2J[j - 1]
-            / _FACT2J[j - 1]
-            * cutoff ** (-s - 2 * j + 1)
-            * rf
-            * (dig - lnN)
+            _B2J[j - 1] / _FACT2J[j - 1] * cutoff ** (-s - 2 * j + 1) * rf * (dig - lnN)
         )
     value = math.fsum(pieces)
-    fp = 8 * _EPS * math.fsum(abs(p) for p in pieces)
-    return value, _tail_remainder_bound_deriv(s, cutoff) + fp
+    fp = 8 * EPS * math.fsum(abs(p) for p in pieces)
+    # Leibniz: |d^16/dx^16 [ln(x) x^-s]| <= x^-s-16 (rf(s,16) ln x + c16), integrated as I1 and I0
+    c16 = sum(math.comb(_Q2, i) * math.factorial(i - 1) * _rising(s, _Q2 - i)
+              for i in range(1, _Q2 + 1))
+    i0, i1 = power_tails(cutoff, s + _Q2)
+    remainder = abs(_B2J[-1]) / _FACT2J[-1] * (_rising(s, _Q2) * i1 + c16 * i0)
+    return value, remainder + fp
 
 
 def _evaluate(s: float, tol: float, min_s: float, kernel) -> ZetaValue:

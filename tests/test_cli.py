@@ -308,6 +308,13 @@ class TestSumCommand:
         assert res.returncode == 3
         assert "MEANVAL_MEM_LIMIT_MB" in res.stderr and "powerful" in res.stderr
 
+    @pytest.mark.parametrize("budget", ["-5", "nan", "inf"])
+    def test_invalid_memory_budget_is_a_configuration_error(self, budget):
+        res = run_cli("sum", "--r", "2", "--k", "1", "--N", "100",
+                      env_extra={"MEANVAL_MEM_LIMIT_MB": budget})
+        assert res.returncode == 2
+        assert "MEANVAL_MEM_LIMIT_MB" in res.stderr and "finite number >= 0" in res.stderr
+
     def test_int32_limit_exits_3_before_allocating(self, tmp_path):
         # verify's series blocks hold each n and its smooth part as int32
         code, err, peak_mib = run_cli_peak_rss(tmp_path, "verify", "--series-limit", "2147483647")

@@ -19,6 +19,17 @@ from oracles import partial_product_leading
 
 _EPS = 2.220446049250313e-16
 
+# C and K to 25 digits at (2, 1) and to 20 at (3, 1.5) and (3, 1): the primes
+# up to a split point summed directly at 45 digits, plus the rest of the
+# log-product and of the prime sum as sum_m b_m * P(m) and sum_m m*b_m * P'(m),
+# with b_m the Taylor coefficients of ln(1 - z**r/(k*(1 + z))) and P the prime
+# zeta function less its head; the split points 1000 and 3000 agree to 30 digits
+REFERENCE_CONSTANTS = {
+    (2, 1.0): ("0.70444220099916559273660", "0.63597299959778113230778"),
+    (3, 1.5): ("0.67246910492163147896", "0.67545468426129998284"),
+    (3, 1.0): ("0.64417767108602953341", "0.71668358021670581721"),
+}
+
 
 class TestCofactorValue:
     def test_r2_k1_at_1_matches_independent_product(self):
@@ -211,6 +222,18 @@ class TestBundle:
         assert float(obj["C"]) == b.leading
         assert float(obj["K"]) == b.x_coeff
         json.dumps(obj)
+
+
+class TestAgainstReferenceConstants:
+    @pytest.mark.parametrize("cutoff", [10**3, 10**4, 10**5, 10**6])
+    @pytest.mark.parametrize("r, k", list(REFERENCE_CONSTANTS))
+    def test_tail_bounds_hold_within_25x(self, r, k, cutoff):
+        b = bundle(ArithParams(r, k), cutoff)
+        c_ref, k_ref = REFERENCE_CONSTANTS[(r, k)]
+        for name, value, ref in (("C", b.leading, c_ref), ("K", b.x_coeff, k_ref)):
+            err = abs(Fraction(value) - Fraction(ref))
+            bound = Fraction(b.tail_bounds[name])
+            assert err <= bound <= 25 * err, (name, float(err), float(bound))
 
 
 class TestBundleSharing:

@@ -73,3 +73,18 @@ def test_only_the_cli_forms_documents():
         if isinstance(node, ast.Constant) and node.value == "schema_version"
     ]
     assert offenders == []
+
+
+def test_only_the_cli_writes_numbers_as_text():
+    # the library modules return data only: a float, int or Fraction becomes
+    # text in cli alone, so no other module calls repr() or str()
+    pkg = Path(meanval.__file__).parent
+    offenders = [
+        f"{path.name}:{node.lineno} {node.func.id}()"
+        for path in sorted(pkg.rglob("*.py"))
+        if path.name != "cli.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in ("repr", "str")
+    ]
+    assert offenders == []

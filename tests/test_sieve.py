@@ -66,8 +66,8 @@ class TestBuildSpf:
         monkeypatch.setenv(sieve_mod.MEM_ENV_VAR, "1")
         with pytest.raises(ResourceError):
             build_spf(10**8)
-        # a budget that is not a finite number is refused like a non-numeric one
-        for value in ("nan", "inf"):
+        # a budget that is not a finite number >= 0 is refused like a non-numeric one
+        for value in ("nan", "inf", "-1"):
             monkeypatch.setenv(sieve_mod.MEM_ENV_VAR, value)
             with pytest.raises(ConfigError):
                 build_spf(10**5)

@@ -124,7 +124,7 @@ class TestNumeratorIdentity:
         for r in range(2, 11):
             rep = numerator_identity_check(ArithParams(r, 1.0))
             assert rep.passed
-            assert all(c == "0" for c in rep.details["coefficient_diff"])
+            assert all(c == 0 for c in rep.details["coefficient_diff"])
 
     def test_weight_two_gap(self):
         rep = numerator_identity_check(ArithParams(2, 2.0))

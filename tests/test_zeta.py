@@ -9,6 +9,7 @@ from meanval.zeta import (
     GLAISHER,
     _eval_zeta,
     _eval_zeta_prime,
+    power_tails,
     zeta,
     zeta_prime,
     zeta_prime_2_closed_form,
@@ -114,6 +115,21 @@ class TestZetaPrime:
     def test_domain(self):
         with pytest.raises(ConfigError):
             zeta_prime(1.0)
+
+
+class TestPowerTails:
+    @pytest.mark.parametrize("sigma", [1.5, 2.0, 3.0, 18.0])
+    @pytest.mark.parametrize("cutoff", [2, 10, 1000])
+    def test_brackets_the_cut_off_sums_to_one_term(self, cutoff, sigma):
+        # the direct sum over P < n <= M plus the integral past M lies between
+        # the integrals past P + 1 and past P, for both powers of ln n
+        end = cutoff + 10**4
+        n = np.arange(cutoff + 1, end + 1, dtype=np.float64)
+        terms = n**-sigma
+        partial = (math.fsum(terms), math.fsum(terms * np.log(n)))
+        at_p, at_next, at_end = (power_tails(c, sigma) for c in (cutoff, cutoff + 1, end))
+        for j in (0, 1):
+            assert at_next[j] <= partial[j] + at_end[j] <= at_p[j], (j, cutoff, sigma)
 
 
 class TestStoredConstants:
