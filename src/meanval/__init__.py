@@ -2,9 +2,9 @@
 
 The studied arithmetic function assigns to n the divisor count of the least m
 with n | m**r, damped by k**omega(n). This package evaluates it exactly,
-tabulates it in bulk, computes the Euler-product constants of its asymptotic
-mean value C*x*ln(x) + K*x, verifies the generating-function identities
-behind that formula, and estimates the empirical error exponent.
+sums it exactly to large x, computes the Euler-product constants of its
+asymptotic mean value C*x*ln(x) + K*x, verifies the generating-function
+identities behind that formula, and estimates the empirical error exponent.
 """
 
 from .arith import (
@@ -28,15 +28,7 @@ from .errors import (
     ToleranceError,
 )
 from .fit import FitReport, fit_exponent, residuals
-from .sieve import (
-    SpfSieve,
-    SummatoryTable,
-    ValueTable,
-    build_spf,
-    geometric_checkpoints,
-    summatory,
-    tabulate,
-)
+from .sieve import SummatoryTable, geometric_checkpoints, summatory
 from .verify import (
     VerifyReport,
     global_factorization_check,

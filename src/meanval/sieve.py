@@ -19,15 +19,16 @@ What is left of n is then 1 or its one prime factor above sqrt(N). No array
 of length N is held.
 
 The whole per-n table is built independently, and serves the tests as the
-oracle for those blocks and for the sums:
+oracle for those blocks and for the sums; no command builds it, and
+``meanval`` does not export it:
 
-1. ``build_spf`` marks the smallest prime factor of every n <= N (int32) in
-   blocks of 2**18 entries; in each block every prime p <= sqrt(N) writes p
-   at its multiples, largest first, so the smallest prime dividing n wins.
+1. ``build_spf`` marks the smallest prime factor of every n <= N (int32):
+   each prime p <= sqrt(N), largest first, writes p at its multiples from
+   p**2, so the smallest prime dividing n wins.
 2. ``tabulate`` gets each n's divisor count, omega and exponent of spf(n)
-   from those of m = n / spf(n) < lo, in one pass over doubling blocks
-   [lo, 2*lo), a chunk of 2**20 entries at a time.
-3. Memory is 10 bytes per entry plus one chunk's scratch.
+   from those of m = n / spf(n) < lo, in one pass per doubling block
+   [lo, 2*lo).
+3. The memory gate charges BYTES_PER_ENTRY for each entry of the table.
 
 ``summatory`` does not sieve. It takes S(x) from one of two exact backends,
 which share one contract: ``prefix_sums(params, xs)`` returns the exact
@@ -58,27 +59,20 @@ from .errors import ConfigError, ResourceError
 from .primes import primes_up_to
 
 __all__ = [
-    "SpfSieve",
     "SummatoryRow",
     "SummatoryTable",
-    "ValueTable",
-    "build_spf",
     "geometric_checkpoints",
     "summatory",
-    "tabulate",
     "value_blocks",
 ]
 
 DEFAULT_MEM_LIMIT_MB = 4096
 MEM_ENV_VAR = "MEANVAL_MEM_LIMIT_MB"
 
-# resident tables, bytes per sieved integer: spf and counts (int32), exponent
-# and omega (int8)
-BYTES_PER_ENTRY = 10
-# scratch, bytes per entry of the 2**20 chunk that tabulate works on: about 21
-SCRATCH_BYTES_PER_ENTRY = 24
-SPF_BLOCK = 1 << 18  # entries per build_spf block: 1 MiB of int32, an L2's worth
-TAB_CHUNK = 1 << 20  # entries per tabulate work item
+# bytes per entry of tabulate(build_spf(N)): 10 resident (spf and counts int32,
+# exponent and omega int8) plus the last doubling block's scratch; tracemalloc
+# peaks are 17.3-18.6 for N from 1e5 to 1e7
+BYTES_PER_ENTRY = 24
 SERIES_BLOCK = 1 << 16  # integers per value_blocks block: 256 KiB of int32, 512 KiB per float64 term array
 
 
@@ -100,11 +94,7 @@ def _require_budget(need_bytes: float, what: str, detail: str) -> None:
 
 
 def _check_budget(limit: int) -> None:
-    _require_budget(
-        limit * BYTES_PER_ENTRY + min(limit, TAB_CHUNK) * SCRATCH_BYTES_PER_ENTRY,
-        f"sieve to {limit}",
-        f"{BYTES_PER_ENTRY} B/entry plus chunk scratch",
-    )
+    _require_budget(limit * BYTES_PER_ENTRY, f"sieve to {limit}", f"{BYTES_PER_ENTRY} B/entry")
 
 
 @dataclass(frozen=True)
@@ -118,8 +108,9 @@ class SpfSieve:
 def build_spf(limit: int) -> SpfSieve:
     """Sieve smallest prime factors for 2..limit.
 
-    Costs 4 bytes per entry (int32); exceeding the memory budget
-    (MEANVAL_MEM_LIMIT_MB, default 4096) raises ResourceError.
+    The int32 table takes 4 bytes per entry, but the gate charges
+    BYTES_PER_ENTRY, which covers ``tabulate`` on it too; exceeding the memory
+    budget (MEANVAL_MEM_LIMIT_MB, default 4096) raises ResourceError.
     """
     if limit < 2:
         raise ConfigError(f"sieve limit must be >= 2, got {limit}")
@@ -127,15 +118,10 @@ def build_spf(limit: int) -> SpfSieve:
         raise ResourceError(f"sieve limit {limit} exceeds the int32 layout")
     _check_budget(limit)
     spf = np.zeros(limit + 1, dtype=np.int32)
-    small = primes_up_to(math.isqrt(limit))[::-1].tolist()
-    for lo in range(0, limit + 1, SPF_BLOCK):
-        view = spf[lo : lo + SPF_BLOCK]
-        hi = lo + view.size
-        for p in small:
-            if p * p < hi:
-                view[max(p * p, -(-lo // p) * p) - lo :: p] = p
-        unmarked = np.flatnonzero(view == 0)  # primes, plus the slots 0 and 1
-        view[unmarked] = unmarked + lo
+    for p in primes_up_to(math.isqrt(limit))[::-1].tolist():
+        spf[p * p :: p] = p
+    unmarked = np.flatnonzero(spf == 0)  # primes, plus the slots 0 and 1
+    spf[unmarked] = unmarked
     return SpfSieve(limit=limit, spf=spf)
 
 
@@ -145,7 +131,7 @@ def _decompose(sieve: SpfSieve, params: ArithParams) -> tuple[np.ndarray, np.nda
     p divides m iff spf(m) == p, and then e = expo[m], else e = 0. So n has
     exponent e + 1 at p, counts[n] = counts[m] // c[e] * c[e + 1] with
     c[a] = ceil(a/r) + 1, and omegas[n] = omegas[m] + (e == 0). In a doubling
-    block [lo, 2*lo) every m < lo, so each chunk reads only finished entries.
+    block [lo, 2*lo) every m < lo, so each block reads only finished entries.
     """
     N, spf, r = sieve.limit, sieve.spf, params.r
     c = np.array(minpow_divisor_counts(r, 32), dtype=np.int32)
@@ -154,21 +140,16 @@ def _decompose(sieve: SpfSieve, params: ArithParams) -> tuple[np.ndarray, np.nda
     expo = np.empty(N + 1, dtype=np.int8)  # exponent of spf(n) in n
     counts[:2] = (0, 1)
     omegas[:2] = expo[:2] = 0
-
-    def chunk(a: int, b: int) -> None:  # its scratch is freed before the next chunk's
-        p = spf[a:b]
-        m = (np.arange(a, b, dtype=np.int32) // p).astype(np.intp)  # index once, gather four times
-        e = expo[m]
-        e *= spf[m] == p
-        counts[a:b] = counts[m] // c[e] * c[e + 1]
-        expo[a:b] = e + 1
-        np.add(omegas[m], e == 0, out=omegas[a:b])
-
     lo = 2
     while lo <= N:
         hi = min(2 * lo, N + 1)
-        for a in range(lo, hi, TAB_CHUNK):
-            chunk(a, min(a + TAB_CHUNK, hi))
+        p = spf[lo:hi]
+        m = (np.arange(lo, hi, dtype=np.int32) // p).astype(np.intp)  # index once, gather four times
+        e = expo[m]
+        e *= spf[m] == p
+        counts[lo:hi] = counts[m] // c[e] * c[e + 1]
+        expo[lo:hi] = e + 1
+        np.add(omegas[m], e == 0, out=omegas[lo:hi])
         lo = hi
     return counts, omegas
 

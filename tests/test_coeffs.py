@@ -10,10 +10,16 @@ from meanval import cli
 from meanval import coeffs as coeffs_mod
 from meanval import primes as primes_mod
 from meanval.arith import ArithParams
-from meanval.coeffs import bundle, cofactor_numerator, cofactor_value, log_factor_derivative
+from meanval.coeffs import (
+    bundle,
+    cofactor_derivative_at_1,
+    cofactor_numerator,
+    cofactor_value,
+    log_factor_derivative,
+)
 from meanval.errors import ConfigError, ToleranceError
 from meanval.primes import primes_up_to
-from meanval.zeta import EULER_GAMMA, zeta
+from meanval.zeta import EULER_GAMMA, ZetaValue, zeta
 
 from oracles import partial_product_leading
 
@@ -185,6 +191,24 @@ class TestCofactorDerivative:
         v1, t1 = cofactor_deriv(params, 10**5)
         v2, _ = cofactor_deriv(params, 2 * 10**5)
         assert abs(v1 - v2) <= t1
+
+    @pytest.mark.parametrize(
+        "r, k, cutoff", [(2, 1.0, 10**3), (2, 1.0, 10**4), (3, 1.5, 10**3), (4, 3.0, 100)]
+    )
+    def test_prime_sum_tail_covers_the_direct_sum(self, r, k, cutoff):
+        # with exact zeta values and H(1) = 1 the tail is the prime sum's tail
+        # bound plus the round-off term; the bound covers every n > P, so it
+        # is at least the direct sum of r*ln(n)/(k*n**r - 1) over P < n <= 1000*P
+        exact = ZetaValue(value=1.0, error_radius=0.0, s=2.0)
+        value, tail = cofactor_derivative_at_1(
+            ArithParams(r, k), 0.0, cutoff, (1.0, 0.0), (exact, exact), (exact, exact)
+        )
+        bound = tail - 64.0 * _EPS * abs(value)
+        direct = 0.0
+        for lo in range(cutoff + 1, 1000 * cutoff + 1, 10**6):
+            n = np.arange(lo, min(lo + 10**6, 1000 * cutoff + 1), dtype=np.float64)
+            direct += float(np.sum(r * np.log(n) / (k * n**r - 1.0)))
+        assert direct <= bound
 
 
 class TestBundle:

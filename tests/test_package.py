@@ -75,6 +75,28 @@ def test_only_the_cli_forms_documents():
     assert offenders == []
 
 
+def test_only_the_sieve_names_the_reference_table():
+    # the per-n table is the tests' oracle: no command builds it and the
+    # package does not export it, so no module but sieve imports, calls or
+    # reads it
+    table = {"build_spf", "_decompose", "tabulate", "SpfSieve", "ValueTable"}
+    pkg = Path(meanval.__file__).parent
+    offenders = [
+        f"{path.name}:{node.lineno} {name}"
+        for path in sorted(pkg.rglob("*.py"))
+        if path.name != "sieve.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for name in (
+            [node.id] if isinstance(node, ast.Name)
+            else [node.attr] if isinstance(node, ast.Attribute)
+            else [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+            else []
+        )
+        if name in table
+    ]
+    assert offenders == []
+
+
 def test_only_the_cli_writes_numbers_as_text():
     # the library modules return data only: a float, int or Fraction becomes
     # text in cli alone, so no other module calls repr() or str()

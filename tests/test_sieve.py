@@ -13,7 +13,6 @@ from meanval.arith import ArithParams, composite_weighted_divisor, factorize
 from meanval.errors import ConfigError, ResourceError
 from meanval import sieve as sieve_mod
 from meanval.sieve import (
-    SPF_BLOCK,
     _check_budget,
     build_spf,
     geometric_checkpoints,
@@ -56,10 +55,8 @@ class TestBuildSpf:
         with pytest.raises(ConfigError):
             build_spf(1)
 
-    @pytest.mark.parametrize(
-        "limit", [2, 3, 4, SPF_BLOCK - 1, SPF_BLOCK, SPF_BLOCK + 1, 3 * SPF_BLOCK + 7]
-    )
-    def test_matches_naive_sieve_across_block_edges(self, limit):
+    @pytest.mark.parametrize("limit", [2, 3, 4, 2**18 - 1, 2**18, 2**18 + 1, 3 * 2**18 + 7])
+    def test_matches_naive_sieve(self, limit):
         assert np.array_equal(build_spf(limit).spf, smallest_prime_factors(limit))
 
     def test_memory_budget_enforced(self, monkeypatch):
