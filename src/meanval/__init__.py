@@ -23,7 +23,6 @@ from .errors import (
     ConfigError,
     InsufficientDataError,
     MeanvalError,
-    PrecisionError,
     ResourceError,
     ToleranceError,
 )

@@ -16,7 +16,7 @@ files and the text tables. Each returns text ending in one newline, which
 
 stdout carries data only; progress notes go to stderr. Exit codes are a
 stable contract: 0 success, 2 invalid configuration, 3 resource budget
-exceeded, 4 internal tolerance failure.
+exceeded, 4 failed rigor gate.
 """
 
 from __future__ import annotations
@@ -129,8 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--threads", type=_positive_int, default=1, help=threads_help)
     p_fit.add_argument("--x-min", type=_positive_int, default=fit.DEFAULT_X_MIN)
     p_fit.add_argument("--format", choices=("json", "csv"), default="json")
-    for p in (p_const, p_sum, p_fit):  # verify runs the zeta evaluators at their own default
-        p.add_argument("--tol", type=float, default=1e-12, help="zeta evaluation tolerance")
     return parser
 
 
@@ -316,7 +314,7 @@ def render_fit(report: fit.FitReport, fmt: str) -> str:
 
 def _cmd_constants(args) -> int:
     params = ArithParams(r=args.r, k=args.k)
-    b = coeffs.bundle(params, args.prime_cutoff, zeta_tol=args.tol)
+    b = coeffs.bundle(params, args.prime_cutoff)
     _emit(render_constants(b, args.format), args.out)
     return EXIT_OK
 
@@ -326,7 +324,7 @@ def _cmd_sum(args) -> int:
     grid = parse_grid(args.grid, args.N)
     bundle = None
     if args.with_main:
-        bundle = coeffs.bundle(params, args.prime_cutoff, zeta_tol=args.tol)
+        bundle = coeffs.bundle(params, args.prime_cutoff)
     _note_threads(args.threads)
     if args.N >= 10**6:
         _progress(f"summing to N={args.N}")
@@ -354,7 +352,7 @@ def _cmd_fit(args) -> int:
     params = ArithParams(r=args.r, k=args.k)
     grid = parse_grid(args.grid, args.N)
     _progress(f"constants at prime cutoff {args.prime_cutoff}")
-    b = coeffs.bundle(params, args.prime_cutoff, zeta_tol=args.tol)
+    b = coeffs.bundle(params, args.prime_cutoff)
     _note_threads(args.threads)
     _progress(f"summatory table to N={args.N}")
     table = sieve.summatory(params, args.N, grid=grid)

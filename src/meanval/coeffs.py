@@ -48,7 +48,7 @@ from .arith import ArithParams, ExactValue
 from .errors import ConfigError, ToleranceError
 from .primes import prime_blocks
 from .xsum import ExactSum
-from .zeta import EPS, EULER_GAMMA, ZetaValue, power_tails, zeta, zeta_prime
+from .zeta import EPS, EULER_GAMMA, ZetaValue, expm1_or_inf, power_tails, zeta, zeta_prime
 
 __all__ = [
     "ConstantsBundle",
@@ -115,9 +115,9 @@ def cofactor_value(s: float, params: ArithParams,
     """H(s) from the truncated product; returns (value, rigorous tail bound).
 
     Defined for s > 1/2, where r*s and 2*s stay inside the zeta evaluator's
-    range. The bound covers the dropped prime factors, both zeta radii (at
-    zeta's default tol), and float round-off. The log-product is one walk
-    over the prime blocks.
+    range. The bound covers the dropped prime factors, both zeta radii and
+    float round-off, and is inf where the tail's log is past exp's range.
+    The log-product is one walk over the prime blocks.
     """
     if not s > 0.5:
         raise ConfigError(f"s={s} not in the analytic region s > 1/2")
@@ -133,7 +133,7 @@ def _cofactor(product: tuple[float, float], zr: ZetaValue, z2: ZetaValue) -> tup
     log_prod, tail_log = product
     value = zr.value / z2.value * math.exp(log_prod)
     rel = (
-        math.expm1(tail_log)
+        expm1_or_inf(tail_log)
         + zr.error_radius / abs(zr.value)
         + z2.error_radius / abs(z2.value)
         + 64.0 * EPS
@@ -260,7 +260,7 @@ class ConstantsBundle:
         return float(Fraction(s) - Fraction(main))
 
 def bundle(
-    params: ArithParams, cutoff: int = DEFAULT_PRIME_CUTOFF, zeta_tol: float = 1e-12
+    params: ArithParams, cutoff: int = DEFAULT_PRIME_CUTOFF
 ) -> ConstantsBundle:
     """Assemble all main-term constants at one prime cutoff, in one pass at s = 1.
 
@@ -276,8 +276,8 @@ def bundle(
         log_sum.add(_log_factors(ps, 1.0, params))
         deriv_sum.add(log_factor_derivative(ps, params))
     product = _product_factors(1.0, params, log_sum.value(), cutoff)
-    zr, z2 = zeta(r, tol=zeta_tol), zeta(2.0, tol=zeta_tol)
-    zrp, z2p = zeta_prime(r, tol=zeta_tol), zeta_prime(2.0, tol=zeta_tol)
+    zr, z2 = zeta(r), zeta(2.0)
+    zrp, z2p = zeta_prime(r), zeta_prime(2.0)
     h1 = _cofactor(product, zr, z2)
     c, c_tail = leading_coefficient(product, zr, h1)
     hp, hp_tail = cofactor_derivative_at_1(

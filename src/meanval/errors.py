@@ -1,8 +1,8 @@
 """Exception hierarchy shared by the library and the command line front end.
 
 The CLI maps these onto its stable exit codes: configuration problems exit
-with 2, resource-budget violations with 3, and internal tolerance failures
-(a numerical routine that cannot meet its own rigor requirements) with 4.
+with 2, resource-budget violations with 3, and a failed rigor gate (an
+internal check, such as the per-prime derivative gate, that rejects a result) with 4.
 """
 
 
@@ -24,7 +24,3 @@ class ResourceError(MeanvalError):
 
 class ToleranceError(MeanvalError):
     """An internal rigor check failed (exit code 4)."""
-
-
-class PrecisionError(ToleranceError):
-    """A requested tolerance is unachievable at the working precision."""

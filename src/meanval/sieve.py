@@ -46,6 +46,7 @@ round-off bound is half an ulp of the result. ``summatory`` returns S only;
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -349,12 +350,15 @@ def summatory(
     """
     if limit < 1:
         raise ConfigError(f"N must be >= 1, got {limit}")
-    checkpoints = list(grid) if grid is not None else geometric_checkpoints(limit)
+    points = geometric_checkpoints(limit) if grid is None else grid
+    try:
+        checkpoints = sorted({operator.index(x) for x in points})
+    except TypeError as exc:
+        raise ConfigError(f"grid points must be integers: {exc}") from exc
     if not checkpoints:
         raise ConfigError("checkpoint grid is empty")
-    if any((not 1 <= x <= limit) for x in checkpoints):
+    if not 1 <= checkpoints[0] <= checkpoints[-1] <= limit:
         raise ConfigError(f"grid points must lie in [1, {limit}]")
-    checkpoints = sorted(set(checkpoints))
 
     backend = hyperbola if params.k in (1.0, 2.0) else classtotals
     _require_budget(

@@ -57,7 +57,7 @@ from .errors import ConfigError
 from .primes import prime_blocks
 from .sieve import value_blocks
 from .xsum import ExactSum
-from .zeta import EPS, power_tails, zeta
+from .zeta import EPS, expm1_or_inf, power_tails, zeta
 
 __all__ = [
     "VerifyReport",
@@ -264,7 +264,7 @@ def euler_product_truncated(params: ArithParams, s: float, cutoff: int) -> tuple
     c = (2.0 / k) / ((1.0 - 2.0**-s) * (1.0 - 2.0 ** (-r * s)))
     tail_log = c * power_tails(cutoff, s)[0]
     fp = 16.0 * EPS * abs(value)
-    return value, abs(value) * math.expm1(tail_log) + fp
+    return value, abs(value) * expm1_or_inf(tail_log) + fp
 
 
 def global_factorization_check(s: float, params: ArithParams, limit: int, cutoff: int) -> VerifyReport:

@@ -184,11 +184,6 @@ class TestConstantsCommand:
         assert res.returncode == 0
         assert "x ln x coefficient" in res.stdout
 
-    def test_non_finite_tolerance_rejected(self):
-        res = run_cli("constants", "--r", "2", "--k", "1", "--prime-cutoff", "1000", "--tol", "inf")
-        assert res.returncode == 2
-        assert "tol must be positive and finite" in res.stderr
-
     @pytest.mark.parametrize("command", [["constants", "--prime-cutoff", "10000"],
                                          ["sum", "--N", "1000", "--with-main", "--format", "csv"]])
     def test_huge_r_does_not_overflow(self, command):
@@ -216,15 +211,24 @@ class TestConstantsCommand:
         reports = json.loads(res.stdout)["reports"]
         assert reports and all(rep["pass"] for rep in reports)
 
-    def test_unreachable_tolerance_exits_4(self):
-        res = run_cli("constants", "--r", "2", "--k", "1",
-                      "--prime-cutoff", "1000", "--tol", "1e-30")
-        assert res.returncode == 4
-        assert "tolerance" in res.stderr.lower()
-        # verify takes no tolerance: its battery runs zeta at the default one
-        res = run_cli("verify", "--tol", "1e-30")
-        assert res.returncode == 2
-        assert "unrecognized arguments: --tol" in res.stderr
+    def test_failed_rigor_gate_exits_4(self, monkeypatch, capsys):
+        # a per-prime derivative off by 1% fails the finite-difference gate
+        from meanval import coeffs
+
+        closed_form = coeffs.log_factor_derivative
+        monkeypatch.setattr(coeffs, "log_factor_derivative",
+                            lambda ps, params: 1.01 * closed_form(ps, params))
+        assert cli.main(["constants", "--prime-cutoff", "1000"]) == 4
+        assert "tolerance failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["constants"], ["sum", "--N", "10"], ["verify"],
+                                     ["fit", "--N", "10"]])
+def test_tol_option_rejected(command):
+    # zeta has no tolerance to set: every command rejects --tol as an unknown option
+    res = run_cli(*command, "--tol", "1e-12")
+    assert res.returncode == 2
+    assert "unrecognized arguments: --tol" in res.stderr
 
 
 class TestSumCommand:

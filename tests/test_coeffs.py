@@ -64,6 +64,12 @@ class TestCofactorValue:
         value, tail = cofactor_value(0.75, ArithParams(2, 1.0), 10**4)
         assert math.isfinite(value) and value > 0 and tail > 0
 
+    def test_tail_past_exp_range_is_inf(self):
+        # near s = 1/2 the tail's log bound at r*s ~ 1 is ~2e3, past exp's range
+        value, tail = cofactor_value(0.5 + 2**-12, ArithParams(2, 1.0), 1000)
+        assert value == pytest.approx(0.174759, rel=1e-4)
+        assert tail == math.inf
+
     def test_all_factors_in_unit_interval(self):
         # the truncated product never exceeds the zeta prefactor
         for r, k in ((2, 1.0), (3, 2.0)):

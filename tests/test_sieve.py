@@ -270,6 +270,17 @@ class TestSummatory:
         with pytest.raises(ConfigError):
             summatory(ArithParams(2, 1.0), 0)
 
+    @pytest.mark.parametrize("k", [1.0, 1.5, 2.0])
+    def test_array_grid_equals_list_grid(self, k):
+        params = ArithParams(2, k)
+        table = summatory(params, 10**6, grid=np.array([10**5, 10**6]))
+        assert table == summatory(params, 10**6, grid=[10**5, 10**6])
+        assert all(type(row.x) is int for row in table.rows)
+
+    def test_float_grid_point_rejected(self):
+        with pytest.raises(ConfigError, match="grid points must be integers"):
+            summatory(ArithParams(2, 1.0), 10**6, grid=[1e5])
+
     def test_custom_grid_prefix_sums(self):
         t = summatory(ArithParams(2, 1.0), 20, grid=[1, 5, 10, 20])
         by_x = {row.x: row.value for row in t.rows}

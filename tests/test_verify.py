@@ -173,6 +173,12 @@ class TestGlobalFactorization:
             direct *= local_factor(int(p), s, params)
         assert value == pytest.approx(direct, rel=1e-12)
 
+    def test_product_tail_past_exp_range_is_inf(self):
+        # near s = 1 the tail's log bound is ~2e3, past exp's range: the bound is inf, not an error
+        value, tail = euler_product_truncated(ArithParams(2, 1.0), 1.001, 1000)
+        assert value == pytest.approx(106.196, rel=1e-4)
+        assert tail == math.inf
+
     def test_product_runs_the_checked_local_factor(self, monkeypatch):
         # the product forms its factors through local_factor_excess, the
         # function local_factor_check validates, over each prime block (one here)

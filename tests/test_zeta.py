@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from meanval.errors import ConfigError, PrecisionError
+from meanval.errors import ConfigError
 from meanval.zeta import (
+    _SPLIT,
     EULER_GAMMA,
     GLAISHER,
     _eval_zeta,
@@ -42,7 +43,7 @@ class TestZeta:
     def test_large_argument(self):
         z = zeta(80.0)
         assert z.value == pytest.approx(1.0 + 2.0**-80, abs=1e-15)
-        # where rf(s, 16) overflows, both evaluators stay finite and inside tol
+        # where rf(s, 16) overflows, both evaluators stay finite with a radius <= 1e-12
         for s in (1e20, 1e300):
             for z in (zeta(s), zeta_prime(s)):
                 assert math.isfinite(z.value) and 0 <= z.error_radius <= 1e-12
@@ -50,34 +51,36 @@ class TestZeta:
             assert abs(zeta_prime(s).value) <= 1e-300
 
     def test_radius_contains_truth(self):
-        # pi^2/6 must lie inside every returned enclosure
-        for tol in (1e-6, 1e-10, 1e-13):
-            z = zeta(2.0, tol=tol)
-            assert abs(z.value - math.pi**2 / 6) <= z.error_radius <= tol
+        # pi^2/6 must lie inside the returned enclosure, whose radius is the round-off floor
+        z = zeta(2.0)
+        assert abs(z.value - math.pi**2 / 6) <= z.error_radius <= 1e-13
 
     def test_near_one_laurent_expansion(self):
         # zeta(1 + d) = 1/d + gamma + O(d); the pole is 1/(s - 1) for the
         # represented s (1 + 1e-6 itself is not a binary float)
-        z = zeta(1.0 + 1e-6, tol=1e-8)
+        z = zeta(1.0 + 1e-6)
         pole = 1.0 / (z.s - 1.0)
         assert abs((z.value - pole) - EULER_GAMMA) < 1e-5
 
     def test_near_one_laurent_expansion_dyadic(self):
         # with d = 2**-20 the offset is exactly representable, so the pole
         # subtraction is exact
-        z = zeta(1.0 + 2.0**-20, tol=1e-8)
+        z = zeta(1.0 + 2.0**-20)
         assert abs((z.value - 2.0**20) - EULER_GAMMA) < 1e-5
 
-    def test_domain_and_precision_errors(self):
+    def test_lowest_supported_argument(self):
+        # at s = 1 + 1e-8 the value is ~1e8, and its round-off radius ~2e-7
+        z = zeta(1.0 + 1e-8)
+        assert abs((z.value - 1.0 / (z.s - 1.0)) - EULER_GAMMA) < 1e-5
+        assert 0 < z.error_radius < 1e-5
+
+    def test_domain_errors(self):
         with pytest.raises(ConfigError):
             zeta(1.0)
         with pytest.raises(ConfigError):
             zeta(0.99)
-        with pytest.raises(PrecisionError):
-            zeta(1.0 + 1e-8, tol=1e-13)
-        for tol in (0.0, math.inf, math.nan):
-            with pytest.raises(ConfigError):
-                zeta(2.0, tol=tol)
+        with pytest.raises(ConfigError):
+            zeta(math.nan)
 
     def test_split_point_consistency(self):
         # moving the Euler-Maclaurin split must stay inside the joint enclosure
@@ -115,6 +118,16 @@ class TestZetaPrime:
     def test_domain(self):
         with pytest.raises(ConfigError):
             zeta_prime(1.0)
+
+
+@pytest.mark.parametrize("kernel, min_s", [(_eval_zeta, 1.0 + 1e-8), (_eval_zeta_prime, 1.0 + 1e-6)])
+def test_split_point_radius_is_the_floor(kernel, min_s):
+    # the one split point loses nothing: no larger split shrinks the radius by 0.1%
+    grid = [min_s, 1.0 + 1e-4, 1.01] + np.geomspace(1.1, 2048.0, 40).tolist()
+    for s in grid:
+        at_split = kernel(s, _SPLIT)[1]
+        for cutoff in (64, 256, 1024):
+            assert abs(at_split - kernel(s, cutoff)[1]) <= 1e-3 * at_split, (s, cutoff)
 
 
 class TestPowerTails:
