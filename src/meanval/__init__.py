@@ -36,6 +36,6 @@ from .verify import (
     numerator_identity_check,
     run_battery,
 )
-from .zeta import EULER_GAMMA, GLAISHER, ZetaValue, zeta, zeta_prime
+from .zeta import EULER_GAMMA, ZetaValue, zeta, zeta_prime
 
 __version__ = "0.1.0"

@@ -8,7 +8,6 @@ sum over primes never holds them all; ``primes_up_to`` joins its blocks.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from math import isqrt
 from typing import Iterator
 
@@ -32,15 +31,16 @@ def prime_blocks(limit: int) -> Iterator[np.ndarray]:
     13 crossed off, doubled up to the block's length; the block that holds
     one of those primes' own slot puts it back. Then the larger primes p with
     p*p at most the block's top cross it off, from p*p or the block's first
-    odd multiple of p on, all of those offsets formed at once; those primes
-    come from this sieve run to sqrt(limit). The first block also carries 2.
+    odd multiple of p on, whichever is later, all of those offsets formed at
+    once; those primes come from this sieve run to sqrt(limit). The first
+    block also carries 2.
     """
     if limit < 2:
         return
     slots = (limit + 1) // 2
     small = (3, 5, 7, 11, 13)  # crossed off by a wheel of 15015 slots, 30030 numbers
     base = primes_up_to(isqrt(limit))[len(small) + 1 :]  # the odd primes above them
-    starts = (base * base // 2).tolist()  # the slot of p * p
+    starts = base * base // 2  # the slot of p * p
     halves = base // 2  # the odd multiples of p sit at the slots = p // 2 (mod p)
     period = math.prod(small)
     wheel = np.ones(2 * period, dtype=bool)  # slot i mod period, twice over, so any rotation is one slice
@@ -57,12 +57,11 @@ def prime_blocks(limit: int) -> Iterator[np.ndarray]:
         for p in small:  # the wheel crossed off its own primes
             if lo <= p // 2 < lo + view.size:
                 view[p // 2 - lo] = True
-        # the primes whose square lies before this block start at their first multiple in it,
-        # those whose square lies in it at the square
-        old, new = bisect_left(starts, lo), bisect_left(starts, lo + view.size)
-        for p, at in zip(base[:old].tolist(), ((halves[:old] - lo) % base[:old]).tolist()):
+        # the primes whose square lies before this block's end start at the square or at their
+        # first odd multiple in the block, whichever is later
+        live = np.searchsorted(starts, lo + view.size)
+        ats = np.maximum(starts[:live] - lo, (halves[:live] - lo) % base[:live])
+        for p, at in zip(base[:live].tolist(), ats.tolist()):
             view[at::p] = False
-        for p, start in zip(base[old:new].tolist(), starts[old:new]):
-            view[start - lo :: p] = False
         found = 2 * (np.flatnonzero(view) + lo) + 1
         yield np.concatenate(([2], found[1:])) if lo == 0 else found

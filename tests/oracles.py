@@ -120,6 +120,20 @@ def primes_by_trial_division(limit: int) -> np.ndarray:
     return left
 
 
+EULER_GAMMA = 0.57721566490153286060651209008240243104
+GLAISHER = 1.28242712910062263687534256886979172777
+
+
+def zeta_prime_2_closed_form() -> float:
+    """zeta'(2) via the Glaisher-Kinkelin constant.
+
+    zeta'(2) = (pi**2 / 6) * (gamma + ln(2*pi) - 12*ln(lambda)).
+    """
+    return (math.pi**2 / 6.0) * (
+        EULER_GAMMA + math.log(2.0 * math.pi) - 12.0 * math.log(GLAISHER)
+    )
+
+
 def accelerated_gamma(m: int = 10**5) -> float:
     """Euler-Mascheroni via the harmonic limit with series acceleration."""
     h = math.fsum(1.0 / j for j in range(1, m + 1))

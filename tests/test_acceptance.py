@@ -25,9 +25,14 @@ from meanval.verify import (
     power_series_check,
     numerator_identity_check,
 )
-from meanval.zeta import zeta_prime, zeta_prime_2_closed_form
+from meanval.zeta import zeta_prime
 
-from oracles import brute_minimal_power_sweep, enumerated_sum, partial_product_leading
+from oracles import (
+    brute_minimal_power_sweep,
+    enumerated_sum,
+    partial_product_leading,
+    zeta_prime_2_closed_form,
+)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 

@@ -4,17 +4,9 @@ import numpy as np
 import pytest
 
 from meanval.errors import ConfigError
-from meanval.zeta import (
-    _SPLIT,
-    EULER_GAMMA,
-    GLAISHER,
-    _eval_zeta,
-    _eval_zeta_prime,
-    power_tails,
-    zeta,
-    zeta_prime,
-    zeta_prime_2_closed_form,
-)
+from meanval.zeta import _SPLIT, EULER_GAMMA, _euler_maclaurin, power_tails, zeta, zeta_prime
+
+from oracles import GLAISHER, zeta_prime_2_closed_form
 
 # frozen from direct summation of 1e7 terms plus the integral tail bound
 # (re-derived below in test_zeta_4_against_direct_summation)
@@ -85,8 +77,8 @@ class TestZeta:
     def test_split_point_consistency(self):
         # moving the Euler-Maclaurin split must stay inside the joint enclosure
         for s in (1.5, 2.0, 3.0, 6.0):
-            a, a_radius = _eval_zeta(s, 64)
-            b, b_radius = _eval_zeta(s, 32)
+            a, a_radius = _euler_maclaurin(s, 64)[0]
+            b, b_radius = _euler_maclaurin(s, 32)[0]
             assert abs(a - b) <= a_radius + b_radius
 
 
@@ -111,8 +103,8 @@ class TestZetaPrime:
 
     def test_split_point_consistency(self):
         for s in (2.0, 4.0):
-            a, a_radius = _eval_zeta_prime(s, 64)
-            b, b_radius = _eval_zeta_prime(s, 128)
+            a, a_radius = _euler_maclaurin(s, 64)[1]
+            b, b_radius = _euler_maclaurin(s, 128)[1]
             assert abs(a - b) <= a_radius + b_radius
 
     def test_domain(self):
@@ -120,14 +112,44 @@ class TestZetaPrime:
             zeta_prime(1.0)
 
 
-@pytest.mark.parametrize("kernel, min_s", [(_eval_zeta, 1.0 + 1e-8), (_eval_zeta_prime, 1.0 + 1e-6)])
-def test_split_point_radius_is_the_floor(kernel, min_s):
+@pytest.mark.parametrize("column, min_s", [(0, 1.0 + 1e-8), (1, 1.0 + 1e-6)])
+def test_split_point_radius_is_the_floor(column, min_s):
     # the one split point loses nothing: no larger split shrinks the radius by 0.1%
     grid = [min_s, 1.0 + 1e-4, 1.01] + np.geomspace(1.1, 2048.0, 40).tolist()
     for s in grid:
-        at_split = kernel(s, _SPLIT)[1]
+        at_split = _euler_maclaurin(s, _SPLIT)[column][1]
         for cutoff in (64, 256, 1024):
-            assert abs(at_split - kernel(s, cutoff)[1]) <= 1e-3 * at_split, (s, cutoff)
+            at_cutoff = _euler_maclaurin(s, cutoff)[column][1]
+            assert abs(at_split - at_cutoff) <= 1e-3 * at_split, (s, cutoff)
+
+
+# float.hex of (value, error_radius), frozen: a drift of one ulp in either fails.
+# zeta' is pinned at its own lowest argument, as 1 + 2**-20 lies below its range
+PINNED = [
+    ("zeta", 1.0 + 1e-8, "0x1.7d78404bd66e1p+26", "0x1.7d78404bd6a7ep-23"),
+    ("zeta", 1.0 + 2.0**-20, "0x1.0000093c4690ep+20", "0x1.0000093c55045p-29"),
+    ("zeta", 1.5, "0x1.4e6250bfbd89dp+1", "0x1.4e62d0f62fc98p-48"),
+    ("zeta", 2.0, "0x1.a51a6625307d3p+0", "0x1.a51b4a2935925p-49"),
+    ("zeta", 3.0, "0x1.33ba004f00621p+0", "0x1.33ba790abc6aap-49"),
+    ("zeta", 4.5, "0x1.0e014fb990e65p+0", "0x1.0e0168fad1a5cp-49"),
+    ("zeta", 40.0, "0x1.0000000001000p+0", "0x1.0000000001000p-49"),
+    ("zeta", 2048.0, "0x1.0000000000000p+0", "0x1.0000000000000p-49"),
+    ("zeta", 1e300, "0x1.0000000000000p+0", "0x1.0000000000000p-49"),
+    ("zeta_prime", 1.0 + 1e-6, "-0x1.d1a94a2148ebbp+39", "0x1.d1a94a2148ebcp-10"),
+    ("zeta_prime", 1.5, "-0x1.f753a1b8262bbp+1", "0x1.f7566ea734918p-48"),
+    ("zeta_prime", 2.0, "-0x1.e00653256ab8ap-1", "0x1.e00faf3b03028p-50"),
+    ("zeta_prime", 3.0, "-0x1.95c3362d62a34p-3", "0x1.95d5650471311p-52"),
+    ("zeta_prime", 4.5, "-0x1.667635f901b1dp-5", "0x1.668432497f62bp-54"),
+    ("zeta_prime", 40.0, "-0x1.62e433451c8b5p-41", "0x1.62e433451c8b5p-90"),
+    ("zeta_prime", 2048.0, "0x0.0p+0", "0x0.0p+0"),
+    ("zeta_prime", 1e300, "0x0.0p+0", "0x0.0p+0"),
+]
+
+
+@pytest.mark.parametrize("name, s, value, radius", PINNED)
+def test_bit_pinned_values(name, s, value, radius):
+    z = {"zeta": zeta, "zeta_prime": zeta_prime}[name](s)
+    assert (z.value.hex(), z.error_radius.hex()) == (value, radius)
 
 
 class TestPowerTails:
