@@ -92,12 +92,22 @@ def class_totals(r: int, xs: Sequence[int]) -> np.ndarray:
     top = int(values[-1])
     primes = primes_up_to(math.isqrt(top)).tolist()
 
+    small = math.isqrt(top)  # values[j] == j + 1 for j < small
+    upper = values[small:]
+
     def at(v):
-        return np.searchsorted(values, v)
+        """The first index i with values[i] >= v, for a v >= 1 or an ascending array of them.
+
+        Below sqrt(top) that is v - 1; only the part above is searched.
+        """
+        if np.ndim(v) == 0:
+            return v - 1 if v <= small else small + int(np.searchsorted(upper, v))
+        cut = int(np.searchsorted(v, small, side="right"))
+        return np.concatenate((v[:cut] - 1, small + np.searchsorted(upper, v[cut:])))
 
     pi = values - 1
     for p in primes:
-        lo = int(at(p * p))
+        lo = at(p * p)
         pi[lo:] -= pi[at(values[lo:] // p)] - pi[p - 2]  # values[p - 2] == p - 1
 
     w_max = max(max_omega(top), 1)
@@ -109,13 +119,13 @@ def class_totals(r: int, xs: Sequence[int]) -> np.ndarray:
         two_pi_p = int(table[0, p - 1])  # values[p - 1] == p, not updated before p's step
         # from the top down, in blocks [a, hi) whose reads v // p**e all fall
         # below a: so a block reads the table as it was before p's step
-        lo, hi = int(at(p * p)), values.size
+        lo, hi = at(p * p), values.size
         while hi > lo:
             v_hi = int(values[hi - 1])
-            a = max(lo, int(at(v_hi // p + 1)))
+            a = max(lo, at(v_hi // p + 1))
             e, pe = 1, p
             while pe * p <= v_hi:
-                start = max(a, int(at(pe * p)))
+                start = max(a, at(pe * p))
                 # an m <= v_hi // pe with least prime factor above p has
                 # omega(m) <= w, the largest w with (p + 1)**w <= v_hi // pe;
                 # p**e * m is one class up
@@ -131,7 +141,7 @@ def class_totals(r: int, xs: Sequence[int]) -> np.ndarray:
             hi = a
     totals = np.zeros((len(xs), w_max + 1), dtype=np.int64)
     totals[:, 0] = 1  # n = 1
-    totals[:, 1:] = table[:, at(xs)].T
+    totals[:, 1:] = table[:, [at(x) for x in xs]].T
     return totals
 
 

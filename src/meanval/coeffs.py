@@ -26,7 +26,9 @@ The sums over primes (the log-product and the prime sum) are correctly
 rounded, through ``xsum.ExactSum``, so their round-off is one rounding each.
 They take the primes one block of ``prime_blocks`` at a time, and the exact
 sum does not depend on the blocks, so no array of all pi(P) primes is held;
-``bundle`` and ``cofactor_value`` each make one such walk.
+``bundle`` and ``cofactor_value`` each make one such walk. For the same
+reason a long walk is split into interleaved parts, one per CPU, whose sums
+merge into the serial walk's bits (``xsum.split_sums``).
 
 ``bundle`` forms every s = 1 quantity once: one walk over the prime blocks
 feeds both prime sums, and the product, zeta and zeta' at r and at 2, and
@@ -40,14 +42,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 import numpy as np
 
 from .arith import ArithParams, ExactValue
 from .errors import ConfigError, ToleranceError
 from .primes import prime_blocks
-from .xsum import ExactSum
+from .xsum import ExactSum, split_sums
 from .zeta import EPS, EULER_GAMMA, ZetaValue, expm1_or_inf, power_tails, zeta, zeta_prime
 
 __all__ = [
@@ -65,9 +66,22 @@ _GATE_TOL = 1e-8
 _GATE_PRIMES = (2, 3, 5, 101)
 
 
-def _prime_float_blocks(cutoff: int) -> Iterator[np.ndarray]:
-    """The primes <= cutoff as float64, one block of ``prime_blocks`` at a time."""
-    return (block.astype(np.float64) for block in prime_blocks(cutoff))
+def _prime_sums(cutoff: int, *terms) -> tuple[ExactSum, ...]:
+    """For each function in ``terms``, the exact sum of its values over the primes <= cutoff.
+
+    Each term takes an array of primes as float64. One walk over the blocks
+    of ``prime_blocks`` feeds every sum, split over processes by
+    ``xsum.split_sums``, which does not change a bit of them.
+    """
+    def walk(part: int, parts: int) -> tuple[ExactSum, ...]:
+        sums = tuple(ExactSum() for _ in terms)
+        for block in prime_blocks(cutoff, part, parts):
+            ps = block.astype(np.float64)
+            for acc, term in zip(sums, terms):
+                acc.add(term(ps))
+        return sums
+
+    return split_sums(walk, cutoff // 2)
 
 
 def _factor_term(p, s: float, params: ArithParams):
@@ -117,13 +131,12 @@ def cofactor_value(s: float, params: ArithParams,
     Defined for s > 1/2, where r*s and 2*s stay inside the zeta evaluator's
     range. The bound covers the dropped prime factors, both zeta radii and
     float round-off, and is inf where the tail's log is past exp's range.
-    The log-product is one walk over the prime blocks.
+    The log-product is one walk over the prime blocks, split over processes
+    past 2 * ``xsum.MIN_PART`` odd slots with the same bits as one.
     """
     if not s > 0.5:
         raise ConfigError(f"s={s} not in the analytic region s > 1/2")
-    log_sum = ExactSum()
-    for ps in _prime_float_blocks(cutoff):
-        log_sum.add(_log_factors(ps, s, params))
+    (log_sum,) = _prime_sums(cutoff, lambda ps: _log_factors(ps, s, params))
     product = _product_factors(s, params, log_sum.value(), cutoff)
     return _cofactor(product, zeta(params.r * s), zeta(2 * s))
 
@@ -265,16 +278,17 @@ def bundle(
     """Assemble all main-term constants at one prime cutoff, in one pass at s = 1.
 
     One walk over the prime blocks feeds the s = 1 log-product and the prime
-    sum; the product, zeta and zeta' at r and at 2, and H(1) are each formed
-    once here; ``leading_coefficient`` and ``cofactor_derivative_at_1`` take
-    them as inputs.
+    sum; past 2 * ``xsum.MIN_PART`` odd slots it is split over processes,
+    which leaves every bit of both sums as it is. The product, zeta and zeta'
+    at r and at 2, and H(1) are each formed once here;
+    ``leading_coefficient`` and ``cofactor_derivative_at_1`` take them as
+    inputs.
     """
     r = float(params.r)
     _gate_log_factor_derivative(params)
-    log_sum, deriv_sum = ExactSum(), ExactSum()
-    for ps in _prime_float_blocks(cutoff):
-        log_sum.add(_log_factors(ps, 1.0, params))
-        deriv_sum.add(log_factor_derivative(ps, params))
+    log_sum, deriv_sum = _prime_sums(
+        cutoff, lambda ps: _log_factors(ps, 1.0, params), lambda ps: log_factor_derivative(ps, params)
+    )
     product = _product_factors(1.0, params, log_sum.value(), cutoff)
     zr, z2 = zeta(r), zeta(2.0)
     zrp, z2p = zeta_prime(r), zeta_prime(2.0)

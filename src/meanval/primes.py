@@ -2,7 +2,9 @@
 
 ``prime_blocks`` is a cache-blocked segmented sieve of Eratosthenes over the
 odd numbers only, started from a pre-sieved wheel, which hands out the primes of one block at a time, so a
-sum over primes never holds them all; ``primes_up_to`` joins its blocks.
+sum over primes never holds them all; ``primes_up_to`` joins its blocks. Each
+block is sieved on its own, so a walk can be split into interleaved parts,
+one per process (``xsum.split_sums``).
 """
 
 from __future__ import annotations
@@ -23,8 +25,13 @@ def primes_up_to(limit: int) -> np.ndarray:
     return np.concatenate([np.empty(0, dtype=np.int64), *prime_blocks(limit)])
 
 
-def prime_blocks(limit: int) -> Iterator[np.ndarray]:
+def prime_blocks(limit: int, part: int = 0, parts: int = 1) -> Iterator[np.ndarray]:
     """The primes <= limit, ascending, as one int64 array per sieve block.
+
+    Only the blocks part, part + parts, part + 2*parts, ... are sieved and
+    yielded, each equal to the serial walk's block of that index; so the
+    ``parts`` interleaved walks share the blocks out evenly and together hold
+    each prime once. The default is the whole walk.
 
     Slot i stands for 2*i + 1. Each block of PRIME_BLOCK slots starts as a
     copy of a wheel, the slots mod 15015 with the multiples of 3, 5, 7, 11 and
@@ -46,7 +53,7 @@ def prime_blocks(limit: int) -> Iterator[np.ndarray]:
     wheel = np.ones(2 * period, dtype=bool)  # slot i mod period, twice over, so any rotation is one slice
     for p in small:
         wheel[p // 2 :: p] = False
-    for lo in range(0, slots, PRIME_BLOCK):
+    for lo in range(part * PRIME_BLOCK, slots, parts * PRIME_BLOCK):
         view = np.empty(min(PRIME_BLOCK, slots - lo), dtype=bool)
         done = min(period, view.size)
         view[:done] = wheel[lo % period : lo % period + done]

@@ -187,8 +187,14 @@ def tabulate(sieve: SpfSieve, params: ArithParams) -> ValueTable:
     return ValueTable(params=params, limit=sieve.limit, counts=counts, omegas=omegas)
 
 
-def value_blocks(params: ArithParams, limit: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+def value_blocks(params: ArithParams, limit: int, part: int = 0,
+                 parts: int = 1) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """(lo, counts, omegas) for n in [lo, lo + len(counts)), block by block over 1..limit.
+
+    Only the blocks part, part + parts, part + 2*parts, ... are formed, each
+    equal to the serial walk's block of that index, so ``parts`` interleaved
+    walks share the series out evenly (``xsum.split_sums``). The default is
+    the whole walk.
 
     Equal to the slices of ``tabulate``'s table, without it: in each block of
     SERIES_BLOCK integers every prime p <= sqrt(limit) adds 1 to omega at its
@@ -266,7 +272,7 @@ def value_blocks(params: ArithParams, limit: int) -> Iterator[tuple[int, np.ndar
     # the block's integers: one array for the whole walk, cut to the last block and advanced
     # in place, which also keeps the allocator from returning and refaulting a block's pages
     n = np.arange(1, 1 + min(SERIES_BLOCK, limit), dtype=np.int32)
-    for lo in range(1, limit + 1, SERIES_BLOCK):
+    for lo in range(1 + part * SERIES_BLOCK, limit + 1, parts * SERIES_BLOCK):
         n = n[: limit + 1 - lo]
         n += lo - int(n[0])
         omegas = block_omegas(lo, n)

@@ -39,7 +39,9 @@ The truncated series and the log of the truncated product are summed with
 round-off allowance needs one rounding for the sum on top of those of the
 terms. The series is formed and summed one block of ``sieve.value_blocks`` at
 a time, and each product one block of ``primes.prime_blocks`` at a time, so
-their memory grows with neither the series length nor the prime cutoff.
+their memory grows with neither the series length nor the prime cutoff. A
+long walk is split into interleaved parts over processes
+(``xsum.split_sums``); the exact sums merge into the serial walk's bits.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from .coeffs import cofactor_numerator, cofactor_value
 from .errors import ConfigError
 from .primes import prime_blocks
 from .sieve import value_blocks
-from .xsum import ExactSum
+from .xsum import ExactSum, split_sums
 from .zeta import EPS, expm1_or_inf, power_tails, zeta
 
 __all__ = [
@@ -229,21 +231,27 @@ def dirichlet_series_truncated(params: ArithParams, s: float, limit: int) -> tup
 
     The tail uses value(n) <= d(n) and sum_{n <= x} d(n) <= x*(ln x + 1),
     which after partial summation gives tail <= s * (I0 + I1), with I0 and
-    I1 the integrals of ``power_tails`` at N and s.
+    I1 the integrals of ``power_tails`` at N and s. Past 2 * ``xsum.MIN_PART``
+    integers the blocks of ``value_blocks`` are split over processes, and the
+    sum keeps the bits of one walk.
     """
     if not s > 1.0:
         raise ConfigError(f"series tail bound needs s > 1, got {s}")
     k_pows = np.power(float(params.k), -np.arange(max_omega(limit) + 1.0))
-    acc = ExactSum()
-    for lo, counts, omegas in value_blocks(params, limit):
-        # (counts * k**-omega) * n**-s, formed in two float64 arrays
-        terms = k_pows[omegas]
-        terms *= counts
-        n_s = np.arange(lo, lo + counts.size, dtype=np.float64)
-        n_s **= -s
-        terms *= n_s
-        acc.add(terms)
-    value = acc.value()
+
+    def walk(part: int, parts: int) -> tuple[ExactSum]:
+        acc = ExactSum()
+        for lo, counts, omegas in value_blocks(params, limit, part, parts):
+            # (counts * k**-omega) * n**-s, formed in two float64 arrays
+            terms = k_pows[omegas]
+            terms *= counts
+            n_s = np.arange(lo, lo + counts.size, dtype=np.float64)
+            n_s **= -s
+            terms *= n_s
+            acc.add(terms)
+        return (acc,)
+
+    value = split_sums(walk, limit)[0].value()
     fp = 8.0 * EPS * value
     return value, s * sum(power_tails(limit, s)) + fp
 
@@ -253,14 +261,20 @@ def euler_product_truncated(params: ArithParams, s: float, cutoff: int) -> tuple
 
     ln L_p <= (2/k) * p**-s / ((1-2**-s)(1-2**(-r*s))) = c * p**-s, so the
     dropped log-mass is at most c times I0 of ``power_tails`` at P and s.
+    Past 2 * ``xsum.MIN_PART`` odd slots the walk over ``prime_blocks`` is
+    split over processes, and the log-sum keeps the bits of one walk.
     """
     if not s > 1.0:
         raise ConfigError(f"product tail bound needs s > 1, got {s}")
     r, k = params.r, float(params.k)
-    log_sum = ExactSum()
-    for ps in prime_blocks(cutoff):
-        log_sum.add(np.log1p(local_factor_excess(ps, s, params)))
-    value = math.exp(log_sum.value())
+
+    def walk(part: int, parts: int) -> tuple[ExactSum]:
+        log_sum = ExactSum()
+        for ps in prime_blocks(cutoff, part, parts):
+            log_sum.add(np.log1p(local_factor_excess(ps, s, params)))
+        return (log_sum,)
+
+    value = math.exp(split_sums(walk, cutoff // 2)[0].value())
     c = (2.0 / k) / ((1.0 - 2.0**-s) * (1.0 - 2.0 ** (-r * s)))
     tail_log = c * power_tails(cutoff, s)[0]
     fp = 16.0 * EPS * abs(value)

@@ -69,3 +69,14 @@ class TestPrimeBlocks:
         monkeypatch.setattr(primes_mod, "PRIME_BLOCK", 8)
         for lo, block in zip(range(0, 10**3, 16), prime_blocks(10**3)):
             assert block.tolist() == [p for p in primes_list(10**3) if lo <= p < lo + 16]
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    @pytest.mark.parametrize("limit", [0, 1, 2, 3, 30030, 2**19 + 5, 10**6])
+    def test_parts_interleave_to_the_serial_blocks(self, limit, parts):
+        # part j holds the serial blocks j, j + parts, j + 2 * parts, ...
+        serial = list(prime_blocks(limit))
+        walks = [list(prime_blocks(limit, part, parts)) for part in range(parts)]
+        assert [len(w) for w in walks] == [len(serial[part::parts]) for part in range(parts)]
+        for part, walk in enumerate(walks):
+            for got, want in zip(walk, serial[part::parts]):
+                assert got.dtype == np.int64 and np.array_equal(got, want)

@@ -120,6 +120,24 @@ class TestValueBlocks:
             assert np.array_equal(np.concatenate([c for _, c, _ in blocks]), table.counts[1:])
             assert np.array_equal(np.concatenate([o for _, _, o in blocks]), table.omegas[1:])
 
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    @pytest.mark.parametrize("limit", [1, 999, 1000, 5007, 30030 + 11])
+    def test_parts_equal_the_table(self, monkeypatch, limit, parts):
+        # part j holds the serial blocks j, j + parts, ...; with blocks of 1000, five
+        # limits give 1 to 31 blocks, so some parts get none and the last block is short
+        monkeypatch.setattr(sieve_mod, "SERIES_BLOCK", 1000)
+        params = ArithParams(3, 1.5)
+        table = tabulate(build_spf(max(limit, 2)), params)
+        seen = []
+        for part in range(parts):
+            for lo, counts, omegas in value_blocks(params, limit, part, parts):
+                assert (lo - 1) // 1000 % parts == part and (lo - 1) % 1000 == 0
+                assert counts.size == min(1000, limit + 1 - lo)
+                assert np.array_equal(counts, table.counts[lo : lo + counts.size])
+                assert np.array_equal(omegas, table.omegas[lo : lo + counts.size])
+                seen.append(lo)
+        assert sorted(seen) == list(range(1, limit + 1, 1000))
+
     def test_limits_refused(self):
         with pytest.raises(ConfigError):
             next(value_blocks(ArithParams(2, 1.0), 0))

@@ -254,9 +254,9 @@ class TestGlobalFactorization:
         walks, sieved = [], []
 
         def walked(name):
-            def spy(limit):
+            def spy(limit, part, parts):
                 walks.append((name, limit))
-                return primes_mod.prime_blocks(limit)
+                return primes_mod.prime_blocks(limit, part, parts)
             return spy
 
         def counted(limit):

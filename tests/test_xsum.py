@@ -100,6 +100,18 @@ class TestExactSum:
         flat = [x for chunk in chunks for x in chunk]
         assert _outcome(_stream, chunks) == _outcome(math.fsum, flat)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.one_of(finite, special), max_size=20), max_size=6),
+           st.lists(st.integers(0, 2), max_size=6))
+    def test_merged_sums_equal_one_sum(self, chunks, owners):
+        # chunks shared out over three sums, then merged: the one stream's outcome
+        sums = [ExactSum() for _ in range(3)]
+        for chunk, owner in zip(chunks, owners + [0] * len(chunks)):
+            sums[owner].add(np.array(chunk, dtype=np.float64))
+        for other in sums[1:]:
+            sums[0].merge(other)
+        assert _outcome(lambda _: sums[0].value(), None) == _outcome(_stream, chunks)
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.lists(moderate, max_size=12), min_size=1, max_size=8))
     def test_forced_fold_keeps_bins_below_limit(self, chunks):
