@@ -15,8 +15,9 @@ files and the text tables. Each returns text ending in one newline, which
 ``_emit`` writes unchanged, so ``--out`` holds exactly what stdout would.
 
 stdout carries data only; progress notes go to stderr. Exit codes are a
-stable contract: 0 success, 2 invalid configuration, 3 resource budget
-exceeded, 4 failed rigor gate.
+stable contract: 0 success, 2 invalid configuration (an ``--out`` that
+cannot be written included), 3 resource budget exceeded, 4 failed rigor
+gate.
 """
 
 from __future__ import annotations
@@ -135,9 +136,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fp:
             fp.write(text)
+    except OSError as exc:  # a missing directory, a directory, no permission, a full disk
+        raise ConfigError(f"cannot write {out}: {exc.strerror}") from exc
 
 
 def _progress(msg: str) -> None:

@@ -130,9 +130,12 @@ def split_sums(work, size: int) -> tuple[ExactSum, ...]:
     every worker is reaped, and killed first if it is still running.
 
     Workers are forked, not spawned: a spawned one would import numpy and
-    this package afresh, which takes longer than a part of any walk here. A
-    fork copies only the calling thread, and a worker calls no BLAS routine,
-    so it never waits on the threads OpenBLAS keeps in this process.
+    this package afresh, which takes longer than a part of any walk here. The
+    CLI starts OpenBLAS with one thread (``meanval.__main__``), so there a
+    fork copies a process that has no other thread. A program that loaded
+    NumPy with its default threading may still hold OpenBLAS's idle pool
+    threads; a fork copies only the calling thread, and a worker calls no
+    BLAS routine, so it never waits on them.
     """
     parts = _part_count(size)
     workers = []  # (pid, read end of its pipe) for parts 1, 2, ...

@@ -231,6 +231,18 @@ def test_tol_option_rejected(command):
     assert "unrecognized arguments: --tol" in res.stderr
 
 
+@pytest.mark.parametrize("command", [["constants", "--prime-cutoff", "1000"], ["sum", "--N", "100"]])
+@pytest.mark.parametrize("target", ["missing directory", "directory"])
+def test_unwritable_out_is_a_configuration_error(command, target, tmp_path, capsys):
+    # the exit-code contract covers --out too: one error line and exit 2, no traceback
+    out = tmp_path / "missing" / "x.csv" if target == "missing directory" else tmp_path
+    assert cli.main([*command, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
+
+
 class TestSumCommand:
     def test_small_sum_exact(self):
         res = run_cli("sum", "--r", "2", "--k", "1", "--N", "10")
@@ -428,3 +440,36 @@ class TestFitCommand:
         assert res.returncode == 0
         json.loads(res.stdout)  # stdout is pure data
         assert "constants" in res.stderr
+
+
+class TestEntryPoint:
+    """``python -m meanval`` and the ``meanval`` script start OpenBLAS on one thread."""
+
+    @pytest.mark.parametrize("before, after", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "4"}, "4")])
+    def test_run_sets_one_blas_thread_unless_set(self, before, after, monkeypatch):
+        from meanval import __main__ as entry
+
+        env, seen = dict(before), []
+        monkeypatch.setattr(os, "environ", env)
+        monkeypatch.setattr(cli, "main", lambda: seen.append(dict(env)) or 7)
+        assert entry.run() == 7
+        # the variable is set before the CLI runs, and nothing else is written
+        assert seen == [{"OPENBLAS_NUM_THREADS": after}]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="lists /proc/self/task (Linux)")
+    def test_cli_process_has_one_thread(self, tmp_path):
+        # OpenBLAS starts one pool thread per extra CPU at import unless told otherwise;
+        # with run()'s setting the process has no thread when split_sums forks
+        code = (
+            "import os, sys\n"
+            "from meanval import __main__ as entry\n"
+            "sys.argv = ['meanval', 'constants', '--prime-cutoff', '1000', '--out', sys.argv[1]]\n"
+            "code = entry.run()\n"
+            "print(code, 'numpy' in sys.modules, len(os.listdir('/proc/self/task')))\n"
+        )
+        env = _env()
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            env.pop(name, None)
+        res = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")],
+                             capture_output=True, text=True, env=env)
+        assert res.stdout == "0 True 1\n", res.stderr

@@ -2,9 +2,39 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import meanval
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# what ``from meanval import ...`` gave when the package imported every module
+# at once, by module: each name must still resolve to the same object
+EXPORTS = {
+    "arith": ["ArithParams", "ExactValue", "PrimeFactorization", "composite_weighted_divisor",
+              "divisor_count", "factorize", "minimal_power", "omega", "weighted_divisor"],
+    "coeffs": ["ConstantsBundle", "bundle", "cofactor_value"],
+    "errors": ["ConfigError", "InsufficientDataError", "MeanvalError", "ResourceError",
+               "ToleranceError"],
+    "fit": ["FitReport", "fit_exponent", "residuals"],
+    "sieve": ["SummatoryTable", "geometric_checkpoints", "summatory"],
+    "verify": ["VerifyReport", "global_factorization_check", "power_series_check", "local_factor",
+               "numerator_identity_check", "run_battery"],
+    "zeta": ["EULER_GAMMA", "ZetaValue", "zeta", "zeta_prime"],
+}
+
+
+def _fresh(code: str) -> str:
+    """stdout of ``code`` run in a new interpreter that imports meanval from ./src."""
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    return res.stdout
 
 
 def test_no_module_declares_global():
@@ -110,3 +140,49 @@ def test_only_the_cli_writes_numbers_as_text():
         and node.func.id in ("repr", "str")
     ]
     assert offenders == []
+
+
+def test_import_loads_no_numpy_and_leaves_the_environment_alone():
+    out = _fresh(
+        "import os, sys\n"
+        "before = dict(os.environ)\n"
+        "import meanval\n"
+        "print('numpy' in sys.modules, dict(os.environ) == before)\n"
+    )
+    assert out == "False True\n"
+
+
+def test_all_lists_every_export():
+    assert sorted(meanval.__all__) == sorted(name for names in EXPORTS.values() for name in names)
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in EXPORTS.items() for n in names])
+def test_export_is_the_object_of_its_module(module, name):
+    assert getattr(meanval, name) is getattr(importlib.import_module("meanval." + module), name)
+
+
+def test_zeta_stays_the_function_after_every_submodule_loads():
+    # the function meanval.zeta shares its name with the submodule, which the
+    # import system binds on the package when it first loads the submodule
+    names = sorted(path.stem for path in Path(meanval.__file__).parent.glob("*.py"))
+    out = _fresh(
+        "import importlib, os, sys\n"
+        "before = dict(os.environ)\n"
+        "import meanval.cli\n"
+        f"for name in {names!r}:\n"
+        "    importlib.import_module('meanval.' + name)\n"
+        "from meanval import zeta\n"
+        "print(meanval.zeta is zeta is sys.modules['meanval.zeta'].zeta, callable(zeta),\n"
+        "      dict(os.environ) == before)\n"
+    )
+    assert out == "True True True\n"
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'build_spf'"):
+        meanval.build_spf
+    assert not hasattr(meanval, "primes_up_to")
+
+
+def test_dir_lists_every_export():
+    assert {"__all__", "__version__", *meanval.__all__} <= set(dir(meanval))
