@@ -60,24 +60,19 @@ def _positive_int(text: str) -> int:
 
 
 def parse_grid(spec: str, limit: int) -> list[int]:
-    """Checkpoint grid spec: 'geom:<per-decade>' or 'list:x1,x2,...'."""
+    """Checkpoint grid spec: 'geom:<per-decade>' or 'list:x1,x2,...', parsed only (the library checks it)."""
     kind, _, rest = spec.partition(":")
     if kind == "geom":
         try:
-            per_decade = int(rest) if rest else 8
+            per_decade = int(rest) if rest else sieve.GRID_DENSITY
         except ValueError as exc:
             raise ConfigError(f"bad grid density {rest!r}") from exc
-        if per_decade < 1:
-            raise ConfigError(f"grid density must be >= 1, got {per_decade}")
         return sieve.geometric_checkpoints(limit, per_decade=per_decade)
     if kind == "list":
         try:
-            pts = sorted({int(x) for x in rest.split(",") if x.strip()})
+            return [int(x) for x in rest.split(",") if x.strip()]
         except ValueError as exc:
             raise ConfigError(f"bad grid point list {rest!r}") from exc
-        if not pts:
-            raise ConfigError("grid point list is empty")
-        return pts
     raise ConfigError(f"unknown grid spec {spec!r}; use geom:<n> or list:x1,x2,...")
 
 
@@ -110,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sum = sub.add_parser("sum", help="checkpointed summatory table")
     add_common(p_sum, with_n=True)
-    p_sum.add_argument("--grid", default="geom:8", help="geom:<per-decade> or list:x1,x2,...")
+    p_sum.add_argument("--grid", default=f"geom:{sieve.GRID_DENSITY}",
+                       help="geom:<per-decade> or list:x1,x2,...")
     p_sum.add_argument("--threads", type=_positive_int, default=1, help=threads_help)
     p_sum.add_argument("--with-main", action="store_true",
                        help="also compute constants and fill main/residual columns")
@@ -126,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="residual exponent fit against the main term")
     add_common(p_fit, with_n=True)
-    p_fit.add_argument("--grid", default="geom:8")
+    p_fit.add_argument("--grid", default=f"geom:{sieve.GRID_DENSITY}")
     p_fit.add_argument("--threads", type=_positive_int, default=1, help=threads_help)
     p_fit.add_argument("--x-min", type=_positive_int, default=fit.DEFAULT_X_MIN)
     p_fit.add_argument("--format", choices=("json", "csv"), default="json")

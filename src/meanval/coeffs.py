@@ -23,12 +23,12 @@ and refuses to proceed on disagreement. The gate calls the same array kernels
 prime sum run over all primes, so it checks the code that does the work.
 
 The sums over primes (the log-product and the prime sum) are correctly
-rounded, through ``xsum.ExactSum``, so their round-off is one rounding each.
-They take the primes one block of ``prime_blocks`` at a time, and the exact
-sum does not depend on the blocks, so no array of all pi(P) primes is held;
-``bundle`` and ``cofactor_value`` each make one such walk. For the same
-reason a long walk is split into interleaved parts, one per CPU, whose sums
-merge into the serial walk's bits (``xsum.split_sums``).
+rounded, so their round-off is one rounding each. ``bundle`` and
+``cofactor_value`` each form theirs in one call of ``xsum.split_sums``, one
+walk over the blocks of ``prime_blocks``, cast to float64 once per block.
+The exact sum does not depend on the blocks, so no array of all pi(P) primes
+is held, and a long walk splits into interleaved parts, one per CPU, whose
+sums merge into the serial walk's bits.
 
 ``bundle`` forms every s = 1 quantity once: one walk over the prime blocks
 feeds both prime sums, and the product, zeta and zeta' at r and at 2, and
@@ -42,13 +42,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
 from .arith import ArithParams, ExactValue
 from .errors import ConfigError, ToleranceError
 from .primes import prime_blocks
-from .xsum import ExactSum, split_sums
+from .xsum import split_sums
 from .zeta import EPS, EULER_GAMMA, ZetaValue, expm1_or_inf, power_tails, zeta, zeta_prime
 
 __all__ = [
@@ -66,22 +67,10 @@ _GATE_TOL = 1e-8
 _GATE_PRIMES = (2, 3, 5, 101)
 
 
-def _prime_sums(cutoff: int, *terms) -> tuple[ExactSum, ...]:
-    """For each function in ``terms``, the exact sum of its values over the primes <= cutoff.
-
-    Each term takes an array of primes as float64. One walk over the blocks
-    of ``prime_blocks`` feeds every sum, split over processes by
-    ``xsum.split_sums``, which does not change a bit of them.
-    """
-    def walk(part: int, parts: int) -> tuple[ExactSum, ...]:
-        sums = tuple(ExactSum() for _ in terms)
-        for block in prime_blocks(cutoff, part, parts):
-            ps = block.astype(np.float64)
-            for acc, term in zip(sums, terms):
-                acc.add(term(ps))
-        return sums
-
-    return split_sums(walk, cutoff // 2)
+def _float_prime_blocks(cutoff: int, part: int, parts: int):
+    """The blocks of ``prime_blocks`` as float64, so that ``p**s`` at an integer s stays in floats."""
+    for block in prime_blocks(cutoff, part, parts):
+        yield block.astype(np.float64)
 
 
 def _factor_term(p, s: float, params: ArithParams):
@@ -136,8 +125,9 @@ def cofactor_value(s: float, params: ArithParams,
     """
     if not s > 0.5:
         raise ConfigError(f"s={s} not in the analytic region s > 1/2")
-    (log_sum,) = _prime_sums(cutoff, lambda ps: _log_factors(ps, s, params))
-    product = _product_factors(s, params, log_sum.value(), cutoff)
+    (log_sum,) = split_sums(partial(_float_prime_blocks, cutoff), cutoff // 2,
+                            lambda ps: _log_factors(ps, s, params))
+    product = _product_factors(s, params, log_sum, cutoff)
     return _cofactor(product, zeta(params.r * s), zeta(2 * s))
 
 
@@ -286,16 +276,17 @@ def bundle(
     """
     r = float(params.r)
     _gate_log_factor_derivative(params)
-    log_sum, deriv_sum = _prime_sums(
-        cutoff, lambda ps: _log_factors(ps, 1.0, params), lambda ps: log_factor_derivative(ps, params)
+    log_sum, deriv_sum = split_sums(
+        partial(_float_prime_blocks, cutoff), cutoff // 2,
+        lambda ps: _log_factors(ps, 1.0, params), lambda ps: log_factor_derivative(ps, params),
     )
-    product = _product_factors(1.0, params, log_sum.value(), cutoff)
+    product = _product_factors(1.0, params, log_sum, cutoff)
     zr, z2 = zeta(r), zeta(2.0)
     zrp, z2p = zeta_prime(r), zeta_prime(2.0)
     h1 = _cofactor(product, zr, z2)
     c, c_tail = leading_coefficient(product, zr, h1)
     hp, hp_tail = cofactor_derivative_at_1(
-        params, deriv_sum.value(), cutoff, h1, (zr, zrp), (z2, z2p)
+        params, deriv_sum, cutoff, h1, (zr, zrp), (z2, z2p)
     )
     b = hp + 2.0 * EULER_GAMMA * c
     kx = b - c

@@ -74,6 +74,7 @@ MEM_ENV_VAR = "MEANVAL_MEM_LIMIT_MB"
 # exponent and omega int8) plus the last doubling block's scratch; tracemalloc
 # peaks are 17.3-18.6 for N from 1e5 to 1e7
 BYTES_PER_ENTRY = 24
+GRID_DENSITY = 8  # checkpoints per decade of the default grid
 SERIES_BLOCK = 1 << 16  # integers per value_blocks block: 256 KiB of int32, 512 KiB per float64 term array
 
 
@@ -290,10 +291,12 @@ def value_blocks(params: ArithParams, limit: int, part: int = 0,
         yield lo, counts, omegas
 
 
-def geometric_checkpoints(limit: int, per_decade: int = 8) -> list[int]:
+def geometric_checkpoints(limit: int, per_decade: int = GRID_DENSITY) -> list[int]:
     """Log-spaced checkpoints round(10**(j/per_decade)) in [10, limit], plus limit."""
     if limit < 1:
         raise ConfigError(f"limit must be >= 1, got {limit}")
+    if per_decade < 1:
+        raise ConfigError(f"grid density must be >= 1, got {per_decade}")
     pts = set()
     j = per_decade
     while True:

@@ -34,14 +34,14 @@ offset + (1/k) * sum_{a<=A} (ceil(a/r)+1) z^a and bounds its tail and
 round-off, at offset 0 and k = 1 for the power series and at offset 1 for the
 local factor.
 
-The truncated series and the log of the truncated product are summed with
-``xsum.ExactSum``, which rounds the exact sum of the float terms once, so each
-round-off allowance needs one rounding for the sum on top of those of the
-terms. The series is formed and summed one block of ``sieve.value_blocks`` at
-a time, and each product one block of ``primes.prime_blocks`` at a time, so
+The truncated series and the log of the truncated product are each one call
+of ``xsum.split_sums``, which rounds the exact sum of the float terms once, so
+each round-off allowance needs one rounding for the sum on top of those of
+the terms. The series is formed and summed one block of ``sieve.value_blocks``
+at a time, and the product one block of ``primes.prime_blocks`` at a time, so
 their memory grows with neither the series length nor the prime cutoff. A
-long walk is split into interleaved parts over processes
-(``xsum.split_sums``); the exact sums merge into the serial walk's bits.
+long walk is split into interleaved parts over processes; the exact sums
+merge into the serial walk's bits.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import zip_longest
 
 import numpy as np
@@ -57,8 +58,8 @@ from .arith import ArithParams, local_factor_times, max_omega, minpow_divisor_co
 from .coeffs import cofactor_numerator, cofactor_value
 from .errors import ConfigError
 from .primes import prime_blocks
-from .sieve import value_blocks
-from .xsum import ExactSum, split_sums
+from .sieve import SERIES_BLOCK, value_blocks
+from .xsum import split_sums
 from .zeta import EPS, expm1_or_inf, power_tails, zeta
 
 __all__ = [
@@ -238,20 +239,21 @@ def dirichlet_series_truncated(params: ArithParams, s: float, limit: int) -> tup
     if not s > 1.0:
         raise ConfigError(f"series tail bound needs s > 1, got {s}")
     k_pows = np.power(float(params.k), -np.arange(max_omega(limit) + 1.0))
+    # a block's n and n**-s: one array each for the whole walk, cut to the block and n advanced
+    # in place, which keeps the allocator from returning and refaulting pages every block
+    n, n_s = np.arange(1.0, 1 + min(SERIES_BLOCK, limit)), np.empty(min(SERIES_BLOCK, limit))
 
-    def walk(part: int, parts: int) -> tuple[ExactSum]:
-        acc = ExactSum()
-        for lo, counts, omegas in value_blocks(params, limit, part, parts):
-            # (counts * k**-omega) * n**-s, formed in two float64 arrays
-            terms = k_pows[omegas]
-            terms *= counts
-            n_s = np.arange(lo, lo + counts.size, dtype=np.float64)
-            n_s **= -s
-            terms *= n_s
-            acc.add(terms)
-        return (acc,)
+    def term(block: tuple[int, np.ndarray, np.ndarray]) -> np.ndarray:
+        # (counts * k**-omega) * n**-s
+        lo, counts, omegas = block
+        size = counts.size
+        n[:size] += lo - n[0]
+        terms = k_pows[omegas]
+        terms *= counts
+        terms *= np.power(n[:size], -s, out=n_s[:size])
+        return terms
 
-    value = split_sums(walk, limit)[0].value()
+    (value,) = split_sums(partial(value_blocks, params, limit), limit, term)
     fp = 8.0 * EPS * value
     return value, s * sum(power_tails(limit, s)) + fp
 
@@ -267,14 +269,9 @@ def euler_product_truncated(params: ArithParams, s: float, cutoff: int) -> tuple
     if not s > 1.0:
         raise ConfigError(f"product tail bound needs s > 1, got {s}")
     r, k = params.r, float(params.k)
-
-    def walk(part: int, parts: int) -> tuple[ExactSum]:
-        log_sum = ExactSum()
-        for ps in prime_blocks(cutoff, part, parts):
-            log_sum.add(np.log1p(local_factor_excess(ps, s, params)))
-        return (log_sum,)
-
-    value = math.exp(split_sums(walk, cutoff // 2)[0].value())
+    (log_sum,) = split_sums(partial(prime_blocks, cutoff), cutoff // 2,
+                            lambda ps: np.log1p(local_factor_excess(ps, s, params)))
+    value = math.exp(log_sum)
     c = (2.0 / k) / ((1.0 - 2.0**-s) * (1.0 - 2.0 ** (-r * s)))
     tail_log = c * power_tails(cutoff, s)[0]
     fp = 16.0 * EPS * abs(value)

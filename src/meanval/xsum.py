@@ -12,13 +12,13 @@ rounds the total once. Values in the top exponent fields, whose bins could
 pass 2**1024, go straight to that int.
 The result is that of ``math.fsum`` (R. M. Neal, *Fast exact summation using
 small and large superaccumulators*, arXiv:1505.05571), except where fsum's
-running sum overflows midway. A caller adds a whole array, or its blocks one
-at a time, to one ``ExactSum`` and reads ``value()``.
+running sum overflows midway. ``ExactSum`` takes a whole array, or its blocks
+one at a time, and ``value()`` rounds the total.
 
-Since the sum is exact, it does not depend on how the values were split
-either: ``split_sums`` runs a walk over blocks as interleaved parts in forked
-worker processes, one per CPU the process may run on, and merges their sums
-into the bits of the serial walk.
+``split_sums``, the one loop that feeds ExactSums, walks blocks, adds each
+term's values on a block to that term's sum and returns the rounded sums. The
+sums are exact, so a long walk runs as interleaved parts in forked worker
+processes, one per CPU, whose sums merge into the serial walk's bits.
 """
 
 from __future__ import annotations
@@ -117,17 +117,18 @@ def _part_count(size: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), size // MIN_PART))
 
 
-def split_sums(work, size: int) -> tuple[ExactSum, ...]:
-    """The sums of ``work(0, 1)``, formed as ``work(part, parts)`` over ``parts`` processes.
+def split_sums(blocks, size: int, *terms) -> tuple[float, ...]:
+    """Per term, the correctly rounded sum of its values on every block of ``blocks(0, 1)``.
 
-    ``work(part, parts)`` walks the blocks part, part + parts, ... of a walk
-    over ``size`` integers or odd slots and returns a tuple of ExactSums.
-    Parts 1 to parts - 1 run in forked workers, which pickle their sums back
-    over a pipe and always leave by ``os._exit``, so none runs its caller's
-    code; this process runs part 0 and merges the rest in. Each merged sum
-    equals the serial walk's, bit for bit. An exception in a worker is raised
-    here, and a worker that dies raises ChildProcessError. On any way out,
-    every worker is reaped, and killed first if it is still running.
+    ``blocks(part, parts)``, such as ``partial(primes.prime_blocks, cutoff)``,
+    yields the blocks part, part + parts, ... of a walk over ``size``
+    integers or odd slots; each term maps a block to float64 values, added to
+    its own ExactSum. Parts 1 to parts - 1 run in forked workers, which pickle
+    their sums back over a pipe and always leave by ``os._exit``, so none
+    runs its caller's code; this process runs part 0 and merges the rest in,
+    which gives the serial walk's sums bit for bit. An exception in a worker
+    is raised here, and a worker that dies raises ChildProcessError. On any
+    way out, every worker is reaped, and killed first if it is still running.
 
     Workers are forked, not spawned: a spawned one would import numpy and
     this package afresh, which takes longer than a part of any walk here. The
@@ -137,6 +138,13 @@ def split_sums(work, size: int) -> tuple[ExactSum, ...]:
     threads; a fork copies only the calling thread, and a worker calls no
     BLAS routine, so it never waits on them.
     """
+    def walk(part: int, parts: int) -> tuple[ExactSum, ...]:
+        sums = tuple(ExactSum() for _ in terms)
+        for block in blocks(part, parts):
+            for acc, term in zip(sums, terms):
+                acc.add(term(block))
+        return sums
+
     parts = _part_count(size)
     workers = []  # (pid, read end of its pipe) for parts 1, 2, ...
     outputs = []  # what each worker wrote, once this process is done with part 0
@@ -149,7 +157,7 @@ def split_sums(work, size: int) -> tuple[ExactSum, ...]:
                 code = 1
                 try:
                     try:
-                        outcome = True, work(part, parts)
+                        outcome = True, walk(part, parts)
                     except Exception as exc:
                         outcome = False, exc
                     with open(write, "wb") as pipe:
@@ -159,7 +167,7 @@ def split_sums(work, size: int) -> tuple[ExactSum, ...]:
                     os._exit(code)
             workers.append((pid, open(read, "rb")))
             os.close(write)
-        sums = work(0, parts)
+        sums = walk(0, parts)
         outputs = [pipe.read() for _, pipe in workers]
     finally:
         for pid, pipe in workers:
@@ -175,4 +183,4 @@ def split_sums(work, size: int) -> tuple[ExactSum, ...]:
             raise result
         for total, other in zip(sums, result):
             total.merge(other)
-    return sums
+    return tuple(total.value() for total in sums)

@@ -88,6 +88,8 @@ def power_tails(cutoff: int, sigma: float) -> tuple[float, float]:
     comparison behind every bound on a cut-off sum in the package.
     """
     base, d = cutoff ** (1.0 - sigma), sigma - 1.0
+    if base == 0.0:  # both are 0, where 1/d**2 may overflow
+        return 0.0, 0.0
     return base / d, base * (math.log(cutoff) / d + 1.0 / d**2)
 
 

@@ -204,12 +204,14 @@ class TestConstantsCommand:
             assert all(map(math.isfinite, map(float, last)))
 
     def test_huge_s_does_not_overflow(self):
-        # p**s at the prime cutoff of 1e5 is past the double range from s = 62 on
-        res = run_cli("verify", "--s", "100", "--format", "json",
-                      env_extra={"PYTHONWARNINGS": "error"})
-        assert res.returncode == 0, res.stderr
-        reports = json.loads(res.stdout)["reports"]
-        assert reports and all(rep["pass"] for rep in reports)
+        # p**s at the prime cutoff of 1e5 is past the double range from s = 62 on,
+        # and 1/(s - 1)**2 in the tail integrals from s = 1.4e154 on
+        for s in ("100", "1e160"):
+            res = run_cli("verify", "--s", s, "--format", "json",
+                          env_extra={"PYTHONWARNINGS": "error"})
+            assert res.returncode == 0, (s, res.stderr)
+            reports = json.loads(res.stdout)["reports"]
+            assert reports and all(rep["pass"] for rep in reports), s
 
     def test_failed_rigor_gate_exits_4(self, monkeypatch, capsys):
         # a per-prime derivative off by 1% fails the finite-difference gate
@@ -277,15 +279,25 @@ class TestSumCommand:
         assert last["main"] is not None and last["residual"] is not None
 
     def test_grid_list(self):
-        res = run_cli("sum", "--r", "2", "--k", "1", "--N", "100", "--grid", "list:10,50,100")
-        obj = json.loads(res.stdout)
-        assert [row["x"] for row in obj["rows"]] == [10, 50, 100]
+        for grid in ("list:10,50,100", "list:100,10,50,10"):
+            res = run_cli("sum", "--r", "2", "--k", "1", "--N", "100", "--grid", grid)
+            obj = json.loads(res.stdout)
+            assert [row["x"] for row in obj["rows"]] == [10, 50, 100], grid
 
     def test_bad_grid(self):
         for grid in ("bogus:3", "geom:abc"):
             res = run_cli("sum", "--r", "2", "--k", "1", "--N", "100", "--grid", grid)
             assert res.returncode == 2, grid
             assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("grid, message", [
+        ("geom:0", "grid density must be >= 1, got 0"),
+        ("geom:-1", "grid density must be >= 1, got -1"),
+        ("list:", "checkpoint grid is empty"),
+    ])
+    def test_grid_errors_come_from_the_library(self, grid, message):
+        res = run_cli("sum", "--r", "2", "--k", "1", "--N", "100", "--grid", grid)
+        assert (res.returncode, res.stderr) == (2, f"error: {message}\n")
 
     def test_out_file(self, tmp_path):
         out = tmp_path / "table.csv"

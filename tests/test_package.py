@@ -127,6 +127,21 @@ def test_only_the_sieve_names_the_reference_table():
     assert offenders == []
 
 
+def test_only_xsum_constructs_exact_sums():
+    # every exact sum is one call of xsum.split_sums, which runs the one walk
+    # loop that feeds ExactSums, so no other module builds one
+    pkg = Path(meanval.__file__).parent
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(pkg.rglob("*.py"))
+        if path.name != "xsum.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and "ExactSum" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert offenders == []
+
+
 def test_only_the_cli_writes_numbers_as_text():
     # the library modules return data only: a float, int or Fraction becomes
     # text in cli alone, so no other module calls repr() or str()

@@ -14,7 +14,7 @@ import pytest
 from meanval import coeffs, verify, xsum
 from meanval.arith import ArithParams
 from meanval.errors import ConfigError
-from meanval.xsum import ExactSum, split_sums
+from meanval.xsum import split_sums
 
 
 def _force_parts(monkeypatch, parts):
@@ -32,22 +32,30 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _sum_of_parts(part, parts):
-    """The exact sum of part + 1, as one ExactSum, and of its square."""
-    a, b = ExactSum(), ExactSum()
-    a.add([part + 1.0])
-    b.add([(part + 1.0) ** 2])
-    return a, b
+def _one_block_per_part(part, parts):
+    """Part ``part`` of a walk whose one block is [part + 1]."""
+    yield np.array([part + 1.0])
+
+
+def _sums_of_parts(blocks, size):
+    """The rounded sums of every block's values and of their squares."""
+    return split_sums(blocks, size, lambda b: b, lambda b: b * b)
 
 
 class TestSplitSums:
     @pytest.mark.parametrize("parts", [1, 2, 3])
     def test_merges_every_part(self, monkeypatch, parts):
         _force_parts(monkeypatch, parts)
-        a, b = split_sums(_sum_of_parts, 10)
-        assert a.value() == parts * (parts + 1) / 2
-        assert b.value() == parts * (parts + 1) * (2 * parts + 1) / 6
+        a, b = _sums_of_parts(_one_block_per_part, 10)
+        assert a == parts * (parts + 1) / 2
+        assert b == parts * (parts + 1) * (2 * parts + 1) / 6
         _assert_no_child_left()
+
+    def test_each_term_sums_over_every_block(self):
+        def blocks(part, parts):
+            yield from (np.arange(3.0), np.arange(3.0, 10.0))
+
+        assert split_sums(blocks, 10, lambda b: b, lambda b: -b, lambda b: b[:1]) == (45.0, -45.0, 3.0)
 
     def test_part_count(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
@@ -60,31 +68,31 @@ class TestSplitSums:
 
     def test_short_walk_forks_nothing(self, monkeypatch):
         monkeypatch.setattr(os, "fork", _no_fork)
-        a, _ = split_sums(_sum_of_parts, 2 * xsum.MIN_PART - 1)
-        assert a.value() == 1.0
+        a, _ = _sums_of_parts(_one_block_per_part, 2 * xsum.MIN_PART - 1)
+        assert a == 1.0
 
     def test_worker_exception_raised_here(self, monkeypatch):
         _force_parts(monkeypatch, 3)
 
-        def work(part, parts):
+        def blocks(part, parts):
             if part == 1:
                 raise ConfigError(f"part {part} of {parts} refused")
-            return _sum_of_parts(part, parts)
+            return _one_block_per_part(part, parts)
 
         with pytest.raises(ConfigError, match="part 1 of 3 refused"):
-            split_sums(work, 10)
+            _sums_of_parts(blocks, 10)
         _assert_no_child_left()
 
     def test_worker_that_dies_raises_child_process_error(self, monkeypatch):
         _force_parts(monkeypatch, 2)
 
-        def work(part, parts):
+        def blocks(part, parts):
             if part == 1:
                 os._exit(7)
-            return _sum_of_parts(part, parts)
+            return _one_block_per_part(part, parts)
 
         with pytest.raises(ChildProcessError, match="part 1 of 2 exited with 7"):
-            split_sums(work, 10)
+            _sums_of_parts(blocks, 10)
         _assert_no_child_left()
 
     def test_failure_here_stops_the_workers(self, monkeypatch):
@@ -92,15 +100,15 @@ class TestSplitSums:
         # killed and reaped at once
         _force_parts(monkeypatch, 3)
 
-        def work(part, parts):
+        def blocks(part, parts):
             if part == 0:
                 raise ValueError("part 0 failed")
             time.sleep(60)
-            return _sum_of_parts(part, parts)
+            return _one_block_per_part(part, parts)
 
         t0 = time.monotonic()
         with pytest.raises(ValueError, match="part 0 failed"):
-            split_sums(work, 10)
+            _sums_of_parts(blocks, 10)
         assert time.monotonic() - t0 < 30
         _assert_no_child_left()
 
@@ -111,13 +119,13 @@ class TestSplitSums:
         _force_parts(monkeypatch, 3)
         log = tmp_path / "pids"
 
-        def work(part, parts):
+        def blocks(part, parts):
             if fail and part == 1:
                 raise RuntimeError("part 1 failed")
-            return _sum_of_parts(part, parts)
+            return _one_block_per_part(part, parts)
 
         try:
-            split_sums(work, 10)
+            _sums_of_parts(blocks, 10)
         except RuntimeError:
             assert fail
         finally:
@@ -173,6 +181,19 @@ def test_every_split_gives_the_same_bits(monkeypatch, name):
             assert REDUCTIONS[name]() == serial, parts
         assert len(forked) == parts - 1  # each is one walk
     _assert_no_child_left()
+
+
+def _walks_at(s):
+    params = ArithParams(3, 1.5)
+    return _hex([*coeffs.cofactor_value(s, params, 10**4),
+                 *verify.euler_product_truncated(params, s, 10**4),
+                 *verify.dirichlet_series_truncated(params, s, 10**4)])
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_integer_s_gives_the_floats_of_float_s(s):
+    # the primes reach every kernel as float64, so p**-s never runs in integers
+    assert _walks_at(s) == _walks_at(float(s))
 
 
 def test_default_sizes_fork_nothing(monkeypatch):

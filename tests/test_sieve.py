@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import random
+import signal
 import tracemalloc
 from fractions import Fraction
 
@@ -199,6 +200,22 @@ class TestCheckpoints:
         assert geometric_checkpoints(10) == [10]
         assert geometric_checkpoints(5) == [5]
         assert geometric_checkpoints(1) == [1]
+
+    @pytest.mark.parametrize("per_decade", [0, -1])
+    def test_density_below_one_refused(self, per_decade):
+        # unchecked, a density of 0 divides by zero and one of -1 never
+        # reaches the limit, so an alarm bounds the call
+        def stop(signum, frame):
+            raise TimeoutError(f"geometric_checkpoints(100, {per_decade}) did not return")
+
+        previous = signal.signal(signal.SIGALRM, stop)
+        signal.alarm(10)
+        try:
+            with pytest.raises(ConfigError, match=f"grid density must be >= 1, got {per_decade}"):
+                geometric_checkpoints(100, per_decade=per_decade)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestSummatory:

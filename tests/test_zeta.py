@@ -166,6 +166,11 @@ class TestPowerTails:
         for j in (0, 1):
             assert at_next[j] <= partial[j] + at_end[j] <= at_p[j], (j, cutoff, sigma)
 
+    def test_zero_past_the_double_range(self):
+        # P**(1 - sigma) underflows long before 1/(sigma - 1)**2 would overflow
+        assert power_tails(10**5, 1e160) == (0.0, 0.0)
+        assert power_tails(10**5, 1e150) == (0.0, 0.0)
+
 
 class TestStoredConstants:
     def test_gamma_against_accelerated_harmonic_limit(self):
