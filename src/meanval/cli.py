@@ -49,13 +49,13 @@ EXIT_RESOURCE = 3
 EXIT_TOLERANCE = 4
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int = 1) -> int:
     try:
         v = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
+    if v < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {v}")
     return v
 
 
@@ -92,10 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--r", type=int, default=2, help="power order r >= 2")
         p.add_argument("--k", type=float, default=1.0, help="divisor weight k >= 1")
         if with_n:
-            p.add_argument("--N", type=_positive_int, required=True, help="summation limit")
+            p.add_argument("--N", type=_int_at_least, required=True, help="summation limit")
         p.add_argument(
-            "--prime-cutoff", type=_positive_int, default=coeffs.DEFAULT_PRIME_CUTOFF,
-            help="prime cutoff for Euler products",
+            "--prime-cutoff", type=lambda text: _int_at_least(text, 2),
+            default=coeffs.DEFAULT_PRIME_CUTOFF, help="prime cutoff for Euler products",
         )
         p.add_argument("--out", default=None, help="output file (default stdout)")
 
@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sum, with_n=True)
     p_sum.add_argument("--grid", default=f"geom:{sieve.GRID_DENSITY}",
                        help="geom:<per-decade> or list:x1,x2,...")
-    p_sum.add_argument("--threads", type=_positive_int, default=1, help=threads_help)
+    p_sum.add_argument("--threads", type=_int_at_least, default=1, help=threads_help)
     p_sum.add_argument("--with-main", action="store_true",
                        help="also compute constants and fill main/residual columns")
     p_sum.add_argument("--format", choices=("json", "csv", "table"), default="json")
@@ -116,15 +116,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_ver, with_n=False)
     p_ver.set_defaults(prime_cutoff=verify.BATTERY_SIZE)
     p_ver.add_argument("--s", type=float, default=2.0, help="Dirichlet argument, s >= 1.5")
-    p_ver.add_argument("--series-limit", type=_positive_int, default=verify.BATTERY_SIZE,
+    p_ver.add_argument("--series-limit", type=_int_at_least, default=verify.BATTERY_SIZE,
                        help="series truncation for the factorization check")
     p_ver.add_argument("--format", choices=("json", "table"), default="table")
 
     p_fit = sub.add_parser("fit", help="residual exponent fit against the main term")
     add_common(p_fit, with_n=True)
     p_fit.add_argument("--grid", default=f"geom:{sieve.GRID_DENSITY}")
-    p_fit.add_argument("--threads", type=_positive_int, default=1, help=threads_help)
-    p_fit.add_argument("--x-min", type=_positive_int, default=fit.DEFAULT_X_MIN)
+    p_fit.add_argument("--threads", type=_int_at_least, default=1, help=threads_help)
+    p_fit.add_argument("--x-min", type=_int_at_least, default=fit.DEFAULT_X_MIN)
     p_fit.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
 
@@ -142,11 +142,6 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def _progress(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
-
-
-def _note_threads(threads: int) -> None:
-    if threads > 1:
-        _progress(f"note: --threads {threads} has no effect; the sums run on one thread")
 
 
 def _document(kind: str, params: dict, **fields) -> str:
@@ -319,21 +314,28 @@ def _cmd_constants(args) -> int:
     return EXIT_OK
 
 
-def _cmd_sum(args) -> int:
-    params = ArithParams(r=args.r, k=args.k)
-    grid = parse_grid(args.grid, args.N)
-    bundle = None
-    if args.with_main:
-        bundle = coeffs.bundle(params, args.prime_cutoff)
-    _note_threads(args.threads)
-    if args.N >= 10**6:
-        _progress(f"summing to N={args.N}")
+def _sums(params: ArithParams, limit: int, grid: list[int], threads: int,
+          cutoff: Optional[int]) -> tuple[sieve.SummatoryTable, Optional[fit.FitReport]]:
+    """The pipeline of ``sum`` and ``fit``: ``summatory`` checks every input before any sum,
+    and only then, given a prime cutoff, come the constants and R(x) (else no report)."""
+    if threads > 1:
+        _progress(f"note: --threads {threads} has no effect; the sums run on one thread")
+    if limit >= 10**6:
+        _progress(f"summing to N={limit}")
     t0 = time.perf_counter()
-    table = sieve.summatory(params, args.N, grid=grid)
-    if args.N >= 10**6:
+    table = sieve.summatory(params, limit, grid=grid)
+    if limit >= 10**6:
         _progress(f"done in {time.perf_counter() - t0:.1f}s")
-    if bundle is not None:
-        table = fit.residuals(table, bundle).table
+    if cutoff is None:
+        return table, None
+    _progress(f"constants at prime cutoff {cutoff}")
+    report = fit.residuals(table, coeffs.bundle(params, cutoff))
+    return report.table, report
+
+
+def _cmd_sum(args) -> int:
+    table, _ = _sums(ArithParams(r=args.r, k=args.k), args.N, parse_grid(args.grid, args.N),
+                     args.threads, args.prime_cutoff if args.with_main else None)
     _emit(render_summatory(table, args.format), args.out)
     return EXIT_OK
 
@@ -349,15 +351,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    params = ArithParams(r=args.r, k=args.k)
-    grid = parse_grid(args.grid, args.N)
-    _progress(f"constants at prime cutoff {args.prime_cutoff}")
-    b = coeffs.bundle(params, args.prime_cutoff)
-    _note_threads(args.threads)
-    _progress(f"summatory table to N={args.N}")
-    table = sieve.summatory(params, args.N, grid=grid)
-    report = fit.fit_exponent(fit.residuals(table, b), x_min=args.x_min)
-    _emit(render_fit(report, args.format), args.out)
+    _, report = _sums(ArithParams(r=args.r, k=args.k), args.N, parse_grid(args.grid, args.N),
+                      args.threads, args.prime_cutoff)
+    _emit(render_fit(fit.fit_exponent(report, x_min=args.x_min), args.format), args.out)
     return EXIT_OK
 
 

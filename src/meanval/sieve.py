@@ -297,8 +297,12 @@ def geometric_checkpoints(limit: int, per_decade: int = GRID_DENSITY) -> list[in
         raise ConfigError(f"limit must be >= 1, got {limit}")
     if per_decade < 1:
         raise ConfigError(f"grid density must be >= 1, got {per_decade}")
-    pts = set()
-    j = per_decade
+    # consecutive points lie x * step apart: every integer up to x = 1 / (2 step) is one
+    step = math.expm1(math.log(10) * (1 / per_decade))
+    if limit * step <= 0.5:  # step is 0.0 at a density past the double range
+        return list(range(10, limit + 1)) or [limit]
+    j = max(per_decade, math.floor(per_decade * math.log10(0.5 / step)))
+    pts = set(range(10, min(round(10 ** (j / per_decade)), limit) + 1))
     while True:
         x = round(10 ** (j / per_decade))
         if x > limit:

@@ -164,7 +164,7 @@ def test_criterion_10_thread_reproducibility(tmp_path):
                 out = tmp_path / f"t{threads}.{fmt}"
                 res = subprocess.run(
                     [
-                        sys.executable, "-m", "meanval.cli", "sum",
+                        sys.executable, "-m", "meanval", "sum",
                         "--r", "2", "--k", "1", "--N", "1000000",
                         "--threads", threads, "--format", fmt, "--out", str(out),
                     ],

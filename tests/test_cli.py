@@ -23,8 +23,9 @@ def _env(env_extra=None):
 
 
 def run_cli(*args, env_extra=None):
+    # as the console script and the benchmark run it: through __main__.run
     return subprocess.run(
-        [sys.executable, "-m", "meanval.cli", *args],
+        [sys.executable, "-m", "meanval", *args],
         capture_output=True,
         text=True,
         env=_env(env_extra),
@@ -36,7 +37,7 @@ def run_cli(*args, env_extra=None):
 # starts the CLI and reports the CLI's peak, which then carries only the
 # launcher's own few MiB from before the exec.
 _PEAK_LAUNCHER = """import os, sys
-pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "meanval.cli", *sys.argv[2:]], os.environ)
+pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "meanval", *sys.argv[2:]], os.environ)
 _, status, usage = os.wait4(pid, 0)
 with open(sys.argv[1], "w") as fp:
     fp.write(f"{os.waitstatus_to_exitcode(status)} {usage.ru_maxrss}")
@@ -111,6 +112,42 @@ def test_residual_formed_once_per_checkpoint(command, monkeypatch, capsys):
     # the main term too is formed once per checkpoint, and residual takes it
     assert [x for x, _ in mains] == xs
     assert calls == [main for _, main in mains]
+
+
+class TestErrorsBeforeWork:
+    """``sum --with-main`` and ``fit`` refuse a bad input before any sum or constant."""
+
+    @pytest.mark.parametrize("command", [["sum", "--with-main"], ["fit"]])
+    @pytest.mark.parametrize("argv, budget_mb, code, message", [
+        (["--N", "1000", "--grid", "list:"], None, 2, "error: checkpoint grid is empty"),
+        (["--N", "1000", "--grid", "list:10,2000"], None, 2, "error: grid points must lie in"),
+        (["--k", "1.5", "--N", "10000000"], "1", 3, "resource error: "),
+    ])
+    def test_checked_before_the_constants(self, command, argv, budget_mb, code, message,
+                                          monkeypatch, capsys):
+        from meanval import coeffs
+
+        monkeypatch.setattr(coeffs, "bundle", lambda *a, **kw: pytest.fail("constants formed"))
+        if budget_mb is not None:
+            monkeypatch.setenv("MEANVAL_MEM_LIMIT_MB", budget_mb)
+        assert cli.main([command[0], *argv, "--prime-cutoff", "1000000000", *command[1:]]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith(message), captured.err
+
+    @pytest.mark.parametrize("command", [
+        ["constants"], ["verify"], ["sum", "--N", "10"],
+        ["fit", "--r", "3", "--k", "1.5", "--N", "10000000000"],
+    ])
+    def test_prime_cutoff_below_two_refused_by_the_parser(self, command, monkeypatch, capsys):
+        from meanval import coeffs, sieve, verify
+
+        for module, name in ((sieve, "summatory"), (coeffs, "bundle"), (verify, "run_battery")):
+            monkeypatch.setattr(module, name, lambda *a, _name=name, **kw: pytest.fail(_name))
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*command, "--prime-cutoff", "1"])
+        assert exc.value.code == 2
+        assert "argument --prime-cutoff: must be >= 2, got 1" in capsys.readouterr().err
 
 
 SCHEMA = json.loads((Path(__file__).resolve().parent.parent / "schema.json").read_text())
@@ -467,6 +504,13 @@ class TestEntryPoint:
         assert entry.run() == 7
         # the variable is set before the CLI runs, and nothing else is written
         assert seen == [{"OPENBLAS_NUM_THREADS": after}]
+
+    def test_cli_module_runs_as_documented(self):
+        # the README documents python -m meanval.cli, which skips run()'s BLAS setting
+        res = subprocess.run([sys.executable, "-m", "meanval.cli", "constants"],
+                             capture_output=True, text=True, env=_env())
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["kind"] == "constants_bundle"
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="lists /proc/self/task (Linux)")
     def test_cli_process_has_one_thread(self, tmp_path):

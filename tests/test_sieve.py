@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import json
 import math
@@ -188,6 +189,37 @@ class TestTabulate:
                 assert table.value(n) == composite_weighted_divisor(factorize(n), params)
 
 
+@contextlib.contextmanager
+def _alarm(seconds, call):
+    """Raise TimeoutError in the test if the block runs longer than ``seconds``."""
+
+    def stop(signum, frame):
+        raise TimeoutError(f"{call} did not return")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _full_loop_checkpoints(limit, per_decade):
+    """The oracle: round(10**(j/per_decade)) for every j from per_decade up, one step at a time."""
+    pts = set()
+    j = per_decade
+    while True:
+        x = round(10 ** (j / per_decade))
+        if x > limit:
+            break
+        if x >= 10:
+            pts.add(x)
+        j += 1
+    pts.add(limit)
+    return sorted(pts)
+
+
 class TestCheckpoints:
     def test_geometric_grid_shape(self):
         grid = geometric_checkpoints(10**6)
@@ -205,17 +237,30 @@ class TestCheckpoints:
     def test_density_below_one_refused(self, per_decade):
         # unchecked, a density of 0 divides by zero and one of -1 never
         # reaches the limit, so an alarm bounds the call
-        def stop(signum, frame):
-            raise TimeoutError(f"geometric_checkpoints(100, {per_decade}) did not return")
-
-        previous = signal.signal(signal.SIGALRM, stop)
-        signal.alarm(10)
-        try:
+        with _alarm(10, f"geometric_checkpoints(100, {per_decade})"):
             with pytest.raises(ConfigError, match=f"grid density must be >= 1, got {per_decade}"):
                 geometric_checkpoints(100, per_decade=per_decade)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+
+    def test_same_points_as_the_full_loop(self):
+        rng = random.Random(5)
+        limits = [1, 2, 9, 10, 11, 42, 43, 44, 99, 100, 101, 1000, 12345, 99999, 10**6]
+        limits += [rng.randint(1, 10**6) for _ in range(10)]
+        for per_decade in range(1, 201):
+            for limit in limits:
+                assert geometric_checkpoints(limit, per_decade) == \
+                    _full_loop_checkpoints(limit, per_decade), (limit, per_decade)
+        # where every integer up to about per_decade / 4.6 is a point
+        for per_decade in (1000, 4321, 10**4, 10**5):
+            for limit in (10, 500, 2171, 10**4, 10**6):
+                assert geometric_checkpoints(limit, per_decade) == \
+                    _full_loop_checkpoints(limit, per_decade), (limit, per_decade)
+
+    @pytest.mark.parametrize("per_decade", [10**9, 10**400], ids=["1e9", "1e400"])
+    def test_dense_grid_costs_its_points(self, per_decade):
+        # one step per exponent j would take 1e9 steps for these 91 points, and
+        # never pass 10 at a density whose 1 / per_decade rounds to 0.0
+        with _alarm(10, "geometric_checkpoints(100, per_decade)"):
+            assert geometric_checkpoints(100, per_decade) == list(range(10, 101))
 
 
 class TestSummatory:
