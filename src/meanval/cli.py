@@ -23,7 +23,9 @@ gate.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 import time
 from decimal import Decimal, localcontext
@@ -129,6 +131,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(out: str) -> None:
+    """Refuse, before any work, an --out that ``_emit`` could not open, without opening it:
+    that would empty an existing file on a failed run, and open a FIFO or /dev/fd/N twice."""
+    folder = os.path.dirname(out) or "."
+    reason = (errno.EISDIR if os.path.isdir(out)
+              else errno.ENOENT if not os.path.isdir(folder)
+              else 0 if os.access(out if os.path.exists(out) else folder, os.W_OK)
+              else errno.EACCES)
+    if reason:
+        raise ConfigError(f"cannot write {out}: {os.strerror(reason)}")
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -136,7 +150,7 @@ def _emit(text: str, out: Optional[str]) -> None:
     try:
         with open(out, "w", encoding="utf-8", newline="") as fp:
             fp.write(text)
-    except OSError as exc:  # a missing directory, a directory, no permission, a full disk
+    except OSError as exc:  # what only the write finds: a full disk, a path changed since _check_out
         raise ConfigError(f"cannot write {out}: {exc.strerror}") from exc
 
 
@@ -351,8 +365,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    _, report = _sums(ArithParams(r=args.r, k=args.k), args.N, parse_grid(args.grid, args.N),
-                      args.threads, args.prime_cutoff)
+    params = ArithParams(r=args.r, k=args.k)
+    grid = sieve.grid_points(args.N, parse_grid(args.grid, args.N))
+    fit.require_points(grid, args.x_min)  # before the sums: only the near-zero filter needs R
+    _, report = _sums(params, args.N, grid, args.threads, args.prime_cutoff)
     _emit(render_fit(fit.fit_exponent(report, x_min=args.x_min), args.format), args.out)
     return EXIT_OK
 
@@ -369,6 +385,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out is not None:
+            _check_out(args.out)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

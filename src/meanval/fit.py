@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Iterable, Optional
 
 from .coeffs import ConstantsBundle
 from .errors import ConfigError, InsufficientDataError
 from .sieve import SummatoryTable
 
-__all__ = ["FitReport", "fit_exponent", "residuals"]
+__all__ = ["FitReport", "fit_exponent", "require_points", "residuals"]
 
 DEFAULT_X_MIN = 1000
 MIN_FIT_POINTS = 8
@@ -98,6 +98,14 @@ def _ols(u: list[float], v: list[float]) -> tuple[float, float, float, float]:
     return slope, intercept, rss, se
 
 
+def require_points(xs: Iterable[int], x_min: int) -> None:
+    """Raise InsufficientDataError unless at least MIN_FIT_POINTS distinct xs lie at x >= x_min."""
+    found = len({x for x in xs if x >= x_min})
+    if found < MIN_FIT_POINTS:
+        raise InsufficientDataError(f"exponent fit needs at least {MIN_FIT_POINTS} usable "
+                                    f"checkpoints with x >= {x_min}, found {found}")
+
+
 def fit_exponent(report: FitReport, x_min: int = DEFAULT_X_MIN) -> FitReport:
     """Complete the report with the ln|R| ~ theta * ln x regression.
 
@@ -110,11 +118,7 @@ def fit_exponent(report: FitReport, x_min: int = DEFAULT_X_MIN) -> FitReport:
         for x, rv in zip(report.xs, report.residuals)
         if x >= x_min and abs(rv) > _NEAR_ZERO_FACTOR * math.sqrt(x)
     ]
-    if len(pts) < MIN_FIT_POINTS:
-        raise InsufficientDataError(
-            f"exponent fit needs at least {MIN_FIT_POINTS} usable checkpoints with "
-            f"x >= {x_min}, found {len(pts)}"
-        )
+    require_points((x for x, _ in pts), x_min)
     u = [math.log(x) for x, _ in pts]
     v = [math.log(abs(rv)) for _, rv in pts]
     slope, intercept, rss, se = _ols(u, v)

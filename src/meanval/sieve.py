@@ -22,13 +22,12 @@ The whole per-n table is built independently, and serves the tests as the
 oracle for those blocks and for the sums; no command builds it, and
 ``meanval`` does not export it:
 
-1. ``build_spf`` marks the smallest prime factor of every n <= N (int32):
-   each prime p <= sqrt(N), largest first, writes p at its multiples from
-   p**2, so the smallest prime dividing n wins.
-2. ``tabulate`` gets each n's divisor count, omega and exponent of spf(n)
-   from those of m = n / spf(n) < lo, in one pass per doubling block
-   [lo, 2*lo).
-3. The memory gate charges BYTES_PER_ENTRY for each entry of the table.
+1. ``build_spf`` returns the smallest prime factor of every n <= N as an
+   int32 array: each prime p <= sqrt(N), largest first, writes p at its
+   multiples from p**2, so the smallest prime dividing n wins.
+2. ``tabulate`` returns each n's divisor count and omega, from those of
+   m = n / spf(n) < lo and the exponent of spf(n), in one pass per doubling
+   block [lo, 2*lo).
 
 ``summatory`` does not sieve. It takes S(x) from one of two exact backends,
 which share one contract: ``prefix_sums(params, xs)`` returns the exact
@@ -49,7 +48,6 @@ import math
 import operator
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -70,10 +68,6 @@ __all__ = [
 DEFAULT_MEM_LIMIT_MB = 4096
 MEM_ENV_VAR = "MEANVAL_MEM_LIMIT_MB"
 
-# bytes per entry of tabulate(build_spf(N)): 10 resident (spf and counts int32,
-# exponent and omega int8) plus the last doubling block's scratch; tracemalloc
-# peaks are 17.3-18.6 for N from 1e5 to 1e7
-BYTES_PER_ENTRY = 24
 GRID_DENSITY = 8  # checkpoints per decade of the default grid
 SERIES_BLOCK = 1 << 16  # integers per value_blocks block: 256 KiB of int32, 512 KiB per float64 term array
 
@@ -95,47 +89,29 @@ def _require_budget(need_bytes: float, what: str, detail: str) -> None:
         )
 
 
-def _check_budget(limit: int) -> None:
-    _require_budget(limit * BYTES_PER_ENTRY, f"sieve to {limit}", f"{BYTES_PER_ENTRY} B/entry")
-
-
-@dataclass(frozen=True)
-class SpfSieve:
-    """Smallest-prime-factor table for 2..limit (spf[p] == p iff p prime)."""
-
-    limit: int
-    spf: np.ndarray
-
-
-def build_spf(limit: int) -> SpfSieve:
-    """Sieve smallest prime factors for 2..limit.
-
-    The int32 table takes 4 bytes per entry, but the gate charges
-    BYTES_PER_ENTRY, which covers ``tabulate`` on it too; exceeding the memory
-    budget (MEANVAL_MEM_LIMIT_MB, default 4096) raises ResourceError.
-    """
+def build_spf(limit: int) -> np.ndarray:
+    """Smallest prime factors of 0..limit as int32 (spf[p] == p iff p is prime, and spf[:2] = 0, 1)."""
     if limit < 2:
         raise ConfigError(f"sieve limit must be >= 2, got {limit}")
     if limit > 2**31 - 2:
         raise ResourceError(f"sieve limit {limit} exceeds the int32 layout")
-    _check_budget(limit)
     spf = np.zeros(limit + 1, dtype=np.int32)
     for p in primes_up_to(math.isqrt(limit))[::-1].tolist():
         spf[p * p :: p] = p
     unmarked = np.flatnonzero(spf == 0)  # primes, plus the slots 0 and 1
     spf[unmarked] = unmarked
-    return SpfSieve(limit=limit, spf=spf)
+    return spf
 
 
-def _decompose(sieve: SpfSieve, params: ArithParams) -> tuple[np.ndarray, np.ndarray]:
-    """Divisor counts and omegas for 0..limit, from n = p * m with p = spf(n).
+def tabulate(spf: np.ndarray, params: ArithParams) -> tuple[np.ndarray, np.ndarray]:
+    """d(minpow_r(n)) (int32) and omega(n) (int8) for n = 0..len(spf) - 1, from n = p * m, p = spf(n).
 
     p divides m iff spf(m) == p, and then e = expo[m], else e = 0. So n has
     exponent e + 1 at p, counts[n] = counts[m] // c[e] * c[e + 1] with
     c[a] = ceil(a/r) + 1, and omegas[n] = omegas[m] + (e == 0). In a doubling
     block [lo, 2*lo) every m < lo, so each block reads only finished entries.
     """
-    N, spf, r = sieve.limit, sieve.spf, params.r
+    N, r = spf.size - 1, params.r
     c = np.array(minpow_divisor_counts(r, 32), dtype=np.int32)
     counts = np.empty(N + 1, dtype=np.int32)
     omegas = np.empty(N + 1, dtype=np.int8)
@@ -154,38 +130,6 @@ def _decompose(sieve: SpfSieve, params: ArithParams) -> tuple[np.ndarray, np.nda
         np.add(omegas[m], e == 0, out=omegas[lo:hi])
         lo = hi
     return counts, omegas
-
-
-@dataclass(frozen=True)
-class ValueTable:
-    """Tabulated divisor data for 1..limit under fixed (r, k).
-
-    ``counts[n]`` is the divisor count of the r-th minimal power of n (an
-    exact small integer) and ``omegas[n]`` the number of distinct prime
-    factors; together they determine the studied value counts[n] / k**omegas[n].
-    """
-
-    params: ArithParams
-    limit: int
-    counts: np.ndarray  # int32
-    omegas: np.ndarray  # int8
-
-    def value(self, n: int) -> ExactValue:
-        if not 1 <= n <= self.limit:
-            raise ConfigError(f"n={n} outside tabulated range 1..{self.limit}")
-        if self.params.exact:
-            return Fraction(int(self.counts[n]), self.params.k_int ** int(self.omegas[n]))
-        return float(self.counts[n]) / float(self.params.k) ** int(self.omegas[n])
-
-
-def tabulate(sieve: SpfSieve, params: ArithParams) -> ValueTable:
-    """Evaluate the studied multiplicative function for every n <= limit.
-
-    Values agree exactly with the single-integer path in ``arith``; the sieve
-    recovers each factorization incrementally instead of trial-dividing.
-    """
-    counts, omegas = _decompose(sieve, params)
-    return ValueTable(params=params, limit=sieve.limit, counts=counts, omegas=omegas)
 
 
 def value_blocks(params: ArithParams, limit: int, part: int = 0,
@@ -350,17 +294,11 @@ def _segment_bounds(limit: int, checkpoints: Sequence[int], segment: int) -> lis
     return []
 
 
-def summatory(
-    params: ArithParams,
-    limit: int,
-    grid: Optional[Sequence[int]] = None,
-) -> SummatoryTable:
-    """Prefix sums S(x) at the grid checkpoints; main and residual stay None.
+_decompose = tabulate  # no caller either: a second name that perfbench/trace_cli.py wraps
 
-    The exact S(x) come from ``hyperbola`` at k = 1 and k = 2 and from
-    ``classtotals`` at every other k; for a non-integer k each is rounded
-    once. ``fit.residuals`` adds the main-term and residual columns.
-    """
+
+def grid_points(limit: int, grid: Optional[Sequence[int]] = None) -> list[int]:
+    """The grid's distinct points ascending, as ``summatory`` sums them; ConfigError for a bad N or grid."""
     if limit < 1:
         raise ConfigError(f"N must be >= 1, got {limit}")
     points = geometric_checkpoints(limit) if grid is None else grid
@@ -372,7 +310,21 @@ def summatory(
         raise ConfigError("checkpoint grid is empty")
     if not 1 <= checkpoints[0] <= checkpoints[-1] <= limit:
         raise ConfigError(f"grid points must lie in [1, {limit}]")
+    return checkpoints
 
+
+def summatory(
+    params: ArithParams,
+    limit: int,
+    grid: Optional[Sequence[int]] = None,
+) -> SummatoryTable:
+    """Prefix sums S(x) at the grid checkpoints; main and residual stay None.
+
+    The exact S(x) come from ``hyperbola`` at k = 1 and k = 2 and from
+    ``classtotals`` at every other k; for a non-integer k each is rounded
+    once. ``fit.residuals`` adds the main-term and residual columns.
+    """
+    checkpoints = grid_points(limit, grid)
     backend = hyperbola if params.k in (1.0, 2.0) else classtotals
     _require_budget(
         backend.required_bytes(params, checkpoints),

@@ -22,10 +22,10 @@ def spf():
 
 def sieve_class_totals(spf, r: int) -> np.ndarray:
     """Row x: the per-omega bincount of the sieve's counts over 1..x."""
-    table = tabulate(spf, ArithParams(r, 1.0))
-    width = int(table.omegas.max()) + 1
+    counts, omegas = tabulate(spf, ArithParams(r, 1.0))
+    width = int(omegas.max()) + 1
     out = np.zeros((SIEVED + 1, width), dtype=np.int64)
-    out[np.arange(1, SIEVED + 1), table.omegas[1:]] = table.counts[1:]
+    out[np.arange(1, SIEVED + 1), omegas[1:]] = counts[1:]
     return np.cumsum(out, axis=0)
 
 
@@ -67,6 +67,22 @@ class TestFloorValues:
             assert {x // i for i in range(1, x + 1)} <= have
         for v in values.tolist():
             assert {v // d for d in range(1, v + 1)} <= have
+
+
+    @pytest.mark.parametrize("xs", [
+        geometric_checkpoints(3 * 10**7),
+        geometric_checkpoints(10**10),
+        geometric_checkpoints(10**11, per_decade=1),
+        [1000, 7, 1000, 4321, 7, 99991, 1],
+        [1], [2], [3],
+    ], ids=["geom8-3e7", "geom8-1e10", "geom1-1e11", "repeats", "1", "2", "3"])
+    def test_equals_unique_of_the_joined_quotients(self, xs):
+        # the sort and neighbour mask give V exactly: every x // i, each once, ascending
+        parts = [np.arange(1, math.isqrt(max(xs)) + 1, dtype=np.int64)]
+        parts += [x // np.arange(1, math.isqrt(x) + 1, dtype=np.int64) for x in xs]
+        values = classtotals.floor_values(xs)
+        assert values.dtype == np.int64
+        assert np.array_equal(values, np.unique(np.concatenate(parts)))
 
 
 class TestAgainstHyperbola:

@@ -135,6 +135,40 @@ class TestErrorsBeforeWork:
         assert captured.out == ""
         assert captured.err.splitlines()[-1].startswith(message), captured.err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sum", "--N", "100000", "--with-main", "--out", "{tmp}/missing/x.csv"],
+         "error: cannot write {tmp}/missing/x.csv: No such file or directory"),
+        (["fit", "--N", "100000", "--out", "{tmp}"], "error: cannot write {tmp}: Is a directory"),
+        (["constants", "--out", "{tmp}/missing/x.json"], "error: cannot write {tmp}/missing/x.json: "),
+        (["fit", "--N", "100000", "--grid", "list:1000,2000,4000,8000,16000"],
+         "error: exponent fit needs at least 8 usable checkpoints with x >= 1000, found 5"),
+        (["fit", "--N", "100000", "--grid", "list:10,20,999,1000,2000,2000", "--x-min", "20"],
+         "error: exponent fit needs at least 8 usable checkpoints with x >= 20, found 4"),
+    ], ids=["missing-directory", "directory", "constants", "five-points", "distinct-points"])
+    def test_out_and_fit_points_checked_before_any_sum(self, argv, message, tmp_path,
+                                                       monkeypatch, capsys):
+        from meanval import coeffs, sieve
+
+        monkeypatch.setattr(sieve, "summatory", lambda *a, **kw: pytest.fail("summed"))
+        monkeypatch.setattr(coeffs, "bundle", lambda *a, **kw: pytest.fail("constants formed"))
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        assert cli.main([*argv, "--prime-cutoff", "1000000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.rstrip("\n")]  # one line
+        assert captured.err.startswith(message.replace("{tmp}", str(tmp_path))), captured.err
+
+    def test_out_is_not_opened_before_the_work(self, tmp_path, capsys):
+        # a run that fails leaves an existing --out file as it was, and a run that
+        # succeeds writes it once, in full
+        out = tmp_path / "x.json"
+        out.write_text("kept\n")
+        assert cli.main(["sum", "--N", "1000", "--grid", "list:", "--out", str(out)]) == 2
+        assert out.read_text() == "kept\n"
+        assert cli.main(["sum", "--N", "1000", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["N"] == 1000
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize("command", [
         ["constants"], ["verify"], ["sum", "--N", "10"],
         ["fit", "--r", "3", "--k", "1.5", "--N", "10000000000"],

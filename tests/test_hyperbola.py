@@ -24,8 +24,9 @@ def spf_1e6():
 
 def table_prefix_sums(table, k: int, xs) -> dict[int, Fraction]:
     """S(x) from the sieve's per-n table: prefix sums of counts * k**(W - omega) over k**W."""
-    w_max = int(table.omegas.max())
-    scaled = table.counts.astype(np.int64) * k ** (w_max - table.omegas.astype(np.int64))
+    counts, omegas = table
+    w_max = int(omegas.max())
+    scaled = counts.astype(np.int64) * k ** (w_max - omegas.astype(np.int64))
     scaled[0] = 0
     cum = np.cumsum(scaled)
     return {x: Fraction(int(cum[x]), k**w_max) for x in xs}

@@ -4,24 +4,16 @@ import json
 import math
 import random
 import signal
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from meanval import cli
-from meanval.arith import ArithParams, composite_weighted_divisor, factorize
+from meanval import classtotals, cli, hyperbola
+from meanval.arith import ArithParams, divisor_count, factorize, minimal_power, omega
 from meanval.errors import ConfigError, ResourceError
 from meanval import sieve as sieve_mod
-from meanval.sieve import (
-    _check_budget,
-    build_spf,
-    geometric_checkpoints,
-    summatory,
-    tabulate,
-    value_blocks,
-)
+from meanval.sieve import build_spf, geometric_checkpoints, summatory, tabulate, value_blocks
 
 from oracles import enumerated_sum, prime_count, smallest_prime_factors
 
@@ -33,24 +25,25 @@ def _enumerated_prefix_sums(r: int, k: float, xs: tuple[int, ...]) -> dict[int, 
 
 class TestBuildSpf:
     def test_small_entries(self):
-        sieve = build_spf(100)
-        assert sieve.spf[2] == 2
-        assert sieve.spf[91] == 7
-        assert sieve.spf[97] == 97
-        assert sieve.spf[64] == 2
+        spf = build_spf(100)
+        assert spf.dtype == np.int32 and spf.size == 101
+        assert spf[2] == 2
+        assert spf[91] == 7
+        assert spf[97] == 97
+        assert spf[64] == 2
 
     def test_spf_divides_and_is_minimal(self):
-        sieve = build_spf(5000)
+        spf = build_spf(5000)
         for n in range(2, 5001):
-            p = int(sieve.spf[n])
+            p = int(spf[n])
             assert n % p == 0
             for q in range(2, p):
                 assert n % q != 0
 
     def test_prime_count_up_to_1e6(self):
-        sieve = build_spf(10**6)
+        spf = build_spf(10**6)
         idx = np.arange(10**6 + 1)
-        fixed_points = int(np.count_nonzero(sieve.spf[2:] == idx[2:]))
+        fixed_points = int(np.count_nonzero(spf[2:] == idx[2:]))
         assert fixed_points == prime_count(10**6) == 78498
 
     def test_limit_too_small(self):
@@ -59,31 +52,11 @@ class TestBuildSpf:
 
     @pytest.mark.parametrize("limit", [2, 3, 4, 2**18 - 1, 2**18, 2**18 + 1, 3 * 2**18 + 7])
     def test_matches_naive_sieve(self, limit):
-        assert np.array_equal(build_spf(limit).spf, smallest_prime_factors(limit))
+        assert np.array_equal(build_spf(limit), smallest_prime_factors(limit))
 
-    def test_memory_budget_enforced(self, monkeypatch):
-        monkeypatch.setenv(sieve_mod.MEM_ENV_VAR, "1")
-        with pytest.raises(ResourceError):
-            build_spf(10**8)
-        # a budget that is not a finite number >= 0 is refused like a non-numeric one
-        for value in ("nan", "inf", "-1"):
-            monkeypatch.setenv(sieve_mod.MEM_ENV_VAR, value)
-            with pytest.raises(ConfigError):
-                build_spf(10**5)
-
-    @pytest.mark.parametrize("limit", [10**5, 2 * 10**6, 10**7])
-    def test_budget_covers_traced_peak(self, limit, monkeypatch):
-        tracemalloc.start()
-        try:
-            tabulate(build_spf(limit), ArithParams(2, 1.0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the gate must refuse a budget equal to the measured peak, that is,
-        # its estimate for this limit is above the peak
-        monkeypatch.setenv(sieve_mod.MEM_ENV_VAR, str(peak / 2**20))
-        with pytest.raises(ResourceError):
-            _check_budget(limit)
+    def test_int32_layout_refused(self):
+        with pytest.raises(ResourceError, match="int32"):
+            build_spf(2**31 - 1)
 
 
 class TestValueBlocks:
@@ -100,14 +73,14 @@ class TestValueBlocks:
         monkeypatch.setattr(sieve_mod, "SERIES_BLOCK", 1000)
         for k in (1.0, 1.5, 2.0, 3.0):
             params = ArithParams(r, k)
-            table = tabulate(build_spf(max(limit, 2)), params)
+            table_counts, table_omegas = tabulate(build_spf(max(limit, 2)), params)
             end = 1
             for lo, counts, omegas in value_blocks(params, limit):
                 assert lo == end and counts.size == omegas.size <= 1000
                 assert counts.dtype == np.int32 and omegas.dtype == np.int8
                 end = lo + counts.size
-                assert np.array_equal(counts, table.counts[lo:end])
-                assert np.array_equal(omegas, table.omegas[lo:end])
+                assert np.array_equal(counts, table_counts[lo:end])
+                assert np.array_equal(omegas, table_omegas[lo:end])
             assert end == limit + 1
 
     def test_default_blocks_equal_the_table(self):
@@ -116,11 +89,11 @@ class TestValueBlocks:
         # of those powers divide a block's first or last n (2**9 divides every last one)
         for r, limit in ((2, 10**6), (2, 4 * 10**6), (3, 4 * 10**6)):
             params = ArithParams(r, 1.5)
-            table = tabulate(build_spf(limit), params)
+            table_counts, table_omegas = tabulate(build_spf(limit), params)
             blocks = list(value_blocks(params, limit))
             assert len(blocks) == -(-limit // sieve_mod.SERIES_BLOCK)
-            assert np.array_equal(np.concatenate([c for _, c, _ in blocks]), table.counts[1:])
-            assert np.array_equal(np.concatenate([o for _, _, o in blocks]), table.omegas[1:])
+            assert np.array_equal(np.concatenate([c for _, c, _ in blocks]), table_counts[1:])
+            assert np.array_equal(np.concatenate([o for _, _, o in blocks]), table_omegas[1:])
 
     @pytest.mark.parametrize("parts", [1, 2, 3])
     @pytest.mark.parametrize("limit", [1, 999, 1000, 5007, 30030 + 11])
@@ -129,14 +102,14 @@ class TestValueBlocks:
         # limits give 1 to 31 blocks, so some parts get none and the last block is short
         monkeypatch.setattr(sieve_mod, "SERIES_BLOCK", 1000)
         params = ArithParams(3, 1.5)
-        table = tabulate(build_spf(max(limit, 2)), params)
+        table_counts, table_omegas = tabulate(build_spf(max(limit, 2)), params)
         seen = []
         for part in range(parts):
             for lo, counts, omegas in value_blocks(params, limit, part, parts):
                 assert (lo - 1) // 1000 % parts == part and (lo - 1) % 1000 == 0
                 assert counts.size == min(1000, limit + 1 - lo)
-                assert np.array_equal(counts, table.counts[lo : lo + counts.size])
-                assert np.array_equal(omegas, table.omegas[lo : lo + counts.size])
+                assert np.array_equal(counts, table_counts[lo : lo + counts.size])
+                assert np.array_equal(omegas, table_omegas[lo : lo + counts.size])
                 seen.append(lo)
         assert sorted(seen) == list(range(1, limit + 1, 1000))
 
@@ -147,46 +120,46 @@ class TestValueBlocks:
             next(value_blocks(ArithParams(2, 1.0), 2**31 - 1))
 
 
+def _assert_direct(counts, omegas, n, r):
+    """counts[n] and omegas[n] are d(minpow_r(n)) and omega(n) from ``arith``'s single-integer path."""
+    f = factorize(n)
+    assert (counts[n], omegas[n]) == (divisor_count(minimal_power(f, r)), omega(f)), (n, r)
+
+
 class TestTabulate:
     def test_spot_values(self):
-        sieve = build_spf(100)
-        t1 = tabulate(sieve, ArithParams(2, 1.0))
-        assert t1.value(8) == 3
-        assert t1.value(1) == 1
-        t2 = tabulate(sieve, ArithParams(2, 2.0))
-        assert t2.value(9) == 1
+        spf = build_spf(100)
+        counts, omegas = tabulate(spf, ArithParams(2, 1.0))
+        assert counts.dtype == np.int32 and omegas.dtype == np.int8
+        assert counts.size == omegas.size == 101
+        assert (counts[8], omegas[8]) == (3, 1)  # minpow_2(8) = 2**2
+        assert (counts[1], omegas[1]) == (1, 0)
+        counts, omegas = tabulate(spf, ArithParams(2, 2.0))
+        assert counts[9] / 2 ** omegas[9] == 1  # d(3) / 2
 
     def test_agrees_with_direct_evaluation_exact(self):
-        sieve = build_spf(10**5)
+        spf = build_spf(10**5)
         rng = random.Random(7)
         for params in (ArithParams(2, 1.0), ArithParams(3, 2.0)):
-            table = tabulate(sieve, params)
+            counts, omegas = tabulate(spf, params)
             for _ in range(1000):
-                n = rng.randint(1, 10**5)
-                assert table.value(n) == composite_weighted_divisor(factorize(n), params)
+                _assert_direct(counts, omegas, rng.randint(1, 10**5), params.r)
 
     def test_agrees_with_direct_evaluation_float(self):
-        sieve = build_spf(2 * 10**4)
+        spf = build_spf(2 * 10**4)
         params = ArithParams(2, 1.5)
-        table = tabulate(sieve, params)
+        counts, omegas = tabulate(spf, params)
         rng = random.Random(11)
         for _ in range(300):
-            n = rng.randint(1, 2 * 10**4)
-            assert table.value(n) == composite_weighted_divisor(factorize(n), params)
-
-    def test_out_of_range(self):
-        table = tabulate(build_spf(10), ArithParams(2, 1.0))
-        with pytest.raises(ConfigError):
-            table.value(11)
+            _assert_direct(counts, omegas, rng.randint(1, 2 * 10**4), params.r)
 
     def test_agrees_with_direct_evaluation_at_doubling_block_edges(self):
-        sieve = build_spf(10**6)
+        spf = build_spf(10**6)
         edges = [n for j in range(1, 20) for n in (2**j - 1, 2**j, 2**j + 1) if n <= 10**6]
         for r in (2, 3, 5):
-            params = ArithParams(r, 2.0)
-            table = tabulate(sieve, params)
+            counts, omegas = tabulate(spf, ArithParams(r, 2.0))
             for n in edges:
-                assert table.value(n) == composite_weighted_divisor(factorize(n), params)
+                _assert_direct(counts, omegas, n, r)
 
 
 @contextlib.contextmanager
@@ -349,6 +322,20 @@ class TestSummatory:
             summatory(ArithParams(2, 1.0), 10, grid=[0])
         with pytest.raises(ConfigError):
             summatory(ArithParams(2, 1.0), 0)
+
+    @pytest.mark.parametrize("k", [1.0, 1.5])
+    def test_memory_budget_enforced(self, k, monkeypatch):
+        # both backends: a budget below the estimate is a resource error, and one that is
+        # not a finite number >= 0 is refused like a non-numeric one, before any sum
+        monkeypatch.setattr(classtotals, "prefix_sums", lambda *a: pytest.fail("summed"))
+        monkeypatch.setattr(hyperbola, "prefix_sums", lambda *a: pytest.fail("summed"))
+        monkeypatch.setenv(sieve_mod.MEM_ENV_VAR, "1")
+        with pytest.raises(ResourceError, match=sieve_mod.MEM_ENV_VAR):
+            summatory(ArithParams(2, k), 10**12)
+        for value in ("nan", "inf", "-1"):
+            monkeypatch.setenv(sieve_mod.MEM_ENV_VAR, value)
+            with pytest.raises(ConfigError, match="not a finite number >= 0"):
+                summatory(ArithParams(2, k), 10**5)
 
     @pytest.mark.parametrize("k", [1.0, 1.5, 2.0])
     def test_array_grid_equals_list_grid(self, k):

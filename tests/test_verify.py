@@ -204,8 +204,8 @@ class TestGlobalFactorization:
         # blocks of 1000 terms leave a short last block at N = 5007
         monkeypatch.setattr(sieve_mod, "SERIES_BLOCK", 1000)
         for params, s in ((ArithParams(2, 1.0), 2.0), (ArithParams(3, 1.5), 1.7)):
-            table = tabulate(build_spf(5007), params)
-            vals = table.counts[1:] * np.power(float(params.k), -table.omegas[1:].astype(np.float64))
+            counts, omegas = tabulate(build_spf(5007), params)
+            vals = counts[1:] * np.power(float(params.k), -omegas[1:].astype(np.float64))
             expected = math.fsum(vals * np.arange(1, 5008, dtype=np.float64) ** -s)
             assert dirichlet_series_truncated(params, s, 5007)[0] == expected
 
@@ -215,8 +215,8 @@ class TestGlobalFactorization:
         # at the default block size: the correctly rounded sum of k**-omega * count * n**-s
         # over the oracle table, whatever the platform's value of each term
         params = ArithParams(r, k)
-        table = tabulate(build_spf(limit), params)
-        terms = np.power(k, -table.omegas[1:].astype(np.float64)) * table.counts[1:]
+        counts, omegas = tabulate(build_spf(limit), params)
+        terms = np.power(k, -omegas[1:].astype(np.float64)) * counts[1:]
         terms *= np.arange(1, limit + 1, dtype=np.float64) ** -2.0
         assert repr(dirichlet_series_truncated(params, 2.0, limit)[0]) == repr(math.fsum(terms))
 
