@@ -25,12 +25,13 @@ prime sum run over all primes, so it checks the code that does the work.
 The sums over primes (the log-product and the prime sum) are correctly
 rounded, so their round-off is one rounding each. ``bundle`` and
 ``cofactor_value`` each form theirs in one call of ``xsum.split_sums``, one
-walk over the blocks of ``prime_blocks``, cast to float64 once per block.
-The exact sum does not depend on the blocks, so no array of all pi(P) primes
-is held, and a long walk splits into interleaved parts, one per CPU, whose
-sums merge into the serial walk's bits.
+walk over the pieces of ``prime_blocks``, cast to float64 once per piece.
+The exact sum does not depend on the pieces, so no array of all pi(P) primes
+is held, every term's temporaries are one piece long, and a long walk splits
+into interleaved parts, one per CPU, whose sums merge into the serial walk's
+bits.
 
-``bundle`` forms every s = 1 quantity once: one walk over the prime blocks
+``bundle`` forms every s = 1 quantity once: one walk over the prime pieces
 feeds both prime sums, and the product, zeta and zeta' at r and at 2, and
 H(1) follow from them. ``leading_coefficient`` and
 ``cofactor_derivative_at_1`` are its two steps and take those as inputs;
@@ -68,9 +69,9 @@ _GATE_PRIMES = (2, 3, 5, 101)
 
 
 def _float_prime_blocks(cutoff: int, part: int, parts: int):
-    """The blocks of ``prime_blocks`` as float64, so that ``p**s`` at an integer s stays in floats."""
-    for block in prime_blocks(cutoff, part, parts):
-        yield block.astype(np.float64)
+    """The pieces of ``prime_blocks`` as float64, so that ``p**s`` at an integer s stays in floats."""
+    for piece in prime_blocks(cutoff, part, parts):
+        yield piece.astype(np.float64)
 
 
 def _factor_term(p, s: float, params: ArithParams):
@@ -120,7 +121,7 @@ def cofactor_value(s: float, params: ArithParams,
     Defined for s > 1/2, where r*s and 2*s stay inside the zeta evaluator's
     range. The bound covers the dropped prime factors, both zeta radii and
     float round-off, and is inf where the tail's log is past exp's range.
-    The log-product is one walk over the prime blocks, split over processes
+    The log-product is one walk over the prime pieces, split over processes
     past 2 * ``xsum.MIN_PART`` odd slots with the same bits as one.
     """
     if not s > 0.5:
@@ -267,7 +268,7 @@ def bundle(
 ) -> ConstantsBundle:
     """Assemble all main-term constants at one prime cutoff, in one pass at s = 1.
 
-    One walk over the prime blocks feeds the s = 1 log-product and the prime
+    One walk over the prime pieces feeds the s = 1 log-product and the prime
     sum; past 2 * ``xsum.MIN_PART`` odd slots it is split over processes,
     which leaves every bit of both sums as it is. The product, zeta and zeta'
     at r and at 2, and H(1) are each formed once here;

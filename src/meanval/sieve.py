@@ -1,25 +1,29 @@
 """Per-n divisor data by sieving, and checkpointed sums.
 
-``value_blocks`` streams each n's divisor count and omega over 1..N in
-blocks of SERIES_BLOCK integers, which stay in cache, and serves
-``verify``'s Dirichlet series. Each block takes every prime p <= sqrt(N)
-and every power of one. Omega for those of 2 to 13 is sliced from one
-periodic pattern (a wheel of period 30030), and the power of 2 in n is
-n & -n; the rest come in two tiers split at sqrt(SERIES_BLOCK):
+``value_blocks`` streams each n's divisor count and omega over 1..N and
+serves ``verify``'s Dirichlet series. It sieves segments of SERIES_BLOCK
+integers, which stay in cache, into three arrays that live for the whole
+walk, and hands each segment out in pieces of at most ``primes.PIECE``
+integers, so the float64 terms of a piece (64 KiB) reuse the same heap pages.
+Each segment takes every prime p <= sqrt(N) and every power of one. Omega
+for those of 2 to 13 is sliced from one periodic pattern (a wheel of period
+30030), and the power of 2 in n is n & -n; the rest come in two tiers split
+at sqrt(SERIES_BLOCK):
 
-* a prime power with at least sqrt(SERIES_BLOCK) multiples in a block is
-  struck in place, one strided pass over the block each;
-* the prime powers above the split, listed once before the first block,
-  have few multiples each, so one vectorised pass forms the offsets of all
-  their multiples in the block and one ``ufunc.at`` call each applies them,
-  as a bucket sieve does (Oliveira e Silva, Herzog and Pardi, *Math. Comp.*
-  83, 2014).
+* a prime power with at least sqrt(SERIES_BLOCK) multiples in a segment is
+  struck in place, one strided pass over the segment each;
+* the prime powers above the split, listed once before the first segment,
+  have few multiples each, so a vectorised pass per batch of them forms the
+  offsets of all their multiples in the segment and one ``ufunc.at`` call
+  each applies them, as a bucket sieve does (Oliveira e Silva, Herzog and
+  Pardi, *Math. Comp.* 83, 2014); a batch has at most PIECE multiples, so
+  its offsets take no more memory than a piece.
 
 What is left of n is then 1 or its one prime factor above sqrt(N). No array
 of length N is held.
 
 The whole per-n table is built independently, and serves the tests as the
-oracle for those blocks and for the sums; no command builds it, and
+oracle for those pieces and for the sums; no command builds it, and
 ``meanval`` does not export it:
 
 1. ``build_spf`` returns the smallest prime factor of every n <= N as an
@@ -55,7 +59,7 @@ import numpy as np
 from . import classtotals, hyperbola
 from .arith import ArithParams, ExactValue, minpow_divisor_counts
 from .errors import ConfigError, ResourceError
-from .primes import primes_up_to
+from .primes import PIECE, primes_up_to
 
 __all__ = [
     "SummatoryRow",
@@ -69,7 +73,10 @@ DEFAULT_MEM_LIMIT_MB = 4096
 MEM_ENV_VAR = "MEANVAL_MEM_LIMIT_MB"
 
 GRID_DENSITY = 8  # checkpoints per decade of the default grid
-SERIES_BLOCK = 1 << 16  # integers per value_blocks block: 256 KiB of int32, 512 KiB per float64 term array
+# a grid point's int, its set entry and its list slots, through ``grid_points``' sorted copy:
+# tracemalloc measures 74 to 120 bytes per point for geom grids of 4e3 to 8e5 points
+BYTES_PER_POINT = 128
+SERIES_BLOCK = 1 << 16  # integers per value_blocks segment: 256 KiB of int32
 
 
 def _require_budget(need_bytes: float, what: str, detail: str) -> None:
@@ -134,22 +141,27 @@ def tabulate(spf: np.ndarray, params: ArithParams) -> tuple[np.ndarray, np.ndarr
 
 def value_blocks(params: ArithParams, limit: int, part: int = 0,
                  parts: int = 1) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """(lo, counts, omegas) for n in [lo, lo + len(counts)), block by block over 1..limit.
+    """(lo, counts, omegas) for n in [lo, lo + len(counts)), piece by piece over 1..limit.
 
-    Only the blocks part, part + parts, part + 2*parts, ... are formed, each
-    equal to the serial walk's block of that index, so ``parts`` interleaved
-    walks share the series out evenly (``xsum.split_sums``). The default is
-    the whole walk.
+    The values are sieved one segment of SERIES_BLOCK integers at a time and
+    handed out in pieces of 1 to PIECE integers, none spanning two segments.
+    Only the segments part, part + parts, part + 2*parts, ... are formed, and
+    their pieces yielded, each equal to the serial walk's piece, so ``parts``
+    interleaved walks share the series out evenly (``xsum.split_sums``). The
+    default is the whole walk. A piece's arrays are views into three arrays
+    that the next segment overwrites: a caller that keeps a piece past the
+    next one must copy it.
 
-    Equal to the slices of ``tabulate``'s table, without it: in each block of
-    SERIES_BLOCK integers every prime p <= sqrt(limit) adds 1 to omega at its
-    multiples and multiplies the p-smooth part at the multiples of each
-    p**a. Omega starts as a slice of a wheel, the count of the primes 2 to 13
-    that are <= sqrt(limit) and divide n, tabulated over n mod their product;
-    the smooth part starts as n & -n, the power of 2 in n, when 2 <= sqrt(limit).
-    Every other prime power q <= sqrt(SERIES_BLOCK) takes strided passes over
-    the block. The larger ones are listed once, primes first, and in each
-    block the offsets of all their multiples are formed at once: q apart
+    Equal to the slices of ``tabulate``'s table, without it: in each segment
+    every prime p <= sqrt(limit) adds 1 to omega at its multiples and
+    multiplies the p-smooth part at the multiples of each p**a. Omega starts
+    as a slice of a wheel, the count of the primes 2 to 13 that are <=
+    sqrt(limit) and divide n, tabulated over n mod their product; the smooth
+    part starts as n & -n, the power of 2 in n, when 2 <= sqrt(limit). Every
+    other prime power q <= sqrt(SERIES_BLOCK) takes strided passes over the
+    segment. The larger ones are listed once, primes first, and cut into
+    batches with at most PIECE multiples in a segment; in each segment the
+    offsets of all the multiples of one batch are formed at once: q apart
     within one q's run, and a jump from the last multiple of one q to the
     first of the next, then a cumulative sum. The primes' offsets, a prefix
     of them, add 1 to omega; every offset multiplies the smooth part by its
@@ -170,7 +182,8 @@ def value_blocks(params: ArithParams, limit: int, part: int = 0,
     base = primes_up_to(math.isqrt(limit)).tolist()
     wheel = base[:6]  # those of 2, 3, 5, 7, 11 and 13 that are <= sqrt(limit)
     period = math.prod(wheel)
-    pattern = np.zeros(period + min(SERIES_BLOCK, limit), dtype=np.int8)  # omega over them, n mod period
+    size = min(SERIES_BLOCK, limit)
+    pattern = np.zeros(period + size, dtype=np.int8)  # omega over them, n mod period
     for p in wheel:
         pattern[::p] += 1
     struck = [p for p in base[1:] if p <= split]
@@ -185,14 +198,45 @@ def value_blocks(params: ArithParams, limit: int, part: int = 0,
     gq, gp = np.array(gathered, dtype=np.int64).reshape(-1, 2).T
     gp = gp.astype(np.int32)
 
-    def block_omegas(lo: int, n: np.ndarray) -> np.ndarray:  # its scratch is freed before the block is used
-        size = n.size
-        omegas = pattern[lo % period : lo % period + size].copy()
+    # the gathered prime powers in batches with at most PIECE multiples in a segment, or one
+    # power, so that a batch's offsets are no larger than a piece
+    batches, start, hits = [], 0, 0
+    for i, most in enumerate((SERIES_BLOCK // gq + 1).tolist()):
+        if hits + most > PIECE and i > start:
+            batches.append((start, i))
+            start, hits = i, 0
+        hits += most
+    batches.append((start, gq.size))
+
+    def gather(lo: int, omegas: np.ndarray, smooth: np.ndarray) -> None:
+        for a, b in batches:
+            qs = gq[a:b]
+            first = -lo % qs  # offset of each q's first multiple
+            runs = (omegas.size - first + qs - 1) // qs  # its multiples in the segment
+            n_hits = int(runs[: max(n_primes - a, 0)].sum())
+            live = np.flatnonzero(runs)
+            qs, first, runs = qs[live], first[live], runs[live]
+            last = first + (runs - 1) * qs
+            at = np.repeat(qs, runs)  # the gaps between the multiples, q by q
+            at[np.cumsum(runs) - runs] = first - np.concatenate(([0], last[:-1]))
+            np.cumsum(at, out=at)  # offsets of the multiples
+            np.add.at(omegas, at[:n_hits], np.int8(1))  # an int8 operand keeps add.at on its fast path
+            np.multiply.at(smooth, at, np.repeat(gp[a:b][live], runs))
+
+    # a segment's integers and its three results: one array each for the whole walk, cut to
+    # the last segment, which keeps the allocator from returning and refaulting their pages
+    n = np.arange(1, 1 + size, dtype=np.int32)
+    omegas, smooth, counts = np.empty(size, np.int8), np.empty(size, np.int32), np.empty(size, np.int32)
+    for lo in range(1 + part * SERIES_BLOCK, limit + 1, parts * SERIES_BLOCK):
+        size = min(size, limit + 1 - lo)
+        n, omegas, smooth, counts = n[:size], omegas[:size], smooth[:size], counts[:size]
+        n += lo - int(n[0])
+        np.copyto(omegas, pattern[lo % period : lo % period + size])
         if wheel:  # the 2-part, n & -n
-            smooth = np.negative(n)
+            np.negative(n, out=smooth)
             smooth &= n
         else:
-            smooth = np.ones(size, dtype=np.int32)
+            smooth.fill(1)
         for p in struck:
             if p not in wheel:
                 omegas[-lo % p :: p] += 1
@@ -200,29 +244,10 @@ def value_blocks(params: ArithParams, limit: int, part: int = 0,
             while q <= split:
                 smooth[-lo % q :: q] *= p
                 q *= p
-        first = -lo % gq  # offset of each q's first multiple
-        runs = (size - first + gq - 1) // gq  # its multiples in the block
-        n_hits = int(runs[:n_primes].sum())
-        live = np.flatnonzero(runs)
-        qs, first, runs = gq[live], first[live], runs[live]
-        last = first + (runs - 1) * qs
-        gaps = np.repeat(qs, runs)
-        gaps[np.cumsum(runs) - runs] = first - np.concatenate(([0], last[:-1]))
-        at = np.cumsum(gaps)  # offsets of the multiples, q by q
-        np.add.at(omegas, at[:n_hits], np.int8(1))  # an int8 operand keeps add.at on its fast path
-        np.multiply.at(smooth, at, np.repeat(gp[live], runs))
+        gather(lo, omegas, smooth)
         omegas += smooth != n
-        return omegas
-
-    # the block's integers: one array for the whole walk, cut to the last block and advanced
-    # in place, which also keeps the allocator from returning and refaulting a block's pages
-    n = np.arange(1, 1 + min(SERIES_BLOCK, limit), dtype=np.int32)
-    for lo in range(1 + part * SERIES_BLOCK, limit + 1, parts * SERIES_BLOCK):
-        n = n[: limit + 1 - lo]
-        n += lo - int(n[0])
-        omegas = block_omegas(lo, n)
-        hi = lo + omegas.size
-        counts = np.left_shift(1, omegas, dtype=np.int32)
+        hi = lo + size
+        np.left_shift(1, omegas, out=counts, dtype=np.int32)
         for p in base:
             q, a = p ** (r + 1), r + 1
             if q >= hi:
@@ -232,21 +257,35 @@ def value_blocks(params: ArithParams, limit: int, part: int = 0,
                 step //= c[a - 1]
                 step *= c[a]
                 q, a = q * p**r, a + r
-        yield lo, counts, omegas
+        for at in range(0, size, PIECE):
+            yield lo + at, counts[at : at + PIECE], omegas[at : at + PIECE]
 
 
 def geometric_checkpoints(limit: int, per_decade: int = GRID_DENSITY) -> list[int]:
-    """Log-spaced checkpoints round(10**(j/per_decade)) in [10, limit], plus limit."""
+    """Log-spaced checkpoints round(10**(j/per_decade)) in [10, limit], plus limit.
+
+    The points are counted in closed form first, and a grid whose points
+    would pass MEANVAL_MEM_LIMIT_MB raises ResourceError before any is built.
+    """
     if limit < 1:
         raise ConfigError(f"limit must be >= 1, got {limit}")
     if per_decade < 1:
         raise ConfigError(f"grid density must be >= 1, got {per_decade}")
     # consecutive points lie x * step apart: every integer up to x = 1 / (2 step) is one
     step = math.expm1(math.log(10) * (1 / per_decade))
-    if limit * step <= 0.5:  # step is 0.0 at a density past the double range
+    dense = limit * step <= 0.5  # step is 0.0 at a density past the double range
+    if dense:
+        points = max(limit - 9, 1)
+    else:
+        j = max(per_decade, math.floor(per_decade * math.log10(0.5 / step)))
+        run = min(round(10 ** (j / per_decade)), limit)  # every integer from 10 to here is a point
+        # then at most one point per exponent from j to per_decade * log10(limit), and limit
+        points = min(max(run - 9, 0) + per_decade * math.log10(limit) - j + 2, limit)
+    _require_budget(points * BYTES_PER_POINT, f"checkpoint grid geom:{per_decade} to {limit}",
+                    f"~{points:.0f} points at {BYTES_PER_POINT} bytes each")
+    if dense:
         return list(range(10, limit + 1)) or [limit]
-    j = max(per_decade, math.floor(per_decade * math.log10(0.5 / step)))
-    pts = set(range(10, min(round(10 ** (j / per_decade)), limit) + 1))
+    pts = set(range(10, run + 1))
     while True:
         x = round(10 ** (j / per_decade))
         if x > limit:

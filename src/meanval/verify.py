@@ -26,7 +26,7 @@ Verified identities:
 
 The closed forms take a scalar or an array: ``euler_product_truncated`` runs
 ``local_factor_excess`` (the function ``local_factor_check`` validates) over
-each block of ``primes.prime_blocks``, so the check covers the code that forms
+each piece of ``primes.prime_blocks``, so the check covers the code that forms
 the product.
 
 One partial-sum check serves both series identities: it sums
@@ -37,8 +37,8 @@ local factor.
 The truncated series and the log of the truncated product are each one call
 of ``xsum.split_sums``, which rounds the exact sum of the float terms once, so
 each round-off allowance needs one rounding for the sum on top of those of
-the terms. The series is formed and summed one block of ``sieve.value_blocks``
-at a time, and the product one block of ``primes.prime_blocks`` at a time, so
+the terms. The series is formed and summed one piece of ``sieve.value_blocks``
+at a time, and the product one piece of ``primes.prime_blocks`` at a time, so
 their memory grows with neither the series length nor the prime cutoff. A
 long walk is split into interleaved parts over processes; the exact sums
 merge into the serial walk's bits.
@@ -57,8 +57,8 @@ import numpy as np
 from .arith import ArithParams, local_factor_times, max_omega, minpow_divisor_counts
 from .coeffs import cofactor_numerator, cofactor_value
 from .errors import ConfigError
-from .primes import prime_blocks
-from .sieve import SERIES_BLOCK, value_blocks
+from .primes import PIECE, prime_blocks
+from .sieve import value_blocks
 from .xsum import split_sums
 from .zeta import EPS, expm1_or_inf, power_tails, zeta
 
@@ -233,21 +233,21 @@ def dirichlet_series_truncated(params: ArithParams, s: float, limit: int) -> tup
     The tail uses value(n) <= d(n) and sum_{n <= x} d(n) <= x*(ln x + 1),
     which after partial summation gives tail <= s * (I0 + I1), with I0 and
     I1 the integrals of ``power_tails`` at N and s. Past 2 * ``xsum.MIN_PART``
-    integers the blocks of ``value_blocks`` are split over processes, and the
-    sum keeps the bits of one walk.
+    integers the segments of ``value_blocks`` are split over processes, and
+    the sum keeps the bits of one walk.
     """
     if not s > 1.0:
         raise ConfigError(f"series tail bound needs s > 1, got {s}")
     k_pows = np.power(float(params.k), -np.arange(max_omega(limit) + 1.0))
-    # a block's n and n**-s: one array each for the whole walk, cut to the block and n advanced
-    # in place, which keeps the allocator from returning and refaulting pages every block
-    n, n_s = np.arange(1.0, 1 + min(SERIES_BLOCK, limit)), np.empty(min(SERIES_BLOCK, limit))
+    # a piece's n and n**-s: one array each for the whole walk, n advanced in place and both
+    # cut to the piece, so every term reuses the same pages
+    n, n_s = np.arange(1.0, 1 + min(PIECE, limit)), np.empty(min(PIECE, limit))
 
-    def term(block: tuple[int, np.ndarray, np.ndarray]) -> np.ndarray:
+    def term(piece: tuple[int, np.ndarray, np.ndarray]) -> np.ndarray:
         # (counts * k**-omega) * n**-s
-        lo, counts, omegas = block
+        lo, counts, omegas = piece
         size = counts.size
-        n[:size] += lo - n[0]
+        np.add(n, lo - n[0], out=n)  # all of n, so that a short piece leaves none of it behind
         terms = k_pows[omegas]
         terms *= counts
         terms *= np.power(n[:size], -s, out=n_s[:size])

@@ -12,11 +12,11 @@ rounds the total once. Values in the top exponent fields, whose bins could
 pass 2**1024, go straight to that int.
 The result is that of ``math.fsum`` (R. M. Neal, *Fast exact summation using
 small and large superaccumulators*, arXiv:1505.05571), except where fsum's
-running sum overflows midway. ``ExactSum`` takes a whole array, or its blocks
+running sum overflows midway. ``ExactSum`` takes a whole array, or its pieces
 one at a time, and ``value()`` rounds the total.
 
-``split_sums``, the one loop that feeds ExactSums, walks blocks, adds each
-term's values on a block to that term's sum and returns the rounded sums. The
+``split_sums``, the one loop that feeds ExactSums, walks pieces, adds each
+term's values on a piece to that term's sum and returns the rounded sums. The
 sums are exact, so a long walk runs as interleaved parts in forked worker
 processes, one per CPU, whose sums merge into the serial walk's bits.
 """
@@ -118,12 +118,14 @@ def _part_count(size: int) -> int:
 
 
 def split_sums(blocks, size: int, *terms) -> tuple[float, ...]:
-    """Per term, the correctly rounded sum of its values on every block of ``blocks(0, 1)``.
+    """Per term, the correctly rounded sum of its values on every piece of ``blocks(0, 1)``.
 
     ``blocks(part, parts)``, such as ``partial(primes.prime_blocks, cutoff)``,
-    yields the blocks part, part + parts, ... of a walk over ``size``
-    integers or odd slots; each term maps a block to float64 values, added to
-    its own ExactSum. Parts 1 to parts - 1 run in forked workers, which pickle
+    yields the pieces of a walk over ``size`` integers or odd slots,
+    interleaved by segment: those of the segments part, part + parts, ....
+    Each term maps a piece to float64 values, added to its own ExactSum, and
+    keeps nothing of it, so a walk may hand out views that its next piece
+    overwrites. Parts 1 to parts - 1 run in forked workers, which pickle
     their sums back over a pipe and always leave by ``os._exit``, so none
     runs its caller's code; this process runs part 0 and merges the rest in,
     which gives the serial walk's sums bit for bit. An exception in a worker
@@ -140,9 +142,9 @@ def split_sums(blocks, size: int, *terms) -> tuple[float, ...]:
     """
     def walk(part: int, parts: int) -> tuple[ExactSum, ...]:
         sums = tuple(ExactSum() for _ in terms)
-        for block in blocks(part, parts):
+        for piece in blocks(part, parts):
             for acc, term in zip(sums, terms):
-                acc.add(term(block))
+                acc.add(term(piece))
         return sums
 
     parts = _part_count(size)

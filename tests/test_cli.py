@@ -421,6 +421,16 @@ class TestSumCommand:
         assert "int32" in err and "Traceback" not in err
         assert peak_mib < 100
 
+    def test_dense_geom_grid_exits_3_before_it_is_built(self, tmp_path):
+        # about 8e5 points, whose ints, set and lists peaked at 123 MiB before the budget saw them
+        code, err, peak_mib = run_cli_peak_rss(
+            tmp_path, "sum", "--r", "3", "--k", "1.5", "--N", "1000000", "--grid", "geom:1000000",
+            env_extra={"MEANVAL_MEM_LIMIT_MB": "1"},
+        )
+        assert code == 3, err
+        assert "checkpoint grid geom:1000000" in err and "MEANVAL_MEM_LIMIT_MB" in err
+        assert peak_mib < 40
+
     @pytest.mark.parametrize("command", [["verify", "--series-limit", "10000000"],
                                          ["constants", "--prime-cutoff", "30000000"],
                                          ["verify", "--r", "2", "--k", "1", "--series-limit", "1000",

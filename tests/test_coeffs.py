@@ -301,7 +301,8 @@ class TestBundleSharing:
 
     def test_prime_sum_runs_the_gated_kernel(self, monkeypatch):
         # the gate's calls take its 4 primes; the prime sum's calls take every
-        # prime <= P once, in order, whatever the blocks
+        # prime <= P once, in order, at most one piece at a time, whatever the
+        # segments and pieces; and the exact sums leave every bit of the bundle as it is
         seen = []
         inner = coeffs_mod.log_factor_derivative
 
@@ -310,24 +311,31 @@ class TestBundleSharing:
             return inner(ps, params)
 
         monkeypatch.setattr(coeffs_mod, "log_factor_derivative", spy)
-        for block in (1 << 18, 1000):
+        bundles = []
+        for block, piece in ((1 << 18, primes_mod.PIECE), (1000, primes_mod.PIECE),
+                             (1 << 18, 1000), (1000, 7), (1000, 1)):
             monkeypatch.setattr(primes_mod, "PRIME_BLOCK", block)
+            monkeypatch.setattr(primes_mod, "PIECE", piece)
             seen.clear()
-            bundle(ArithParams(3, 1.5), 10**5)
+            got = bundle(ArithParams(3, 1.5), 10**5)
             gate = [ps.tolist() == [2.0, 3.0, 5.0, 101.0] for ps in seen]
             summed = [ps for ps, is_gate in zip(seen, gate) if not is_gate]
             assert sum(gate) == 1
+            assert all(ps.size <= piece for ps in summed)
             assert np.array_equal(np.concatenate(summed), primes_up_to(10**5).astype(np.float64))
+            bundles.append(got)
+            assert got == bundles[0], (block, piece)
 
     def test_bundle_memory_is_one_block(self):
-        # the whole prime array at P = 1e7 and its float temporaries took 25 MiB
+        # the whole prime array at P = 1e7 and its float temporaries took 25 MiB, and
+        # terms over a whole segment of primes 2.7 MiB; over one piece they take 1.1 MiB
         tracemalloc.start()
         try:
             bundle(ArithParams(3, 1.5), 10**7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert peak < 1.5 * 2**20
 
     def test_gate_checks_the_array_kernel(self, monkeypatch):
         # a kernel right on scalars but off on arrays must not get past the gate

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from meanval import primes as primes_mod
-from meanval.primes import PRIME_BLOCK, prime_blocks, primes_up_to
+from meanval.primes import PIECE, PRIME_BLOCK, prime_blocks, primes_up_to
 
 from oracles import primes_by_trial_division, primes_list
 
@@ -39,11 +39,12 @@ class TestPrimeBlocks:
          7 * PRIME_BLOCK + 3],
     )
     def test_blocks_join_to_all_primes(self, limit):
-        # a block holds the primes among PRIME_BLOCK odd slots; 7 * PRIME_BLOCK + 3 spans four
-        blocks = list(prime_blocks(limit))
-        assert len(blocks) == (-(-((limit + 1) // 2) // PRIME_BLOCK) if limit >= 2 else 0)
-        assert all(block.dtype == np.int64 for block in blocks)
-        joined = np.concatenate([np.empty(0, dtype=np.int64), *blocks])
+        # a segment holds the primes among PRIME_BLOCK odd slots, handed out in pieces
+        # of 1 to PIECE primes that stay inside it; 7 * PRIME_BLOCK + 3 spans four segments
+        pieces = list(prime_blocks(limit))
+        assert all(1 <= piece.size <= PIECE and piece.dtype == np.int64 for piece in pieces)
+        assert all(_segment(piece[0]) == _segment(piece[-1]) for piece in pieces)
+        joined = np.concatenate([np.empty(0, dtype=np.int64), *pieces])
         assert np.array_equal(joined, primes_by_trial_division(limit))
         assert np.array_equal(joined, primes_up_to(limit))
 
@@ -73,10 +74,33 @@ class TestPrimeBlocks:
     @pytest.mark.parametrize("parts", [1, 2, 3])
     @pytest.mark.parametrize("limit", [0, 1, 2, 3, 30030, 2**19 + 5, 10**6])
     def test_parts_interleave_to_the_serial_blocks(self, limit, parts):
-        # part j holds the serial blocks j, j + parts, j + 2 * parts, ...
+        # part j holds the serial pieces of the segments j, j + parts, j + 2 * parts, ...
         serial = list(prime_blocks(limit))
-        walks = [list(prime_blocks(limit, part, parts)) for part in range(parts)]
-        assert [len(w) for w in walks] == [len(serial[part::parts]) for part in range(parts)]
-        for part, walk in enumerate(walks):
-            for got, want in zip(walk, serial[part::parts]):
-                assert got.dtype == np.int64 and np.array_equal(got, want)
+        for part in range(parts):
+            walk = list(prime_blocks(limit, part, parts))
+            want = [piece for piece in serial if _segment(piece[0]) % parts == part]
+            assert len(walk) == len(want)
+            for got, piece in zip(walk, want):
+                assert got.dtype == np.int64 and np.array_equal(got, piece)
+
+    @pytest.mark.parametrize("piece", [1, 7, 1000])
+    def test_small_pieces(self, monkeypatch, piece):
+        # segments of 1000 odd slots hold 1 to 168 primes each, so pieces of 7 and of 1
+        # leave short pieces inside the walk, and pieces of 1000 are whole segments
+        monkeypatch.setattr(primes_mod, "PRIME_BLOCK", 1000)
+        monkeypatch.setattr(primes_mod, "PIECE", piece)
+        limit = 30030 + 11
+        serial = list(prime_blocks(limit))
+        assert all(1 <= p.size <= piece and p[0] // 2 // 1000 == p[-1] // 2 // 1000 for p in serial)
+        assert np.array_equal(np.concatenate(serial), primes_by_trial_division(limit))
+        for parts in (2, 3):
+            for part in range(parts):
+                want = [p for p in serial if p[0] // 2 // 1000 % parts == part]
+                walk = list(prime_blocks(limit, part, parts))
+                assert len(walk) == len(want)
+                assert all(np.array_equal(got, p) for got, p in zip(walk, want))
+
+
+def _segment(prime) -> int:
+    """The index of the sieve segment that holds ``prime``'s odd slot (2 shares the slot of 1)."""
+    return int(prime) // 2 // PRIME_BLOCK

@@ -71,12 +71,13 @@ class TestValueBlocks:
         # at 48, 120 and 168, all six from 169. Blocks of 1000 straddle each multiple of
         # the wheel's period 30030 below 2**17 + 3.
         monkeypatch.setattr(sieve_mod, "SERIES_BLOCK", 1000)
+        piece = sieve_mod.PIECE
         for k in (1.0, 1.5, 2.0, 3.0):
             params = ArithParams(r, k)
             table_counts, table_omegas = tabulate(build_spf(max(limit, 2)), params)
             end = 1
             for lo, counts, omegas in value_blocks(params, limit):
-                assert lo == end and counts.size == omegas.size <= 1000
+                assert lo == end and counts.size == omegas.size <= min(piece, 1000)
                 assert counts.dtype == np.int32 and omegas.dtype == np.int8
                 end = lo + counts.size
                 assert np.array_equal(counts, table_counts[lo:end])
@@ -84,34 +85,56 @@ class TestValueBlocks:
             assert end == limit + 1
 
     def test_default_blocks_equal_the_table(self):
-        # at 4e6 the default block gathers the primes in (isqrt(SERIES_BLOCK), 2000] = (256,
+        # at 4e6 the default segment gathers the primes in (isqrt(SERIES_BLOCK), 2000] = (256,
         # 2000] and the powers above 256 of the smaller primes; 13 of those primes and many
-        # of those powers divide a block's first or last n (2**9 divides every last one)
+        # of those powers divide a segment's first or last n (2**9 divides every last one).
+        # The pieces are views that the next segment overwrites, so the kept ones are copies.
+        block, piece = sieve_mod.SERIES_BLOCK, sieve_mod.PIECE
         for r, limit in ((2, 10**6), (2, 4 * 10**6), (3, 4 * 10**6)):
             params = ArithParams(r, 1.5)
             table_counts, table_omegas = tabulate(build_spf(limit), params)
-            blocks = list(value_blocks(params, limit))
-            assert len(blocks) == -(-limit // sieve_mod.SERIES_BLOCK)
-            assert np.array_equal(np.concatenate([c for _, c, _ in blocks]), table_counts[1:])
-            assert np.array_equal(np.concatenate([o for _, _, o in blocks]), table_omegas[1:])
+            pieces = [(lo, c.copy(), o.copy()) for lo, c, o in value_blocks(params, limit)]
+            assert [lo for lo, _, _ in pieces] == list(range(1, limit + 1, piece))
+            assert all(c.size == o.size <= piece for _, c, o in pieces)
+            assert all((lo - 1) // block == (lo + c.size - 2) // block for lo, c, _ in pieces)
+            assert np.array_equal(np.concatenate([c for _, c, _ in pieces]), table_counts[1:])
+            assert np.array_equal(np.concatenate([o for _, _, o in pieces]), table_omegas[1:])
 
     @pytest.mark.parametrize("parts", [1, 2, 3])
     @pytest.mark.parametrize("limit", [1, 999, 1000, 5007, 30030 + 11])
     def test_parts_equal_the_table(self, monkeypatch, limit, parts):
-        # part j holds the serial blocks j, j + parts, ...; with blocks of 1000, five
-        # limits give 1 to 31 blocks, so some parts get none and the last block is short
+        # part j holds the serial pieces of the segments j, j + parts, ...; with segments of
+        # 1000, five limits give 1 to 31 segments, so some parts get none and the last
+        # segment is short
         monkeypatch.setattr(sieve_mod, "SERIES_BLOCK", 1000)
+        piece = sieve_mod.PIECE
         params = ArithParams(3, 1.5)
         table_counts, table_omegas = tabulate(build_spf(max(limit, 2)), params)
         seen = []
         for part in range(parts):
             for lo, counts, omegas in value_blocks(params, limit, part, parts):
-                assert (lo - 1) // 1000 % parts == part and (lo - 1) % 1000 == 0
-                assert counts.size == min(1000, limit + 1 - lo)
+                assert (lo - 1) // 1000 % parts == part and (lo - 1) % 1000 % piece == 0
+                assert counts.size == min(piece, 1000 - (lo - 1) % 1000, limit + 1 - lo)
                 assert np.array_equal(counts, table_counts[lo : lo + counts.size])
                 assert np.array_equal(omegas, table_omegas[lo : lo + counts.size])
                 seen.append(lo)
-        assert sorted(seen) == list(range(1, limit + 1, 1000))
+        assert sorted(seen) == [lo for lo in range(1, limit + 1) if (lo - 1) % 1000 % piece == 0]
+
+    # pieces of 1 and 7 leave a short piece at the end of every segment of 1000, and
+    # pieces of 1000 are whole segments
+    @pytest.mark.parametrize("piece", [1, 7, 1000])
+    @pytest.mark.parametrize("limit", [1, 169, 5007, 30030 + 11])
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_small_pieces_equal_the_table(self, monkeypatch, r, limit, piece):
+        monkeypatch.setattr(sieve_mod, "PIECE", piece)
+        self.test_blocks_equal_the_table(monkeypatch, r, limit)
+
+    @pytest.mark.parametrize("piece", [1, 7, 1000])
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    @pytest.mark.parametrize("limit", [1, 999, 5007, 30030 + 11])
+    def test_small_pieces_in_parts(self, monkeypatch, limit, parts, piece):
+        monkeypatch.setattr(sieve_mod, "PIECE", piece)
+        self.test_parts_equal_the_table(monkeypatch, limit, parts)
 
     def test_limits_refused(self):
         with pytest.raises(ConfigError):
@@ -234,6 +257,16 @@ class TestCheckpoints:
         # never pass 10 at a density whose 1 / per_decade rounds to 0.0
         with _alarm(10, "geometric_checkpoints(100, per_decade)"):
             assert geometric_checkpoints(100, per_decade) == list(range(10, 101))
+
+
+    @pytest.mark.parametrize("limit, per_decade", [(10**6, 10**6), (10**9, 10**9), (10**12, 10**4)])
+    def test_grid_past_the_budget_is_refused_before_it_is_built(self, monkeypatch, limit, per_decade):
+        # both ways of forming the points, every integer and one per exponent, are counted
+        # first: built, the first two would hold 8e5 and 1e9 points, the third 1.2e5
+        monkeypatch.setenv(sieve_mod.MEM_ENV_VAR, "1" if limit < 10**12 else "0.01")
+        with _alarm(10, f"geometric_checkpoints({limit}, {per_decade})"):
+            with pytest.raises(ResourceError, match=sieve_mod.MEM_ENV_VAR):
+                geometric_checkpoints(limit, per_decade)
 
 
 class TestSummatory:

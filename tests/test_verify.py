@@ -201,13 +201,19 @@ class TestGlobalFactorization:
         assert v2 - v1 <= t1  # dropped mass is inside the tail bound
 
     def test_streamed_series_equals_fsum_of_whole_term_array(self, monkeypatch):
-        # blocks of 1000 terms leave a short last block at N = 5007
+        # segments of 1000 terms leave a short last segment at N = 5007
         monkeypatch.setattr(sieve_mod, "SERIES_BLOCK", 1000)
         for params, s in ((ArithParams(2, 1.0), 2.0), (ArithParams(3, 1.5), 1.7)):
             counts, omegas = tabulate(build_spf(5007), params)
             vals = counts[1:] * np.power(float(params.k), -omegas[1:].astype(np.float64))
             expected = math.fsum(vals * np.arange(1, 5008, dtype=np.float64) ** -s)
             assert dirichlet_series_truncated(params, s, 5007)[0] == expected
+
+    @pytest.mark.parametrize("piece", [1, 7, 1000])
+    def test_small_pieces_leave_the_series_bits(self, monkeypatch, piece):
+        # pieces of 1 and 7 leave a short piece at the end of every segment of 1000
+        monkeypatch.setattr(sieve_mod, "PIECE", piece)
+        self.test_streamed_series_equals_fsum_of_whole_term_array(monkeypatch)
 
     @pytest.mark.parametrize("limit", [10**5, 10**6])
     @pytest.mark.parametrize("r, k", [(2, 1.0), (3, 2.0), (3, 1.5)])
@@ -221,15 +227,27 @@ class TestGlobalFactorization:
         assert repr(dirichlet_series_truncated(params, 2.0, limit)[0]) == repr(math.fsum(terms))
 
     def test_series_memory_is_one_block(self):
-        # the whole per-n table at 3e6 took 47 MiB; one block of terms takes 2.4 MiB at
-        # the default 2**16 integers, and 4.5 and 8.7 MiB at 2**17 and 2**18
+        # the whole per-n table at 3e6 took 47 MiB, and terms over a whole segment of
+        # 2**16 integers 2.6 MiB; one segment's three arrays and the terms of one piece
+        # take 1.4 MiB
         tracemalloc.start()
         try:
             dirichlet_series_truncated(ArithParams(2, 1.0), 2.0, 3 * 10**6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2**20
+        assert peak < 2 * 2**20
+
+    def test_product_memory_is_one_piece(self):
+        # the terms over a whole segment of primes took 2.7 MiB at P = 1e7; over one piece
+        # they take 1.1 MiB
+        tracemalloc.start()
+        try:
+            euler_product_truncated(ArithParams(2, 1.0), 2.0, 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
 
     def test_three_way_agreement_weight_one(self):
         rep = global_factorization_check(2.0, ArithParams(2, 1.0), limit=10**4, cutoff=10**4)
