@@ -206,10 +206,12 @@ def local_factor_times(kernel: Sequence, r: int, k, size: int) -> list:
 
     k * F_p(z) = k + sum_{a >= 1} (ceil(a/r) + 1) * z**a is the scaled local
     factor at z = p**-s; ``kernel`` lists a polynomial's coefficients from
-    degree 0. An int or Fraction k and kernel give ints or Fractions.
+    degree 0. An int or Fraction k and kernel give ints or Fractions. The
+    work is size times the count of the kernel's nonzero coefficients.
     """
     series = [k, *minpow_divisor_counts(r, size)[1:]]
-    return [sum(c * series[a - j] for j, c in enumerate(kernel[: a + 1])) for a in range(size)]
+    nonzero = [(j, c) for j, c in enumerate(kernel) if c]
+    return [sum(c * series[a - j] for j, c in nonzero if j <= a) for a in range(size)]
 
 
 def weighted_divisor(f: PrimeFactorization, k: float) -> ExactValue:

@@ -25,11 +25,11 @@ prime sum run over all primes, so it checks the code that does the work.
 The sums over primes (the log-product and the prime sum) are correctly
 rounded, so their round-off is one rounding each. ``bundle`` and
 ``cofactor_value`` each form theirs in one call of ``xsum.split_sums``, one
-walk over the pieces of ``prime_blocks``, cast to float64 once per piece.
-The exact sum does not depend on the pieces, so no array of all pi(P) primes
-is held, every term's temporaries are one piece long, and a long walk splits
-into interleaved parts, one per CPU, whose sums merge into the serial walk's
-bits.
+walk over the int64 pieces of ``prime_blocks``, which each kernel takes as
+float64. The exact sum does not depend on the pieces, so no array of all
+pi(P) primes is held, every term's temporaries are one piece long, and a long
+walk splits into interleaved parts, one per CPU, whose sums merge into the
+serial walk's bits.
 
 ``bundle`` forms every s = 1 quantity once: one walk over the prime pieces
 feeds both prime sums, and the product, zeta and zeta' at r and at 2, and
@@ -68,19 +68,15 @@ _GATE_TOL = 1e-8
 _GATE_PRIMES = (2, 3, 5, 101)
 
 
-def _float_prime_blocks(cutoff: int, part: int, parts: int):
-    """The pieces of ``prime_blocks`` as float64, so that ``p**s`` at an integer s stays in floats."""
-    for piece in prime_blocks(cutoff, part, parts):
-        yield piece.astype(np.float64)
-
-
 def _factor_term(p, s: float, params: ArithParams):
     """x_p = 1/(k*(p**(r*s) + p**((r-1)*s))), as p**(-(r-1)*s)/(k*(p**s + 1)).
 
-    ``p`` is a float64 or an array of them. A p**s past the double range
-    becomes inf, which gives x_p = 0, its value to double precision.
+    ``p`` is a prime or an array of primes, taken as float64, so that an
+    integer s raises no integer power. A p**s past the double range becomes
+    inf, which gives x_p = 0, its value to double precision.
     """
     r, k = params.r, float(params.k)
+    p = np.asarray(p, dtype=np.float64)
     with np.errstate(over="ignore"):
         return p ** (-(r - 1) * s) / (k * (p**s + 1.0))
 
@@ -110,7 +106,7 @@ def _product_factors(s: float, params: ArithParams, log_prod: float, cutoff: int
     if cutoff < 2:
         raise ConfigError(f"prime cutoff must be >= 2, got {cutoff}")
     r, k = params.r, float(params.k)
-    x_at_cut = float(_factor_term(np.float64(cutoff), s, params))
+    x_at_cut = float(_factor_term(cutoff, s, params))
     return log_prod, power_tails(cutoff, r * s)[0] / (k * (1.0 - x_at_cut))
 
 
@@ -126,7 +122,7 @@ def cofactor_value(s: float, params: ArithParams,
     """
     if not s > 0.5:
         raise ConfigError(f"s={s} not in the analytic region s > 1/2")
-    (log_sum,) = split_sums(partial(_float_prime_blocks, cutoff), cutoff // 2,
+    (log_sum,) = split_sums(partial(prime_blocks, cutoff), cutoff // 2,
                             lambda ps: _log_factors(ps, s, params))
     product = _product_factors(s, params, log_sum, cutoff)
     return _cofactor(product, zeta(params.r * s), zeta(2 * s))
@@ -173,13 +169,14 @@ def log_factor_derivative(ps, params: ArithParams) -> np.ndarray:
     ``ps`` is a prime or an array of primes, taken as float64. With
     a = p**-(r-1) and q = p + 1, u = k*q/a and u' = k*ln(p)*(r*p + r - 1)/a, so
     u'/(u*(u-1)) = ln(p)*(r*p + r - 1)*a/(q*(k*q - a)), which has no positive
-    power of p to overflow.
+    power of p to overflow; a k*q past the double range gives 0, its value.
     """
     r, k = params.r, float(params.k)
     ps = np.asarray(ps, dtype=np.float64)
     a = ps ** -(r - 1)
     q = ps + 1.0
-    return np.log(ps) * (r * ps + (r - 1)) * a / (q * (k * q - a))
+    with np.errstate(over="ignore"):
+        return np.log(ps) * (r * ps + (r - 1)) * a / (q * (k * q - a))
 
 
 def _gate_log_factor_derivative(params: ArithParams) -> None:
@@ -278,7 +275,7 @@ def bundle(
     r = float(params.r)
     _gate_log_factor_derivative(params)
     log_sum, deriv_sum = split_sums(
-        partial(_float_prime_blocks, cutoff), cutoff // 2,
+        partial(prime_blocks, cutoff), cutoff // 2,
         lambda ps: _log_factors(ps, 1.0, params), lambda ps: log_factor_derivative(ps, params),
     )
     product = _product_factors(1.0, params, log_sum, cutoff)

@@ -47,6 +47,7 @@ merge into the serial walk's bits.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -57,7 +58,7 @@ import numpy as np
 from .arith import ArithParams, local_factor_times, max_omega, minpow_divisor_counts
 from .coeffs import cofactor_numerator, cofactor_value
 from .errors import ConfigError
-from .primes import PIECE, prime_blocks
+from .primes import prime_blocks
 from .sieve import value_blocks
 from .xsum import split_sums
 from .zeta import EPS, expm1_or_inf, power_tails, zeta
@@ -199,14 +200,14 @@ def numerator_identity_check(params: ArithParams) -> VerifyReport:
     P1 is the true local factor's numerator over (1-z)(1-z^r): that kernel
     times k * F_p(z), a polynomial of degree r+1. P2 is the numerator of the
     cofactor's local factor. The report carries the per-degree difference
-    vector; no tolerance is involved.
+    vector; no tolerance is involved. A gap past the double range reads inf.
     """
     r = params.r
     k = Fraction(params.k)  # exact for integer k and for any binary float
     p1 = local_factor_times((1, -1, *[0] * (r - 2), -1, 1), r, k, r + 2)
     p2 = cofactor_numerator(r, k)
     diff = [a - b for a, b in zip_longest(p1, p2, fillvalue=0)]
-    max_gap = max(abs(c) for c in diff)
+    max_gap = max(abs(c) for c in diff)  # about 2k, which can pass the double range
     details = {
         "direct_numerator": p1,
         "factored_numerator": p2,
@@ -215,7 +216,7 @@ def numerator_identity_check(params: ArithParams) -> VerifyReport:
     return VerifyReport(
         "numerator_identity",
         {"r": r, "k": params.k},
-        float(max_gap),
+        float(max_gap) if max_gap <= sys.float_info.max else math.inf,
         0.0,
         0.0,
         notes="exact coefficient expansion; lhs is the largest |difference|",
@@ -232,25 +233,22 @@ def dirichlet_series_truncated(params: ArithParams, s: float, limit: int) -> tup
 
     The tail uses value(n) <= d(n) and sum_{n <= x} d(n) <= x*(ln x + 1),
     which after partial summation gives tail <= s * (I0 + I1), with I0 and
-    I1 the integrals of ``power_tails`` at N and s. Past 2 * ``xsum.MIN_PART``
-    integers the segments of ``value_blocks`` are split over processes, and
-    the sum keeps the bits of one walk.
+    I1 the integrals of ``power_tails`` at N and s. Each piece's n**-s is a
+    new array of its length. Past 2 * ``xsum.MIN_PART`` integers the
+    segments of ``value_blocks`` are split over processes, and the sum keeps
+    the bits of one walk.
     """
     if not s > 1.0:
         raise ConfigError(f"series tail bound needs s > 1, got {s}")
     k_pows = np.power(float(params.k), -np.arange(max_omega(limit) + 1.0))
-    # a piece's n and n**-s: one array each for the whole walk, n advanced in place and both
-    # cut to the piece, so every term reuses the same pages
-    n, n_s = np.arange(1.0, 1 + min(PIECE, limit)), np.empty(min(PIECE, limit))
 
     def term(piece: tuple[int, np.ndarray, np.ndarray]) -> np.ndarray:
         # (counts * k**-omega) * n**-s
         lo, counts, omegas = piece
-        size = counts.size
-        np.add(n, lo - n[0], out=n)  # all of n, so that a short piece leaves none of it behind
+        n_s = np.arange(lo, lo + counts.size, dtype=np.float64)
         terms = k_pows[omegas]
         terms *= counts
-        terms *= np.power(n[:size], -s, out=n_s[:size])
+        terms *= np.power(n_s, -s, out=n_s)
         return terms
 
     (value,) = split_sums(partial(value_blocks, params, limit), limit, term)

@@ -13,7 +13,8 @@ pass 2**1024, go straight to that int.
 The result is that of ``math.fsum`` (R. M. Neal, *Fast exact summation using
 small and large superaccumulators*, arXiv:1505.05571), except where fsum's
 running sum overflows midway. ``ExactSum`` takes a whole array, or its pieces
-one at a time, and ``value()`` rounds the total.
+one at a time, in passes of at most ``primes.PIECE`` values, so that a walk's
+piece is one pass; ``value()`` rounds the total.
 
 ``split_sums``, the one loop that feeds ExactSums, walks pieces, adds each
 term's values on a piece to that term's sum and returns the rounded sums. The
@@ -29,11 +30,12 @@ import pickle
 
 import numpy as np
 
+from .primes import PIECE
+
 __all__ = ["ExactSum", "split_sums"]
 
 _BINS = 4096  # sign bit and 11-bit exponent field
 _HI_MASK = np.uint64(~((1 << 26) - 1) & ((1 << 64) - 1))  # clears the low 26 fraction bits
-_CHUNK = 1 << 14  # values per bincount pass: its scratch arrays stay in cache
 # hi is below 2**27 units of its grid and lo below 2**26, so a bin that holds
 # at most _FLUSH = 2**26 values stays below 2**53 units and is exact
 _FLUSH = 1 << 26
@@ -63,10 +65,10 @@ class ExactSum:
         self._special: set[float] = set()
 
     def add(self, values) -> None:
+        """Add the values in passes of min(PIECE, _FLUSH), each of whose temporaries
+        is one piece long; the bins fold before a pass would take them past _FLUSH values."""
         x = np.ascontiguousarray(values, dtype=np.float64).ravel()
-        step = min(_CHUNK, _FLUSH)
-        key_buf = np.empty(min(step, x.size), dtype=np.uint64)  # scratch that every chunk reuses
-        split_buf = np.empty_like(key_buf)  # hi, then lo in its place
+        step = min(PIECE, _FLUSH)
         with np.errstate(invalid="ignore"):  # inf - inf in lo, whose bins are dropped
             for a in range(0, x.size, step):
                 part = x[a : a + step]
@@ -74,10 +76,10 @@ class ExactSum:
                     self._fold()
                 self._pending += part.size
                 bits = part.view(np.uint64)
-                key = np.right_shift(bits, np.uint64(52), out=key_buf[: part.size]).view(np.int64)
-                hi = np.bitwise_and(bits, _HI_MASK, out=split_buf[: part.size]).view(np.float64)
+                key = (bits >> np.uint64(52)).view(np.int64)
+                hi = (bits & _HI_MASK).view(np.float64)
                 hi_bins = np.bincount(key, hi, _BINS)
-                lo_bins = np.bincount(key, np.subtract(part, hi, out=hi), _BINS)
+                lo_bins = np.bincount(key, part - hi, _BINS)
                 top = hi_bins.reshape(2, 2048)[:, _TOP:]  # the top exponent fields, then inf and nan
                 if top.any():
                     field = key & 2047

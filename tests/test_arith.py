@@ -179,6 +179,16 @@ class TestLocalFactorTimes:
         assert local_factor_times((1,), 3, 2, 8) == [2, 2, 2, 2, 3, 3, 3, 4]
         assert local_factor_times((Fraction(1, 2),), 2, Fraction(3), 3) == [Fraction(3, 2), 1, 1]
 
+    @pytest.mark.parametrize("r", [2, 3, 7, 50])
+    @pytest.mark.parametrize("k", [1, Fraction(3, 2), 2])
+    def test_sparse_kernel_equals_the_dense_convolution(self, r, k):
+        # the zero coefficients of a kernel add nothing, so skipping them leaves every coefficient
+        series = [k, *(-(-a // r) + 1 for a in range(1, 2 * r + 9))]
+        for kernel in ((1, -1, *[0] * (r - 2), -1, 1), (1, -2, 1), (1, -1), (0, 0, 3, 0, -1)):
+            dense = [sum(kernel[j] * series[a - j] for j in range(min(a + 1, len(kernel))))
+                     for a in range(len(series))]
+            assert local_factor_times(kernel, r, k, len(series)) == dense
+
 
 class TestCompositeValue:
     def test_examples(self):

@@ -274,6 +274,18 @@ class TestConstantsCommand:
             last = res.stdout.splitlines()[-1].split(",")
             assert all(map(math.isfinite, map(float, last)))
 
+    def test_huge_k_does_not_overflow(self):
+        # the numerator gap of about 2k is past the double range at k = 1e308, and so is
+        # k * (p + 1) in the per-prime derivative; both runs exit 0 without a warning
+        env = {"PYTHONWARNINGS": "error::RuntimeWarning"}
+        res = run_cli("verify", "--k", "1e308", "--format", "json", env_extra=env)
+        assert (res.returncode, res.stderr) == (0, "")
+        (numerator,) = [rep for rep in json.loads(res.stdout)["reports"]
+                        if rep["identity"] == "numerator_identity"]
+        assert (numerator["lhs"], numerator["pass"]) == ("inf", False)
+        res = run_cli("constants", "--k", "1e308", env_extra=env)
+        assert (res.returncode, res.stderr) == (0, "")
+
     def test_huge_s_does_not_overflow(self):
         # p**s at the prime cutoff of 1e5 is past the double range from s = 62 on,
         # and 1/(s - 1)**2 in the tail integrals from s = 1.4e154 on

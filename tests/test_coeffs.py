@@ -19,6 +19,7 @@ from meanval.coeffs import (
 )
 from meanval.errors import ConfigError, ToleranceError
 from meanval.primes import primes_up_to
+from meanval.verify import local_factor_excess
 from meanval.zeta import EULER_GAMMA, ZetaValue, zeta
 
 from oracles import partial_product_leading
@@ -244,6 +245,12 @@ class TestBundle:
         expected = b.leading * x * math.log(x) + b.x_coeff * x
         assert b.main_term(x) == expected
 
+    def test_weight_at_the_top_of_the_double_range(self):
+        # k * (p + 1) passes the double range: each x_p and each per-prime derivative is 0,
+        # its value to double precision, with no overflow warning (an error in this suite)
+        b = bundle(ArithParams(2, 1e308), 1000)
+        assert math.isfinite(b.leading) and math.isfinite(b.x_coeff)
+
     def test_json_round_trip(self):
         b = bundle(ArithParams(2, 2.0), 10**4)
         obj = json.loads(cli.render_constants(b, "json"))
@@ -325,6 +332,18 @@ class TestBundleSharing:
             assert np.array_equal(np.concatenate(summed), primes_up_to(10**5).astype(np.float64))
             bundles.append(got)
             assert got == bundles[0], (block, piece)
+
+    @pytest.mark.parametrize("s", [1.0, 1.5, 2])
+    def test_kernels_take_the_int_piece_as_its_float_copy(self, s):
+        # each per-prime kernel casts the walk's int64 piece itself, which keeps an int s
+        # off integer powers, so it gives the bits of the piece's float64 copy
+        params = ArithParams(3, 1.5)
+        piece = next(primes_mod.prime_blocks(10**5))
+        assert piece.dtype == np.int64
+        for kernel in (lambda ps: coeffs_mod._log_factors(ps, s, params),
+                       lambda ps: log_factor_derivative(ps, params),
+                       lambda ps: local_factor_excess(ps, s, params)):
+            assert kernel(piece).tobytes() == kernel(piece.astype(np.float64)).tobytes()
 
     def test_bundle_memory_is_one_block(self):
         # the whole prime array at P = 1e7 and its float temporaries took 25 MiB, and

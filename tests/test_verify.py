@@ -152,6 +152,12 @@ class TestNumeratorIdentity:
                 assert p1 == o1
                 assert p2 == o2
 
+    def test_gap_past_the_double_range_reads_inf(self):
+        # the gap is 2k - 2, whose float rounds past the double range from k = 2**1023 on
+        for k, gap in ((5e307, 2 * 5e307 - 2), (2.0**1023, math.inf), (1e308, math.inf)):
+            rep = numerator_identity_check(ArithParams(2, k))
+            assert (rep.lhs, rep.passed) == (gap, False)
+
     def test_point_evaluation_at_weight_one(self):
         rep = numerator_identity_check(ArithParams(3, 1.0))
         z = 0.3

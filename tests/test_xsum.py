@@ -146,18 +146,18 @@ class TestExactSum:
         flat = [x for chunk in chunks for x in chunk]
         assert _outcome(_stream, chunks) == _expected(flat)
 
-    @pytest.mark.parametrize("at", [0, 1, xsum._CHUNK - 2, xsum._CHUNK - 1])
+    @pytest.mark.parametrize("at", [0, 1, xsum.PIECE - 2, xsum.PIECE - 1])
     def test_top_of_range_across_a_chunk_boundary(self, at):
         # two values near the top of the range, one each side of a chunk boundary when
-        # at = _CHUNK - 1, among small values that the bins take
-        x = np.full(xsum._CHUNK + 3, 1e-3)
+        # at = PIECE - 1, among small values that the bins take
+        x = np.full(xsum.PIECE + 3, 1e-3)
         x[at], x[at + 1], x[-1] = 1e308, 1e308, -1.5e308
         assert _outcome(_stream, [x]) == _expected(x.tolist())
 
     @pytest.mark.parametrize("xs", [
-        [5e-324] * (xsum._CHUNK + 5),
+        [5e-324] * (xsum.PIECE + 5),
         [-5e-324] * 3 + [2.0**-1022 - 5e-324, 5e-324],
-        [-0.0] * (xsum._CHUNK + 1),
+        [-0.0] * (xsum.PIECE + 1),
         [-0.0, 5e-324, -0.0, -5e-324],
         [2.0**-1022, -(2.0**-1022 - 5e-324), -0.0],
         [1e-310, 1e308, -1e308, -1e-310, 1e-320],
@@ -177,5 +177,5 @@ class TestExactSum:
         # the infinities and nans decide the sum; the finite values beside them in the
         # same chunk still pass through the bins and the top-of-range path
         assert _outcome(_stream, [xs]) == _expected(xs)
-        assert _outcome(_stream, [xs * (xsum._CHUNK // len(xs) + 1)]) == _expected(
-            xs * (xsum._CHUNK // len(xs) + 1))
+        assert _outcome(_stream, [xs * (xsum.PIECE // len(xs) + 1)]) == _expected(
+            xs * (xsum.PIECE // len(xs) + 1))
