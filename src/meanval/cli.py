@@ -136,7 +136,7 @@ def _check_out(out: str) -> None:
     that would empty an existing file on a failed run, and open a FIFO or /dev/fd/N twice."""
     folder = os.path.dirname(out) or "."
     reason = (errno.EISDIR if os.path.isdir(out)
-              else errno.ENOENT if not os.path.isdir(folder)
+              else errno.ENOENT if not out or not os.path.isdir(folder)
               else 0 if os.access(out if os.path.exists(out) else folder, os.W_OK)
               else errno.EACCES)
     if reason:

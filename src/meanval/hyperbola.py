@@ -11,16 +11,15 @@ on the powerful numbers, and
 
 where G = D, the divisor summatory function, at k = 1 and G(y) = y at k = 2.
 
-h(m) = num(m) / k**omega(m) with an integer numerator, so S(x) is the integer
-sum_m num(m) * k**(W - omega(m)) * G(x // m) over k**W, where W is the largest
-omega on the support. Every partial sum is an exact int64: ``prefix_sums``
-and ``required_bytes`` refuse checkpoints where one could overflow. Both
-size everything from N, the largest checkpoint.
+h(m) = num(m) / k**omega(m) with an integer numerator, and m >= (product of
+its primes)**2, so S(x) is the integer sum_m weight(m) * G(x // m) over k**W,
+with weight(m) = h(m) * k**W and W = max_omega(isqrt(N)). Every partial sum
+is an exact int64 (``prefix_sums`` and ``required_bytes`` refuse checkpoints
+where one could overflow), sized from N, the largest checkpoint.
 
 At k = 1, D(y) is read from a table for y <= L (``table_size``, 2 * sqrt(N)),
 built as one cumsum of a divisor-pair sieve. The m with x // m > L take
-Dirichlet's hyperbola formula
-D(y) = 2 * sum_{i <= sqrt y} floor(y / i) - floor(sqrt y)**2.
+Dirichlet's hyperbola formula D(y) = 2 * sum_{i <= sqrt y} floor(y / i) - floor(sqrt y)**2.
 """
 
 from __future__ import annotations
@@ -45,10 +44,10 @@ __all__ = [
     "table_size",
 ]
 
-# peak bytes per listed powerful number: m, numerator and omega as int64
-# each, the sort order and one column's joined or sorted copy; tracemalloc
-# measures 41 B (k = 1) to 48 B (k = 2) at N = 1e10 to 1e12
-POWERFUL_BYTES = 56
+# peak bytes per listed powerful number: m and weight as int64 each, the
+# sort order and one column's joined or sorted copy; tracemalloc measures
+# 33 B (k = 1) to 38 B (k = 2) at N = 1e10 to 1e12
+POWERFUL_BYTES = 48
 TABLE_BYTES = 8  # one int64 D(y) per table entry
 BUDGET_DETAIL = f"{POWERFUL_BYTES} B per powerful number plus the D(y) table"
 FORMULA_CHUNK = 1 << 16  # divisors i per numpy step of the hyperbola formula
@@ -79,25 +78,30 @@ def _iroot(n: int, a: int) -> int:
     return x
 
 
-def powerful_support(params: ArithParams, limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every m <= limit with h(m) != 0, as sorted int64 arrays (m, numerator, omega).
+def _exponents(params: ArithParams, limit: int) -> tuple[list[int], list[int]]:
+    """k * h(p**a) for a < bit length of limit, and the a >= 2 with h(p**a) != 0 and 2**a <= limit."""
+    num_a = h_numerators(params.r, int(params.k), max(limit.bit_length(), 2))
+    return num_a, [a for a in range(2, len(num_a)) if num_a[a] and 2**a <= limit]
 
-    The numbers are built one prime factor at a time, largest prime last: a
-    level holds the m with a given omega and, for each, the index of the
-    smallest prime it may still take. A parent m gets the children
-    m * p**a for its primes p with p**a <= limit // m, found by a binary
-    search in the table of p**a, and loses its place in the loop over a once
-    it has none. So the work grows with the count listed, not with the
-    number of primes times that count.
+
+def powerful_support(params: ArithParams, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every m <= limit with h(m) != 0, as sorted int64 arrays (m, weight = h(m) * k**W).
+
+    W = max_omega(isqrt(limit)); with no exponent that fits, the support is {1}.
+    The numbers are built one prime factor at a time, largest prime last:
+    level L holds the m with omega L, weighing num(m) * k**(W - L), and for
+    each the index of the smallest prime it may still take. A child m * p**a,
+    with p**a <= limit // m found by a binary search in the table of p**a,
+    weighs its parent's weight times k * h(p**a) over k, exactly. A parent
+    leaves the loop over a once it has no child, so the work grows with the
+    count listed, not with the number of primes times that count.
     """
     k = int(params.k)
-    num_a = h_numerators(params.r, k, max(limit.bit_length(), 2))
-    exps = [a for a in range(2, len(num_a)) if num_a[a] and 2**a <= limit]
-    one = np.ones(1, dtype=np.int64)
-    levels = [(one, one, np.zeros(1, dtype=np.int64))]
+    num_a, exps = _exponents(params, limit)
+    levels = [(np.ones(1, dtype=np.int64), np.full(1, k ** max_omega(math.isqrt(limit)), dtype=np.int64))]
     if exps:
         ps = primes_up_to(_iroot(limit, exps[0]))
-        m, num, om, nxt = one, one, np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+        (m, weight), nxt = levels[0], np.zeros(1, dtype=np.int64)
         while True:
             bound = limit // m
             alive = np.arange(m.size)
@@ -112,22 +116,20 @@ def powerful_support(params: ArithParams, limit: int) -> tuple[np.ndarray, np.nd
                 if num_a[a]:
                     parent = np.repeat(alive, cnt)
                     q = np.repeat(nxt[alive] - (np.cumsum(cnt) - cnt), cnt) + np.arange(cnt.sum())
-                    kids.append((m[parent] * pa[q], num[parent] * num_a[a], om[parent] + 1, q + 1))
+                    kids.append((m[parent] * pa[q], weight[parent] * num_a[a] // k, q + 1))
                 fits = np.count_nonzero(pa <= limit // ps[: pa.size])  # p**(a+1) <= limit
                 pa = pa[:fits] * ps[:fits]
             if not kids:
                 break
-            m, num, om, nxt = (np.concatenate(col) for col in zip(*kids))
-            levels.append((m, num, om))
-    # join and sort one column at a time, each freeing what it replaces
-    cols = list(zip(*levels))
+            m, weight, nxt = (np.concatenate(col) for col in zip(*kids))
+            levels.append((m, weight))
+    m, weight = zip(*levels)  # joined, then sorted, one column at a time: each frees what it replaces
     del levels
-    for i in range(3):
-        cols[i] = np.concatenate(cols[i])
-    order = np.argsort(cols[0])
-    for i in range(3):
-        cols[i] = cols[i][order]
-    return tuple(cols)
+    m = np.concatenate(m)
+    weight = np.concatenate(weight)
+    order = np.argsort(m)
+    m = m[order]
+    return m, weight[order]
 
 
 def table_size(limit: int) -> int:
@@ -185,16 +187,15 @@ def required_bytes(params: ArithParams, xs: Sequence[int]) -> float:
     A**e0 * prod_{i<e0} B_i**(e0+i) with the B_i squarefree and pairwise
     coprime, so there are at most N**(1/e0) * prod_{i<e0} zeta(1 + i/e0)
     <= binom(2*e0 - 1, e0) * N**(1/e0) of them, as zeta(1 + x) <= 1 + 1/x.
-    The count taken is the smaller of that and the count of all powerful m.
-
+    The count is the smaller of that and of all powerful m, or 1 if 2**e0 > N.
     Like ``prefix_sums``, raises ResourceError for an N = max(xs) past int64 reach.
     """
     limit = max(xs)
     _check_int64_reach(params, limit)
-    num_a = h_numerators(params.r, int(params.k), params.r + 2)
-    e0 = next(a for a in range(2, len(num_a)) if num_a[a])
-    count = min(_POWERFUL_COUNT * math.isqrt(limit), math.comb(2 * e0 - 1, e0) * limit ** (1.0 / e0))
-    root = _iroot(limit, e0)  # the prime sieve's reach
+    e0 = next(iter(_exponents(params, limit)[1]), 0)  # 0: no exponent fits, the support is {1}
+    count = min(_POWERFUL_COUNT * math.isqrt(limit),
+                math.comb(2 * e0 - 1, e0) * limit ** (1.0 / e0) if e0 else 1)
+    root = _iroot(limit, e0) if e0 else 0  # the prime sieve's reach
     need = POWERFUL_BYTES * (count + 1) + root  # plus the prime sieve's bytes
     need += 3 * TABLE_BYTES * FORMULA_CHUNK
     if params.k == 1:
@@ -203,25 +204,24 @@ def required_bytes(params: ArithParams, xs: Sequence[int]) -> float:
 
 
 def prefix_sums(params: ArithParams, xs: Sequence[int]) -> list[Fraction]:
-    """Exact S(x) for each x in xs (each x >= 1), at k = 1 or k = 2."""
+    """Exact S(x) for each x in xs (each x >= 1), at k = 1 or k = 2.
+
+    S(x) = sum_m weight(m) * G(x // m) over weight(1) = k**W: the m with x // m > L take
+    the hyperbola formula, the rest dot(weight, G) in slices of ``FORMULA_CHUNK``."""
     limit = max(xs)
     _check_int64_reach(params, limit)
-    k = int(params.k)
-    m, num, om = powerful_support(params, limit)
-    w_max = int(om.max())
-    weight = num * k ** (w_max - om)  # h(m) = weight / k**w_max
-    del num, om
-    table = divisor_summatory_table(table_size(limit)) if k == 1 else None
+    m, weight = powerful_support(params, limit)
+    if params.k == 1:
+        table = divisor_summatory_table(table_size(limit))
+        g, reach = table.take, table.size  # the formula takes every y >= reach
+    else:
+        g, reach = (lambda y: y), limit + 1
     out = []
     for x in xs:
-        n = int(np.searchsorted(m, x, side="right"))
-        if table is None:
-            total = int(np.dot(weight[:n], x // m[:n]))
-        else:
-            j = int(np.searchsorted(m, x // table.size, side="right"))  # x // m > L below j
-            total = sum(
-                int(wt) * divisor_summatory(x // mi) for wt, mi in zip(weight[:j].tolist(), m[:j].tolist())
-            )
-            total += int(np.dot(weight[j:n], table[x // m[j:n]]))
-        out.append(Fraction(total, k**w_max))
+        j, n = np.searchsorted(m, [x // reach, x], side="right").tolist()  # x // m >= reach below j
+        total = sum(wt * divisor_summatory(x // mi) for wt, mi in zip(weight[:j].tolist(), m[:j].tolist()))
+        for lo in range(j, n, FORMULA_CHUNK):
+            hi = min(lo + FORMULA_CHUNK, n)
+            total += int(np.dot(weight[lo:hi], g(x // m[lo:hi])))
+        out.append(Fraction(total, int(weight[0])))
     return out

@@ -330,9 +330,8 @@ def run_battery(
     cutoff: int = BATTERY_SIZE,
 ) -> list[VerifyReport]:
     """The standard identity battery for one parameter pair, in a fixed order."""
+    glob = global_factorization_check(s, params, limit=limit, cutoff=cutoff)  # first: it checks s, N and P
     reports = [power_series_check(params.r, z) for z in BATTERY_Z]
     reports += [local_factor_check(p, s, params) for p in BATTERY_PRIMES]
-    reports.append(numerator_identity_check(params))
-    reports.append(global_factorization_check(s, params, limit=limit, cutoff=cutoff))
-    return reports
+    return reports + [numerator_identity_check(params), glob]
 

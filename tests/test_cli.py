@@ -144,7 +144,8 @@ class TestErrorsBeforeWork:
          "error: exponent fit needs at least 8 usable checkpoints with x >= 1000, found 5"),
         (["fit", "--N", "100000", "--grid", "list:10,20,999,1000,2000,2000", "--x-min", "20"],
          "error: exponent fit needs at least 8 usable checkpoints with x >= 20, found 4"),
-    ], ids=["missing-directory", "directory", "constants", "five-points", "distinct-points"])
+        (["constants", "--out", ""], "error: cannot write : No such file or directory"),
+    ], ids=["missing-directory", "directory", "constants", "five-points", "distinct-points", "empty-out"])
     def test_out_and_fit_points_checked_before_any_sum(self, argv, message, tmp_path,
                                                        monkeypatch, capsys):
         from meanval import coeffs, sieve
@@ -157,6 +158,14 @@ class TestErrorsBeforeWork:
         assert captured.out == ""
         assert captured.err.splitlines() == [captured.err.rstrip("\n")]  # one line
         assert captured.err.startswith(message.replace("{tmp}", str(tmp_path))), captured.err
+
+    def test_verify_inputs_checked_before_any_identity(self, monkeypatch, capsys):
+        # the series length, the cutoff and s belong to the global check, which runs first
+        from meanval import verify
+
+        monkeypatch.setattr(verify, "numerator_identity_check", lambda *a, **kw: pytest.fail("checked"))
+        assert cli.main(["verify", "--series-limit", "10"]) == 2
+        assert capsys.readouterr().err == "error: series length and prime cutoff must both be >= 1000\n"
 
     def test_out_is_not_opened_before_the_work(self, tmp_path, capsys):
         # a run that fails leaves an existing --out file as it was, and a run that
@@ -499,7 +508,7 @@ class TestVerifyCommand:
         assert glob["details"]["closed_form_within_bound"] is False
 
     def test_s_out_of_region_rejected(self):
-        for s in ("0.4", "inf"):
+        for s in ("0.4", "inf", "0", "-1", "nan"):
             res = run_cli("verify", "--r", "2", "--k", "1", "--s", s)
             assert res.returncode == 2, s
             assert "1.5" in res.stderr

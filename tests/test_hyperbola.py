@@ -48,23 +48,31 @@ class TestPowerfulSupport:
     @pytest.mark.parametrize("r, k", PAIRS)
     def test_lists_exactly_the_nonzero_h(self, r, k):
         limit = 20000
+        w = 3  # the largest omega with a squared primorial <= limit: (2 * 3 * 5)**2 <= 20000 < 210**2
         num_a = hyperbola.h_numerators(r, k, 20)
         want = {}
         for n in range(1, limit + 1):
             fac = trial_factorize(n)
             h = math.prod(num_a[a] for _, a in fac)
             if h:
-                want[n] = (h, len(fac))
-        m, num, om = hyperbola.powerful_support(ArithParams(r, float(k)), limit)
-        assert m.dtype == num.dtype == om.dtype == np.int64
+                want[n] = h * k ** (w - len(fac))  # h(n) * k**W
+        m, weight = hyperbola.powerful_support(ArithParams(r, float(k)), limit)
+        assert m.dtype == weight.dtype == np.int64
         assert np.all(np.diff(m) > 0)
-        assert dict(zip(m.tolist(), zip(num.tolist(), om.tolist()))) == want
+        assert dict(zip(m.tolist(), weight.tolist())) == want
 
     def test_small_limits(self):
         for limit in (1, 2, 3, 4):
-            m, num, om = hyperbola.powerful_support(ArithParams(2, 1.0), limit)
+            m, weight = hyperbola.powerful_support(ArithParams(2, 1.0), limit)
             assert m.tolist() == ([1, 4] if limit == 4 else [1])
-            assert num.tolist() == ([1, -1] if limit == 4 else [1])
+            assert weight.tolist() == ([1, -1] if limit == 4 else [1])
+
+    def test_no_exponent_fits(self):
+        # at k = 2, h(p**a) = 0 for 0 < a <= r, so with 2**(r + 1) > N the support is {1},
+        # weighing k**W with W = 7, as 2 * 3 * ... * 17 <= isqrt(10**12) < 2 * 3 * ... * 19
+        params = ArithParams(600, 2.0)
+        assert [col.tolist() for col in hyperbola.powerful_support(params, 10**12)] == [[1], [2**7]]
+        assert all(row.value == row.x for row in summatory(params, 10**12).rows)
 
 
 class TestDivisorSummatory:
@@ -76,10 +84,15 @@ class TestDivisorSummatory:
         assert [hyperbola.divisor_summatory(y) for y in range(2001)] == scan.tolist()
 
     def test_formula_across_chunks(self, monkeypatch):
+        xs = [1, *geometric_checkpoints(10**5)]
+        unpatched = {k: hyperbola.prefix_sums(ArithParams(2, k), xs) for k in (1.0, 2.0)}
         monkeypatch.setattr(hyperbola, "FORMULA_CHUNK", 7)
         table = hyperbola.divisor_summatory_table(5000)
         for y in (48, 49, 50, 2499, 2500, 2501, 4999, 5000):
             assert hyperbola.divisor_summatory(y) == table[y]
+        # the dot products run over slices of 7 powerful numbers too
+        for k, want in unpatched.items():
+            assert hyperbola.prefix_sums(ArithParams(2, k), xs) == want
 
 
 class TestPrefixSums:
@@ -170,6 +183,15 @@ class TestBudget:
         # the powerful numbers and the D table go up to the largest checkpoint
         monkeypatch.setenv(sieve_mod.MEM_ENV_VAR, "16")
         assert summatory(ArithParams(2, 1.0), 10**15, grid=[1000]).final == 5504 == enumerated_sum(1000, 2, 1)
+
+    def test_exponents_sized_from_n_not_r(self):
+        # h(p**a) != 0 is looked up only for 2**a <= N: at k = 1 the first such a is 2 for
+        # every r, and at k = 2 it is r + 1, so r = 515 and 1e7 leave only m = 1 at N = 1e12
+        one = hyperbola.required_bytes(ArithParams(3, 1.0), [10**12])
+        assert hyperbola.required_bytes(ArithParams(10**7, 1.0), [10**12]) == one
+        two = hyperbola.required_bytes(ArithParams(515, 2.0), [10**12])
+        assert hyperbola.required_bytes(ArithParams(10**7, 2.0), [10**12]) == two
+        assert two < hyperbola.required_bytes(ArithParams(3, 2.0), [10**12])
 
     @pytest.mark.parametrize("k", [1.0, 2.0])
     def test_overflow_refused(self, k):
