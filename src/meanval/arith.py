@@ -29,7 +29,6 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .errors import ConfigError
-from .primes import primes_up_to
 
 __all__ = [
     "MAX_FACTOR_INPUT",
@@ -120,19 +119,12 @@ class ArithParams:
         return int(self.k)
 
 
-# Trial division runs through these primes and then continues on the odd
-# numbers past them, which keeps memory flat for the occasional large input.
-_TRIAL_LIMIT = 1 << 16
-_TRIAL_PRIMES = tuple(primes_up_to(_TRIAL_LIMIT).tolist())
-
-
 def factorize(n: int) -> PrimeFactorization:
     """Factor n by deterministic trial division.
 
-    Accepts 1 <= n <= 2**63 - 1. Divides by the primes up to 2**16, then by
-    the odd candidates past 2**16, so a factor near 1e6 takes about half a
-    million trial divisions and worst-case inputs (products of two ~31-bit
-    primes) are slow but correct.
+    Accepts 1 <= n <= 2**63 - 1. Divides by 2 and then by the odd numbers,
+    so a factor near 1e6 takes about half a million trial divisions and
+    worst-case inputs (products of two ~31-bit primes) are slow but correct.
     """
     if not isinstance(n, int):
         raise ValueError(f"n must be an integer, got {type(n).__name__}")
@@ -143,7 +135,7 @@ def factorize(n: int) -> PrimeFactorization:
 
     m = n
     out: list[tuple[int, int]] = []
-    for p in itertools.chain(_TRIAL_PRIMES, itertools.count(_TRIAL_LIMIT + 1, 2)):
+    for p in itertools.chain((2,), itertools.count(3, 2)):
         if p * p > m:
             break
         if m % p == 0:
@@ -160,11 +152,12 @@ def factorize(n: int) -> PrimeFactorization:
 def max_omega(limit: int) -> int:
     """The largest omega(n) over 1 <= n <= limit: the w with 2 * 3 * ... * p_w <= limit."""
     w, primorial = 0, 1
-    for p in _TRIAL_PRIMES:
+    for p in itertools.count(2):
+        if factorize(p).factors != ((p, 1),):
+            continue  # not a prime
         if primorial * p > limit:
-            break
+            return w
         w, primorial = w + 1, primorial * p
-    return w
 
 
 def divisor_count(f: PrimeFactorization) -> int:

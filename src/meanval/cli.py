@@ -85,16 +85,19 @@ def build_parser() -> argparse.ArgumentParser:
         "constants, summatory tables, identity verification, residual fits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    threads_help = (
-        "has no effect: the sums run on one thread, and the output is the same "
-        "for any count (accepted for existing scripts; a count above 1 prints a note)"
-    )
 
     def add_common(p: argparse.ArgumentParser, with_n: bool) -> None:
         p.add_argument("--r", type=int, default=2, help="power order r >= 2")
         p.add_argument("--k", type=float, default=1.0, help="divisor weight k >= 1")
-        if with_n:
+        if with_n:  # sum and fit
             p.add_argument("--N", type=_int_at_least, required=True, help="summation limit")
+            p.add_argument("--grid", default=f"geom:{sieve.GRID_DENSITY}",
+                           help="geom:<per-decade> or list:x1,x2,...")
+            p.add_argument(
+                "--threads", type=_int_at_least, default=1,
+                help="has no effect: the sums run on one thread, and the output is the same "
+                "for any count (accepted for existing scripts; a count above 1 prints a note)",
+            )
         p.add_argument(
             "--prime-cutoff", type=lambda text: _int_at_least(text, 2),
             default=coeffs.DEFAULT_PRIME_CUTOFF, help="prime cutoff for Euler products",
@@ -107,9 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sum = sub.add_parser("sum", help="checkpointed summatory table")
     add_common(p_sum, with_n=True)
-    p_sum.add_argument("--grid", default=f"geom:{sieve.GRID_DENSITY}",
-                       help="geom:<per-decade> or list:x1,x2,...")
-    p_sum.add_argument("--threads", type=_int_at_least, default=1, help=threads_help)
     p_sum.add_argument("--with-main", action="store_true",
                        help="also compute constants and fill main/residual columns")
     p_sum.add_argument("--format", choices=("json", "csv", "table"), default="json")
@@ -124,8 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="residual exponent fit against the main term")
     add_common(p_fit, with_n=True)
-    p_fit.add_argument("--grid", default=f"geom:{sieve.GRID_DENSITY}")
-    p_fit.add_argument("--threads", type=_int_at_least, default=1, help=threads_help)
     p_fit.add_argument("--x-min", type=_int_at_least, default=fit.DEFAULT_X_MIN)
     p_fit.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
@@ -223,25 +221,23 @@ def render_summatory(table: sieve.SummatoryTable, fmt: str) -> str:
             resid = "" if row.residual is None else f"{row.residual:+.6f}"
             lines.append(f"{row.x:>12} {s_txt:>24} {main:>20} {resid:>14} {row.err_bound:>12.3e}")
         return _lines(lines)
-    if fmt == "csv":
-        lines = ["x,S,main,residual,err_bound"]
-        for row in table.rows:
-            main = "" if row.main is None else repr(row.main)
-            resid = "" if row.residual is None else repr(row.residual)
-            lines.append(f"{row.x},{_decimal(row.value)},{main},{resid},{repr(row.err_bound)}")
-        return _lines(lines)
-    rows = []
-    for row in table.rows:
-        rec = {
+    rows = [
+        {
             "x": row.x,
             "S": _decimal(row.value),
             "main": None if row.main is None else repr(row.main),
             "residual": None if row.residual is None else repr(row.residual),
             "err_bound": repr(row.err_bound),
         }
+        for row in table.rows
+    ]
+    if fmt == "csv":  # the same fields, with None as an empty cell
+        lines = ["x,S,main,residual,err_bound"]
+        lines += [",".join("" if v is None else str(v) for v in rec.values()) for rec in rows]
+        return _lines(lines)
+    for rec, row in zip(rows, table.rows):
         if isinstance(row.value, Fraction):
             rec["S_exact"] = f"{row.value.numerator}/{row.value.denominator}"
-        rows.append(rec)
     return _document(
         "summatory_table",
         {"r": table.params.r, "k": table.params.k},

@@ -51,9 +51,10 @@ POWERFUL_BYTES = 48
 TABLE_BYTES = 8  # one int64 D(y) per table entry
 BUDGET_DETAIL = f"{POWERFUL_BYTES} B per powerful number plus the D(y) table"
 FORMULA_CHUNK = 1 << 16  # divisors i per numpy step of the hyperbola formula
-# zeta(3/2): there are at most zeta(3/2) * sqrt(N) powerful numbers <= N,
-# since each is a**2 * b**3 with b squarefree, for at most sqrt(N / b**3) values of a
-_POWERFUL_COUNT = 2.6124
+# zeta(3/2) / zeta(3) = 2.17325..., rounded up: there are at most that times sqrt(N)
+# powerful numbers <= N, since each is a**2 * b**3 with b squarefree, for at most
+# sqrt(N / b**3) values of a, and the sum of b**(-3/2) over squarefree b is zeta(3/2) / zeta(3)
+_POWERFUL_COUNT = 2.1733
 # sum of 1/m over all powerful m, zeta(2) * zeta(3) / zeta(6) = 1.9436..., rounded up
 _POWERFUL_RECIPROCALS = 2.0
 

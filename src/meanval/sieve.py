@@ -264,37 +264,30 @@ def value_blocks(params: ArithParams, limit: int, part: int = 0,
 def geometric_checkpoints(limit: int, per_decade: int = GRID_DENSITY) -> list[int]:
     """Log-spaced checkpoints round(10**(j/per_decade)) in [10, limit], plus limit.
 
-    The points are counted in closed form first, and a grid whose points
-    would pass MEANVAL_MEM_LIMIT_MB raises ResourceError before any is built.
+    Consecutive points lie x * step apart, so every integer from 10 up to
+    x = 1 / (2 step) is one: the grid is that run 10..run, one point per
+    exponent j in lo..hi past it, and limit. A dense grid, whose step is at
+    most 1 / (2 limit), is the run 10..limit with no exponent. The points of
+    that triple are counted first, and a grid whose points would pass
+    MEANVAL_MEM_LIMIT_MB raises ResourceError before any is built.
     """
     if limit < 1:
         raise ConfigError(f"limit must be >= 1, got {limit}")
     if per_decade < 1:
         raise ConfigError(f"grid density must be >= 1, got {per_decade}")
-    # consecutive points lie x * step apart: every integer up to x = 1 / (2 step) is one
-    step = math.expm1(math.log(10) * (1 / per_decade))
-    dense = limit * step <= 0.5  # step is 0.0 at a density past the double range
-    if dense:
-        points = max(limit - 9, 1)
+    step = math.expm1(math.log(10) * (1 / per_decade))  # 0.0 at a density past the double range
+    if limit * step <= 0.5:
+        run, lo, hi = limit, 1, 0
     else:
-        j = max(per_decade, math.floor(per_decade * math.log10(0.5 / step)))
-        run = min(round(10 ** (j / per_decade)), limit)  # every integer from 10 to here is a point
-        # then at most one point per exponent from j to per_decade * log10(limit), and limit
-        points = min(max(run - 9, 0) + per_decade * math.log10(limit) - j + 2, limit)
+        lo = max(per_decade, math.floor(per_decade * math.log10(0.5 / step)))
+        run = min(round(10 ** (lo / per_decade)), limit)
+        # the point of j is <= limit only for j < per_decade * log10(limit + 0.5); + 1 spares float error
+        hi = math.floor(per_decade * math.log10(limit + 0.5)) + 1
+    points = min(max(run - 9, 0) + max(hi - lo + 1, 0) + 1, limit)
     _require_budget(points * BYTES_PER_POINT, f"checkpoint grid geom:{per_decade} to {limit}",
-                    f"~{points:.0f} points at {BYTES_PER_POINT} bytes each")
-    if dense:
-        return list(range(10, limit + 1)) or [limit]
-    pts = set(range(10, run + 1))
-    while True:
-        x = round(10 ** (j / per_decade))
-        if x > limit:
-            break
-        if x >= 10:
-            pts.add(x)
-        j += 1
-    pts.add(limit)
-    return sorted(pts)
+                    f"~{points} points at {BYTES_PER_POINT} bytes each")
+    exponents = (round(10 ** (j / per_decade)) for j in range(lo, hi + 1))
+    return sorted({limit, *range(10, run + 1), *(x for x in exponents if 10 <= x <= limit)})
 
 
 @dataclass(frozen=True)

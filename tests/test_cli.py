@@ -452,6 +452,15 @@ class TestSumCommand:
         assert "checkpoint grid geom:1000000" in err and "MEANVAL_MEM_LIMIT_MB" in err
         assert peak_mib < 40
 
+    def test_geom_grid_of_1e30_points_exits_3(self, monkeypatch, capsys):
+        # its count is formed in ints, so it reaches the budget instead of overflowing a size
+        monkeypatch.delenv("MEANVAL_MEM_LIMIT_MB", raising=False)
+        assert cli.main(["sum", "--N", str(10**30), "--grid", f"geom:{10**30}"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("resource error: checkpoint grid geom:")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
     @pytest.mark.parametrize("command", [["verify", "--series-limit", "10000000"],
                                          ["constants", "--prime-cutoff", "30000000"],
                                          ["verify", "--r", "2", "--k", "1", "--series-limit", "1000",

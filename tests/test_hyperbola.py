@@ -174,6 +174,19 @@ class TestBudget:
             tracemalloc.stop()
         assert hyperbola.required_bytes(params, xs) > peak
 
+    def test_powerful_count_bound_holds(self):
+        # each powerful m <= N is a**2 * b**3 with b squarefree, uniquely, so they number
+        # sum_b isqrt(N // b**3); the estimate takes zeta(3/2) / zeta(3) * sqrt(N) of them
+        top = hyperbola._iroot(10**12, 3)
+        squarefree = np.ones(top + 1, dtype=bool)
+        for q in range(2, math.isqrt(top) + 1):
+            squarefree[q * q :: q * q] = False
+        for e in range(2, 13):
+            limit = 10**e
+            count = sum(math.isqrt(limit // b**3) for b in range(1, hyperbola._iroot(limit, 3) + 1)
+                        if squarefree[b])
+            assert count <= hyperbola._POWERFUL_COUNT * math.isqrt(limit), limit
+
     def test_budget_enforced(self, monkeypatch):
         monkeypatch.setenv(sieve_mod.MEM_ENV_VAR, "1")
         with pytest.raises(ResourceError, match=sieve_mod.MEM_ENV_VAR):

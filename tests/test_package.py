@@ -158,13 +158,23 @@ def test_only_the_cli_writes_numbers_as_text():
 
 
 def test_import_loads_no_numpy_and_leaves_the_environment_alone():
+    # nor does the single-value API: trial division finds every prime it needs
     out = _fresh(
         "import os, sys\n"
         "before = dict(os.environ)\n"
         "import meanval\n"
         "print('numpy' in sys.modules, dict(os.environ) == before)\n"
+        "from meanval import ArithParams, factorize, composite_weighted_divisor\n"
+        "print('numpy' in sys.modules)\n"
     )
-    assert out == "False True\n"
+    assert out == "False True\nFalse\n"
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library example\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    _fresh(code)
 
 
 def test_all_lists_every_export():

@@ -237,19 +237,38 @@ class TestCheckpoints:
             with pytest.raises(ConfigError, match=f"grid density must be >= 1, got {per_decade}"):
                 geometric_checkpoints(100, per_decade=per_decade)
 
-    def test_same_points_as_the_full_loop(self):
+    def test_same_points_as_the_full_loop(self, monkeypatch):
+        # the count charged to the budget is never below the points built
+        charged = []
+        budget = sieve_mod._require_budget
+
+        def spy(need_bytes, *rest):
+            charged.append(need_bytes)
+            budget(need_bytes, *rest)
+
+        monkeypatch.setattr(sieve_mod, "_require_budget", spy)
+
+        def check(limit, per_decade):
+            charged.clear()
+            points = geometric_checkpoints(limit, per_decade)
+            assert points == _full_loop_checkpoints(limit, per_decade), (limit, per_decade)
+            assert len(charged) == 1 and charged[0] >= len(points) * sieve_mod.BYTES_PER_POINT, \
+                (limit, per_decade)
+
         rng = random.Random(5)
         limits = [1, 2, 9, 10, 11, 42, 43, 44, 99, 100, 101, 1000, 12345, 99999, 10**6]
         limits += [rng.randint(1, 10**6) for _ in range(10)]
         for per_decade in range(1, 201):
             for limit in limits:
-                assert geometric_checkpoints(limit, per_decade) == \
-                    _full_loop_checkpoints(limit, per_decade), (limit, per_decade)
+                check(limit, per_decade)
+        # every small grid, the dense ones and the edge of the run included
+        for per_decade in range(1, 41):
+            for limit in range(1, 1001):
+                check(limit, per_decade)
         # where every integer up to about per_decade / 4.6 is a point
         for per_decade in (1000, 4321, 10**4, 10**5):
             for limit in (10, 500, 2171, 10**4, 10**6):
-                assert geometric_checkpoints(limit, per_decade) == \
-                    _full_loop_checkpoints(limit, per_decade), (limit, per_decade)
+                check(limit, per_decade)
 
     @pytest.mark.parametrize("per_decade", [10**9, 10**400], ids=["1e9", "1e400"])
     def test_dense_grid_costs_its_points(self, per_decade):
