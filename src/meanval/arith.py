@@ -97,7 +97,7 @@ def _check_weight(k) -> None:
 
 @dataclass(frozen=True)
 class ArithParams:
-    """The (r, k) pair: power order r >= 2 and divisor weight k >= 1."""
+    """The (r, k) pair: power order r >= 2, whose float is finite, and finite divisor weight k >= 1."""
 
     r: int
     k: float
@@ -105,6 +105,10 @@ class ArithParams:
     def __post_init__(self) -> None:
         if not isinstance(self.r, int) or self.r < 2:
             raise ConfigError(f"r must be an integer >= 2, got {self.r!r}")
+        try:
+            float(self.r)  # the constants take r as a float
+        except OverflowError:
+            raise ConfigError(f"r must have a finite float, got an r of {self.r.bit_length()} bits") from None
         _check_weight(self.k)
 
     @property

@@ -53,8 +53,10 @@ BUDGET_DETAIL = f"{VALUE_BYTES} B plus {CLASS_BYTES} B per omega class for each 
 
 
 def _check_int64_reach(top: int) -> None:
-    """Raise ResourceError when a class total to ``top`` could overflow int64."""
-    if top * (math.log(top) + 1.0) >= 2**63:
+    """Raise ResourceError when a class total to ``top`` could overflow int64.
+
+    A top of 2**63 or more is past reach before any float is formed."""
+    if top >= 2**63 or top * (math.log(top) + 1.0) >= 2**63:
         raise ResourceError(f"class totals to x={top} could overflow their int64 sums")
 
 

@@ -170,13 +170,16 @@ def log_factor_derivative(ps, params: ArithParams) -> np.ndarray:
     a = p**-(r-1) and q = p + 1, u = k*q/a and u' = k*ln(p)*(r*p + r - 1)/a, so
     u'/(u*(u-1)) = ln(p)*(r*p + r - 1)*a/(q*(k*q - a)), which has no positive
     power of p to overflow; a k*q past the double range gives 0, its value.
+    Where a underflows to 0 the term is 0, even once ln(p)*(r*p + r - 1)
+    passes the double range and the product reads inf * 0 = nan.
     """
     r, k = params.r, float(params.k)
     ps = np.asarray(ps, dtype=np.float64)
     a = ps ** -(r - 1)
     q = ps + 1.0
-    with np.errstate(over="ignore"):
-        return np.log(ps) * (r * ps + (r - 1)) * a / (q * (k * q - a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.log(ps) * (r * ps + (r - 1)) * a / (q * (k * q - a))
+    return np.where(a == 0.0, 0.0, terms)
 
 
 def _gate_log_factor_derivative(params: ArithParams) -> None:
@@ -185,7 +188,7 @@ def _gate_log_factor_derivative(params: ArithParams) -> None:
     ps = np.array(_GATE_PRIMES, dtype=np.float64)
     fd = (_log_factors(ps, 1.0 + h, params) - _log_factors(ps, 1.0 - h, params)) / (2.0 * h)
     gap = log_factor_derivative(ps, params) - fd
-    bad = np.flatnonzero(np.abs(gap) > _GATE_TOL)
+    bad = np.flatnonzero(~(np.abs(gap) <= _GATE_TOL))  # a nan gap fails too
     if bad.size:
         i = bad[0]
         raise ToleranceError(

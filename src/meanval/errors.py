@@ -1,8 +1,10 @@
 """Exception hierarchy shared by the library and the command line front end.
 
 The CLI maps these onto its stable exit codes: configuration problems exit
-with 2, resource-budget violations with 3, and a failed rigor gate (an
-internal check, such as the per-prime derivative gate, that rejects a result) with 4.
+with 2, resource-budget violations with 3, and a failed rigor gate with 4:
+an internal check, such as the per-prime derivative gate, that rejects a
+result, or an exact sum handed an inf, a nan or a term of magnitude 2**998
+or more.
 """
 
 

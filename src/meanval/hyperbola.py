@@ -171,13 +171,16 @@ def _check_int64_reach(params: ArithParams, limit: int) -> None:
 
     Each is at most k**W * sum_m G(x / m) <= k**W * 2 * G(N), with
     D(y) <= y * (ln y + 1), and W the largest w with (p_1 * ... * p_w)**2 <= N,
-    that is p_1 * ... * p_w <= isqrt(N).
+    that is p_1 * ... * p_w <= isqrt(N). An N of 2**63 or more is past reach
+    before any float is formed.
     """
     k = int(params.k)
-    w = max_omega(math.isqrt(limit))
-    g_max = limit * (math.log(limit) + 2.0) if k == 1 else limit
-    if k**w * _POWERFUL_RECIPROCALS * g_max >= 2**63:
-        raise ResourceError(f"exact S(x) to x={limit} at k={k} could overflow its int64 sums")
+    if limit < 2**63:
+        w = max_omega(math.isqrt(limit))
+        g_max = limit * (math.log(limit) + 2.0) if k == 1 else limit
+        if k**w * _POWERFUL_RECIPROCALS * g_max < 2**63:
+            return
+    raise ResourceError(f"exact S(x) to x={limit} at k={k} could overflow its int64 sums")
 
 
 def required_bytes(params: ArithParams, xs: Sequence[int]) -> float:

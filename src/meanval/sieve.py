@@ -269,24 +269,28 @@ def geometric_checkpoints(limit: int, per_decade: int = GRID_DENSITY) -> list[in
     exponent j in lo..hi past it, and limit. A dense grid, whose step is at
     most 1 / (2 limit), is the run 10..limit with no exponent. The points of
     that triple are counted first, and a grid whose points would pass
-    MEANVAL_MEM_LIMIT_MB raises ResourceError before any is built.
+    MEANVAL_MEM_LIMIT_MB raises ResourceError before any is built, as does a
+    grid whose limit or points, as floats, would pass the double range.
     """
     if limit < 1:
         raise ConfigError(f"limit must be >= 1, got {limit}")
     if per_decade < 1:
         raise ConfigError(f"grid density must be >= 1, got {per_decade}")
-    step = math.expm1(math.log(10) * (1 / per_decade))  # 0.0 at a density past the double range
-    if limit * step <= 0.5:
-        run, lo, hi = limit, 1, 0
-    else:
-        lo = max(per_decade, math.floor(per_decade * math.log10(0.5 / step)))
-        run = min(round(10 ** (lo / per_decade)), limit)
-        # the point of j is <= limit only for j < per_decade * log10(limit + 0.5); + 1 spares float error
-        hi = math.floor(per_decade * math.log10(limit + 0.5)) + 1
-    points = min(max(run - 9, 0) + max(hi - lo + 1, 0) + 1, limit)
-    _require_budget(points * BYTES_PER_POINT, f"checkpoint grid geom:{per_decade} to {limit}",
-                    f"~{points} points at {BYTES_PER_POINT} bytes each")
-    exponents = (round(10 ** (j / per_decade)) for j in range(lo, hi + 1))
+    try:  # a float of the limit or of a point past the double range raises OverflowError
+        step = math.expm1(math.log(10) * (1 / per_decade))  # 0.0 at a density past the double range
+        if limit * step <= 0.5:
+            run, lo, hi = limit, 1, 0
+        else:
+            lo = max(per_decade, math.floor(per_decade * math.log10(0.5 / step)))
+            run = min(round(10 ** (lo / per_decade)), limit)
+            # the point of j is <= limit only for j < per_decade * log10(limit + 0.5); + 1 spares float error
+            hi = math.floor(per_decade * math.log10(limit + 0.5)) + 1
+        points = min(max(run - 9, 0) + max(hi - lo + 1, 0) + 1, limit)
+        _require_budget(points * BYTES_PER_POINT, f"checkpoint grid geom:{per_decade} to {limit}",
+                        f"~{points} points at {BYTES_PER_POINT} bytes each")
+        exponents = [round(10 ** (j / per_decade)) for j in range(lo, hi + 1)]
+    except OverflowError:
+        raise ResourceError(f"checkpoint grid geom:{per_decade} to {limit} passes the double range") from None
     return sorted({limit, *range(10, run + 1), *(x for x in exponents if 10 <= x <= limit)})
 
 

@@ -8,13 +8,15 @@ units 2**26 * u below 2**27 of them, and lo a whole number of units u below
 2**26; so a bin of at most 2**26 values stays below 2**53 of its units, and
 float64 adds to it exactly. The bins are folded into one Python int (in
 units of 2**-1074) before they could lose a bit; int true division then
-rounds the total once. Values in the top exponent fields, whose bins could
-pass 2**1024, go straight to that int.
-The result is that of ``math.fsum`` (R. M. Neal, *Fast exact summation using
-small and large superaccumulators*, arXiv:1505.05571), except where fsum's
-running sum overflows midway. ``ExactSum`` takes a whole array, or its pieces
-one at a time, in passes of at most ``primes.PIECE`` values, so that a walk's
-piece is one pass; ``value()`` rounds the total.
+rounds the total once.
+The domain is the finite values of magnitude below 2**998, whose bins cannot
+pass 2**1024. A term outside it (inf, nan, or a value in the top exponent
+fields) fails the run: ``add`` raises ToleranceError, the CLI's exit code 4.
+On that domain the result is that of ``math.fsum`` (R. M. Neal, *Fast exact
+summation using small and large superaccumulators*, arXiv:1505.05571),
+except where fsum's running sum overflows midway. ``ExactSum`` takes a whole
+array, or its pieces one at a time, in passes of at most ``primes.PIECE``
+values, so that a walk's piece is one pass; ``value()`` rounds the total.
 
 ``split_sums``, the one loop that feeds ExactSums, walks pieces, adds each
 term's values on a piece to that term's sum and returns the rounded sums. The
@@ -24,12 +26,12 @@ processes, one per CPU, whose sums merge into the serial walk's bits.
 
 from __future__ import annotations
 
-import math
 import os
 import pickle
 
 import numpy as np
 
+from .errors import ToleranceError
 from .primes import PIECE
 
 __all__ = ["ExactSum", "split_sums"]
@@ -39,8 +41,8 @@ _HI_MASK = np.uint64(~((1 << 26) - 1) & ((1 << 64) - 1))  # clears the low 26 fr
 # hi is below 2**27 units of its grid and lo below 2**26, so a bin that holds
 # at most _FLUSH = 2**26 values stays below 2**53 units and is exact
 _FLUSH = 1 << 26
-# exponent fields from here up: a bin of 2**26 hi values could reach
-# 2**53 * 2**(e - 1049) >= 2**1024 and overflow, so these values skip the bins
+# exponent fields from here up (2**998 and past, then inf and nan): a bin of
+# 2**26 hi values could reach 2**53 * 2**(e - 1049) >= 2**1024 and overflow
 _TOP = 2021
 # integers or odd slots per worker process at the least: a walk over fewer
 # than 2 * MIN_PART stays on one process, where a fork would cost more than it saves
@@ -48,13 +50,14 @@ MIN_PART = 1 << 22
 
 
 class ExactSum:
-    """Running exact sum of float64 values; ``value()`` rounds it once.
+    """Running exact sum of finite float64 values below 2**998 in magnitude;
+    ``value()`` rounds it once.
 
     ``value()`` equals math.fsum over all values added, however they were
-    chunked: a nan, or both infinities, gives fsum's nan or ValueError, and an
-    infinity is returned. The one difference: where a finite running sum
-    overflows midway, fsum raises OverflowError but this rounds the exact sum
-    once, and raises OverflowError only when that total is out of range.
+    chunked, except where fsum's running sum overflows midway: this rounds
+    the exact sum once, and raises OverflowError only when that total is out
+    of range. ``add`` raises ToleranceError at an inf, a nan or a value of
+    magnitude 2**998 or more.
     """
 
     def __init__(self) -> None:
@@ -62,34 +65,26 @@ class ExactSum:
         self._hi = np.zeros(_BINS)
         self._lo = np.zeros(_BINS)
         self._pending = 0  # values in the bins since the last fold
-        self._special: set[float] = set()
 
     def add(self, values) -> None:
         """Add the values in passes of min(PIECE, _FLUSH), each of whose temporaries
         is one piece long; the bins fold before a pass would take them past _FLUSH values."""
         x = np.ascontiguousarray(values, dtype=np.float64).ravel()
         step = min(PIECE, _FLUSH)
-        with np.errstate(invalid="ignore"):  # inf - inf in lo, whose bins are dropped
-            for a in range(0, x.size, step):
-                part = x[a : a + step]
-                if self._pending + part.size > _FLUSH:
-                    self._fold()
-                self._pending += part.size
-                bits = part.view(np.uint64)
-                key = (bits >> np.uint64(52)).view(np.int64)
-                hi = (bits & _HI_MASK).view(np.float64)
-                hi_bins = np.bincount(key, hi, _BINS)
-                lo_bins = np.bincount(key, part - hi, _BINS)
-                top = hi_bins.reshape(2, 2048)[:, _TOP:]  # the top exponent fields, then inf and nan
-                if top.any():
-                    field = key & 2047
-                    self._special.update(np.unique(part[field == 2047]).tolist())
-                    big = part[(field >= _TOP) & (field < 2047)]
-                    self._total += sum(map(int, big.tolist())) << 1074  # each is an exact integer
-                    top[:] = 0.0
-                    lo_bins.reshape(2, 2048)[:, _TOP:] = 0.0
-                self._hi += hi_bins
-                self._lo += lo_bins
+        for a in range(0, x.size, step):
+            part = x[a : a + step]
+            if self._pending + part.size > _FLUSH:
+                self._fold()
+            bits = part.view(np.uint64)
+            key = (bits >> np.uint64(52)).view(np.int64)
+            hi = (bits & _HI_MASK).view(np.float64)
+            hi_bins = np.bincount(key, hi, _BINS)
+            if hi_bins.reshape(2, 2048)[:, _TOP:].any():  # a value in the top fields, inf or nan
+                bad = float(part[(key & 2047) >= _TOP][0])
+                raise ToleranceError(f"an exact sum takes finite terms |x| < 2**998, got {bad!r}")
+            self._pending += part.size
+            self._hi += hi_bins
+            self._lo += np.bincount(key, part - hi, _BINS)
 
     def _fold(self) -> None:
         bins = np.concatenate((self._hi, self._lo))
@@ -100,15 +95,12 @@ class ExactSum:
         self._pending = 0
 
     def merge(self, other: ExactSum) -> None:
-        """Add all that ``other`` holds: its bins folded into its total, and its special values."""
+        """Add all that ``other`` holds: its bins, folded into its total."""
         other._fold()
         self._total += other._total
-        self._special |= other._special
 
     def value(self) -> float:
         self._fold()
-        if self._special:
-            return math.fsum(self._special)
         return self._total / (1 << 1074)  # rounds once; OverflowError past the float range
 
 

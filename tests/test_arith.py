@@ -17,6 +17,7 @@ from meanval.arith import (
     omega,
     weighted_divisor,
 )
+from meanval.errors import ConfigError
 
 from oracles import brute_minimal_power, count_divisors_scan, expand_numerators, omega_scan, trial_factorize
 
@@ -243,6 +244,12 @@ class TestArithParams:
             ArithParams(2, 0.5)
         with pytest.raises(ValueError, match="finite"):
             ArithParams(2, math.inf)
+
+    def test_order_needs_a_finite_float(self):
+        # the constants take r as a float: 2**1024 has none, 2**1023 is the largest power of 2 that has
+        with pytest.raises(ConfigError, match="r must have a finite float, got an r of 1025 bits"):
+            ArithParams(2**1024, 1.0)
+        assert ArithParams(2**1023, 1.0).r == 2**1023
 
     def test_exact_flag(self):
         assert ArithParams(2, 2.0).exact

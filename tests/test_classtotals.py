@@ -147,3 +147,9 @@ class TestBudget:
             classtotals.class_totals(2, [10**18])
         classtotals.required_bytes(ArithParams(2, 1.5), [10**16])
         assert 10**16 * (math.log(10**16) + 1) < 2**63
+
+    @pytest.mark.parametrize("top", [2**63, 10**400])
+    def test_past_the_double_range_refused_in_integers(self, top):
+        # 1e400 has no float: the check decides before it would form one
+        with pytest.raises(ResourceError, match="overflow"):
+            classtotals.required_bytes(ArithParams(2, 1.5), [10, top])

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from meanval import cli
@@ -305,6 +306,28 @@ class TestConstantsCommand:
             reports = json.loads(res.stdout)["reports"]
             assert reports and all(rep["pass"] for rep in reports), s
 
+    def test_term_past_the_exact_sums_domain_exits_4(self, monkeypatch, capsys):
+        # past the gate's four primes, an inf term fails the prime sum's exact sum
+        from meanval import coeffs
+
+        closed_form = coeffs.log_factor_derivative
+        monkeypatch.setattr(coeffs, "log_factor_derivative",
+                            lambda ps, params: np.where(ps == 997.0, np.inf, closed_form(ps, params)))
+        assert cli.main(["constants", "--prime-cutoff", "1000"]) == 4
+        assert capsys.readouterr().err == (
+            "tolerance failure: an exact sum takes finite terms |x| < 2**998, got inf\n")
+
+    @pytest.mark.parametrize("r", [10**305, 2**1023], ids=["1e305", "2**1023"])
+    def test_order_where_r_p_ln_p_passes_the_double_range(self, r):
+        # each per-prime derivative is 0, not inf * 0 = nan, with no warning
+        res = run_cli("constants", "--r", str(r), env_extra={"PYTHONWARNINGS": "error::RuntimeWarning"})
+        assert (res.returncode, res.stderr) == (0, "")
+        assert json.loads(res.stdout)["K"] == "0.7868724601662458"
+
+    def test_order_without_a_finite_float_exits_2(self):
+        res = run_cli("constants", "--r", str(10**400))
+        assert (res.returncode, res.stderr) == (2, "error: r must have a finite float, got an r of 1329 bits\n")
+
     def test_failed_rigor_gate_exits_4(self, monkeypatch, capsys):
         # a per-prime derivative off by 1% fails the finite-difference gate
         from meanval import coeffs
@@ -491,6 +514,23 @@ class TestSumCommand:
         res = run_cli("sum", "--k", "1", "--N", str(10**30))
         assert res.returncode == 3
         assert "overflow" in res.stderr and "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("args", [
+        ["sum", "--N", str(10**400)],
+        ["fit", "--N", str(10**400)],
+        *(["sum", "--k", k, "--N", str(10**400), "--grid", f"list:{10**400}"] for k in ("1", "1.5", "2")),
+    ], ids=["sum-geom", "fit-geom", "sum-list-k1", "sum-list-k1.5", "sum-list-k2"])
+    def test_checkpoint_past_the_double_range_exits_3(self, args):
+        # the geom grid is refused as it is built, a list point by the int64 reach check;
+        # a list grid's sums print their progress line first
+        res = run_cli(*args)
+        lines = res.stderr.splitlines()
+        assert res.returncode == 3 and lines[-1].startswith("resource error: ")
+        assert [line for line in lines if not line.startswith("summing to N=")] == [lines[-1]]
+
+    def test_limit_past_the_double_range_with_a_small_grid(self):
+        res = run_cli("sum", "--N", str(10**400), "--grid", "list:10")
+        assert res.returncode == 0 and json.loads(res.stdout)["rows"][-1]["x"] == 10
 
     def test_weight_two_to_1e15_within_default_budget(self):
         # at k = 2, h lives on the m whose exponents are all >= r + 1: ~1.5e5 of them

@@ -251,6 +251,18 @@ class TestBundle:
         b = bundle(ArithParams(2, 1e308), 1000)
         assert math.isfinite(b.leading) and math.isfinite(b.x_coeff)
 
+    @pytest.mark.parametrize("r", [2 * 10**301, 10**305, 2**1023], ids=["2e301", "1e305", "2**1023"])
+    def test_order_where_r_p_ln_p_passes_the_double_range(self, r):
+        # a = p**-(r - 1) is 0 at every prime, so each per-prime derivative is 0, as at
+        # r = 1e300, though ln(p) * (r*p + r - 1) passes the double range and the
+        # product with a would read inf * 0 = nan
+        def constants(b):
+            return b.leading, b.cofactor_deriv, b.pole_coeff, b.x_coeff, b.tail_bounds
+
+        near = bundle(ArithParams(10**300, 1.0), 10**6)
+        assert (near.cofactor_deriv, near.x_coeff) == (0.6929894694036045, 0.7868724601662458)
+        assert constants(bundle(ArithParams(r, 1.0), 10**6)) == constants(near)
+
     def test_json_round_trip(self):
         b = bundle(ArithParams(2, 2.0), 10**4)
         obj = json.loads(cli.render_constants(b, "json"))
@@ -366,6 +378,22 @@ class TestBundleSharing:
         monkeypatch.setattr(coeffs_mod, "log_factor_derivative", skewed)
         with pytest.raises(ToleranceError):
             bundle(ArithParams(3, 1.5), 10**4)
+
+    def test_gate_fails_a_nan_gap(self, monkeypatch):
+        # nan > tol is False: a gate that only looked for large gaps would pass it
+        inner = coeffs_mod.log_factor_derivative
+        monkeypatch.setattr(coeffs_mod, "log_factor_derivative",
+                            lambda ps, params: np.where(ps == 101.0, np.nan, inner(ps, params)))
+        with pytest.raises(ToleranceError, match="gate failed at p=101"):
+            bundle(ArithParams(2, 1.0), 10**4)
+
+    def test_nan_past_the_gate_primes_fails_the_prime_sum(self, monkeypatch):
+        # the gate checks four primes; a nan at any other fails the exact sum
+        inner = coeffs_mod.log_factor_derivative
+        monkeypatch.setattr(coeffs_mod, "log_factor_derivative",
+                            lambda ps, params: np.where(ps == 997.0, np.nan, inner(ps, params)))
+        with pytest.raises(ToleranceError, match="got nan$"):
+            bundle(ArithParams(2, 1.0), 10**4)
 
     def test_gate_runs_on_every_call(self, monkeypatch):
         params = ArithParams(2, 1.0)

@@ -214,3 +214,10 @@ class TestBudget:
             hyperbola.prefix_sums(ArithParams(2, k), [10**18])
         # N = 1e16 is within int64 reach at both weights
         hyperbola.required_bytes(ArithParams(2, k), [10**16])
+
+    @pytest.mark.parametrize("k", [1.0, 2.0])
+    @pytest.mark.parametrize("limit", [2**63, 10**400])
+    def test_past_the_double_range_refused_in_integers(self, k, limit):
+        # 1e400 has no float: the check decides before it would form one
+        with pytest.raises(ResourceError, match="overflow"):
+            hyperbola.required_bytes(ArithParams(2, k), [10, limit])

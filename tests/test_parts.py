@@ -13,7 +13,7 @@ import pytest
 
 from meanval import coeffs, verify, xsum
 from meanval.arith import ArithParams
-from meanval.errors import ConfigError
+from meanval.errors import ConfigError, ToleranceError
 from meanval.xsum import split_sums
 
 
@@ -80,6 +80,17 @@ class TestSplitSums:
             return _one_block_per_part(part, parts)
 
         with pytest.raises(ConfigError, match="part 1 of 3 refused"):
+            _sums_of_parts(blocks, 10)
+        _assert_no_child_left()
+
+    def test_term_past_the_exact_sums_domain_in_a_worker_raises_here(self, monkeypatch):
+        # only the worker's part holds the inf; its ToleranceError reaches this process
+        _force_parts(monkeypatch, 2)
+
+        def blocks(part, parts):
+            yield np.array([1.0, np.inf if part == 1 else 2.0])
+
+        with pytest.raises(ToleranceError, match="got inf$"):
             _sums_of_parts(blocks, 10)
         _assert_no_child_left()
 

@@ -278,6 +278,17 @@ class TestCheckpoints:
             assert geometric_checkpoints(100, per_decade) == list(range(10, 101))
 
 
+    @pytest.mark.parametrize("limit, per_decade", [(10**400, 8), (2**1024 - 1, 8), (10**308, 1)])
+    def test_grid_past_the_double_range_is_refused(self, limit, per_decade):
+        # the float of the limit overflows, or, at 1e308 and one point per decade, that of
+        # the point 1e309 past it
+        with pytest.raises(ResourceError, match="passes the double range"):
+            geometric_checkpoints(limit, per_decade)
+
+    def test_grid_near_the_top_of_the_double_range(self):
+        grid = geometric_checkpoints(2**1023, 1)
+        assert grid[:3] == [10, 100, 1000] and grid[-1] == 2**1023 and len(grid) == 308
+
     @pytest.mark.parametrize("limit, per_decade", [(10**6, 10**6), (10**9, 10**9), (10**12, 10**4)])
     def test_grid_past_the_budget_is_refused_before_it_is_built(self, monkeypatch, limit, per_decade):
         # both ways of forming the points, every integer and one per exponent, are counted

@@ -1,36 +1,35 @@
 import math
-from fractions import Fraction
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from meanval import xsum
+from meanval.errors import ToleranceError
 from meanval.xsum import ExactSum
 
 _TINY = 2.0**-1022  # smallest normal
+_TOP = 2.0**998  # the first magnitude outside ExactSum's domain
+_BELOW_TOP = math.nextafter(_TOP, 0.0)  # the largest inside it
 
-# mixed signs and magnitudes over the whole range: subnormals, the normal
-# boundary, values near 1e-300 and 1e300, the top of the range, signed zeros
+# mixed signs and magnitudes over the whole domain: subnormals, the normal
+# boundary, values near 1e-300 and up to 2**998, signed zeros
 finite = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-_TOP, max_value=_TOP, exclude_min=True, exclude_max=True),
     st.floats(min_value=-4 * _TINY, max_value=4 * _TINY),
     st.floats(min_value=1e-301, max_value=1e-299).flatmap(lambda x: st.sampled_from([x, -x])),
-    st.floats(min_value=1e299, max_value=1e301).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.floats(min_value=2.0**996, max_value=_BELOW_TOP).flatmap(lambda x: st.sampled_from([x, -x])),
     st.integers(-(2**60), 2**60).map(float),
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, _TINY, -_TINY, 1.0, -1.0, 0.1, 1e308, -1e308]),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, _TINY, -_TINY, 1.0, -1.0, 0.1, _BELOW_TOP, -_BELOW_TOP]),
 )
-# values whose magnitudes cannot add up past the float range in a short list
-moderate = finite.filter(lambda x: abs(x) <= 1e301)
-special = st.sampled_from([math.inf, -math.inf, math.nan])
-
-
-def _outcome(f, values):
-    """repr of the result, or the type of the exception raised."""
-    try:
-        return repr(f(values))
-    except (OverflowError, ValueError) as exc:
-        return type(exc)
+# outside the domain: the infinities, nan, the bottom of the top exponent
+# fields and values past it
+_OUTSIDE = [math.inf, -math.inf, math.nan, _TOP, -_TOP, 1e308]
+outside = st.one_of(
+    st.sampled_from(_OUTSIDE),
+    st.floats(min_value=_TOP, allow_infinity=False).flatmap(lambda x: st.sampled_from([x, -x])),
+)
 
 
 def _stream(chunks):
@@ -40,20 +39,13 @@ def _stream(chunks):
     return acc.value()
 
 
-def _rounded_once(values):
-    """The exact sum rounded once: the fsum of the infinities and nans if there
-    are any, else the Fraction total as a float (OverflowError out of range)."""
-    special = [x for x in values if not math.isfinite(x)]
-    if special:
-        return math.fsum(special)
-    return float(sum(map(Fraction, values), Fraction(0)))
+def _in_domain(values):
+    return all(abs(x) < _TOP for x in values)  # False at a nan too
 
 
-def _expected(values):
-    """math.fsum's outcome; where its running sum overflows midway, the exact
-    sum rounded once, which is ExactSum's documented result there."""
-    outcome = _outcome(math.fsum, values)
-    return _outcome(_rounded_once, values) if outcome is OverflowError else outcome
+def _assert_stream_refused(chunks, bad):
+    with pytest.raises(ToleranceError, match=re.escape(f"got {bad!r}") + "$"):
+        _stream(chunks)
 
 
 class TestFsum:
@@ -62,30 +54,39 @@ class TestFsum:
     @settings(max_examples=400, deadline=None)
     @given(st.lists(finite, max_size=60))
     def test_same_repr_as_math_fsum(self, xs):
-        assert _outcome(_stream, [xs]) == _expected(xs)
+        assert repr(_stream([xs])) == repr(math.fsum(xs))
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(moderate, min_size=1, max_size=40), st.lists(moderate, max_size=5), st.randoms())
+    @given(st.lists(finite, min_size=1, max_size=40), st.lists(finite, max_size=5), st.randoms())
     def test_cancellation(self, xs, extra, rnd):
         values = xs + [-x for x in xs] + extra
         rnd.shuffle(values)
         assert repr(_stream([values])) == repr(math.fsum(values))
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.one_of(finite, special), max_size=30))
-    def test_non_finite_keeps_fsum_result_or_error(self, xs):
-        assert _outcome(_stream, [xs]) == _expected(xs)
+    @given(st.lists(st.one_of(finite, outside), max_size=30))
+    def test_non_finite_or_top_of_range_raises(self, xs):
+        if _in_domain(xs):
+            assert repr(_stream([xs])) == repr(math.fsum(xs))
+        else:
+            with pytest.raises(ToleranceError):
+                _stream([xs])
 
     @pytest.mark.parametrize("xs", [
         [], [-0.0], [-0.0, -0.0], [0.0, -0.0], [1.0, -1.0], [-5e-324, 5e-324],
-        [1e308, -1e308], [1e308, 1e308, -1e308], [1.7e308, 1.7e308], [-1.7e308, -1e308, 1e300],
-        [1e308, 1e308, math.inf],
+        [_BELOW_TOP, -_BELOW_TOP], [_BELOW_TOP, _BELOW_TOP, -_BELOW_TOP], [-_BELOW_TOP, -2.0**997, 1e300],
     ])
     def test_edge_cases(self, xs):
-        # math.fsum raises OverflowError on the last four, where a running sum
-        # overflows; ExactSum gives 1e308, OverflowError twice (the exact totals
-        # are out of range) and inf (an infinity decides the sum)
-        assert _outcome(_stream, [xs]) == _expected(xs)
+        assert repr(_stream([xs])) == repr(math.fsum(xs))
+
+    @pytest.mark.parametrize("xs, bad", [
+        ([1e308, -1e308], 1e308), ([1.7e308, 1.7e308], 1.7e308), ([-1.7e308, -1e308, 1e300], -1.7e308),
+        ([1e300, _TOP], _TOP), ([1.0, math.inf], math.inf),
+    ])
+    def test_edge_cases_past_the_domain_raise(self, xs, bad):
+        # math.fsum gives 0.0, 1e308 or inf, or raises OverflowError, on these;
+        # ExactSum refuses the first value outside its domain
+        _assert_stream_refused([xs], bad)
 
     def test_large_array(self):
         rng = np.random.default_rng(3)
@@ -93,27 +94,72 @@ class TestFsum:
         assert repr(_stream([x])) == repr(math.fsum(x))
 
 
+class TestDomain:
+    """A value outside the domain raises ToleranceError in ``add``, naming it as a plain float."""
+
+    @pytest.mark.parametrize("bad", _OUTSIDE)
+    def test_alone(self, bad):
+        _assert_stream_refused([[bad]], bad)
+
+    @pytest.mark.parametrize("bad", _OUTSIDE)
+    def test_beside_finite_values_in_one_piece(self, bad):
+        _assert_stream_refused([[1.0, -0.0, bad, 5e-324]], bad)
+
+    @pytest.mark.parametrize("bad", _OUTSIDE)
+    def test_in_a_later_piece(self, bad):
+        _assert_stream_refused([[1.0, 2.0], [3.0, bad]], bad)
+
+    @pytest.mark.parametrize("bad", _OUTSIDE)
+    def test_after_merge(self, bad):
+        acc, other = ExactSum(), ExactSum()
+        acc.add(np.array([1.0]))
+        other.add(np.array([2.0]))
+        acc.merge(other)
+        with pytest.raises(ToleranceError, match=re.escape(f"got {bad!r}") + "$"):
+            acc.add(np.array([bad]))
+
+    def test_nan_whose_payload_is_in_the_low_bits(self):
+        # its hi part, with the low 26 fraction bits cleared, is inf
+        nan = np.array([0x7FF0000000000001], dtype=np.uint64).view(np.float64)
+        with pytest.raises(ToleranceError, match="got nan$"):
+            ExactSum().add(np.concatenate(([1.0], nan)))
+
+    def test_top_of_the_domain_is_summed(self):
+        xs = [_BELOW_TOP] * 3 + [-_BELOW_TOP, 1e-300]
+        assert repr(_stream([xs])) == repr(math.fsum(xs))
+
+
 class TestExactSum:
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.lists(st.one_of(moderate, special), max_size=20), max_size=6))
+    @given(st.lists(st.lists(st.one_of(finite, outside), max_size=20), max_size=6))
     def test_chunked_stream_equals_fsum_of_concatenation(self, chunks):
         flat = [x for chunk in chunks for x in chunk]
-        assert _outcome(_stream, chunks) == _outcome(math.fsum, flat)
+        if _in_domain(flat):
+            assert repr(_stream(chunks)) == repr(math.fsum(flat))
+        else:
+            with pytest.raises(ToleranceError):
+                _stream(chunks)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.lists(st.one_of(finite, special), max_size=20), max_size=6),
+    @given(st.lists(st.lists(st.one_of(finite, outside), max_size=20), max_size=6),
            st.lists(st.integers(0, 2), max_size=6))
     def test_merged_sums_equal_one_sum(self, chunks, owners):
-        # chunks shared out over three sums, then merged: the one stream's outcome
+        # chunks shared out over three sums, then merged: the one stream's sum,
+        # and a chunk outside the domain raises in the add that takes it
         sums = [ExactSum() for _ in range(3)]
         for chunk, owner in zip(chunks, owners + [0] * len(chunks)):
-            sums[owner].add(np.array(chunk, dtype=np.float64))
+            if _in_domain(chunk):
+                sums[owner].add(np.array(chunk, dtype=np.float64))
+            else:
+                with pytest.raises(ToleranceError):
+                    sums[owner].add(np.array(chunk, dtype=np.float64))
         for other in sums[1:]:
             sums[0].merge(other)
-        assert _outcome(lambda _: sums[0].value(), None) == _outcome(_stream, chunks)
+        kept = [chunk for chunk in chunks if _in_domain(chunk)]
+        assert repr(sums[0].value()) == repr(_stream(kept))
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.lists(moderate, max_size=12), min_size=1, max_size=8))
+    @given(st.lists(st.lists(finite, max_size=12), min_size=1, max_size=8))
     def test_forced_fold_keeps_bins_below_limit(self, chunks):
         # the real interval is 2**26 values; at 5 a fold happens every few values
         field = np.maximum(np.arange(4096) & 2047, 1)  # subnormals share field 1's grid
@@ -133,26 +179,30 @@ class TestExactSum:
             flat = [x for chunk in chunks for x in chunk]
             assert repr(acc.value()) == repr(math.fsum(flat))
 
-    @pytest.mark.parametrize("chunks", [
-        [[1e308], [1e308], [-1e308]],
-        [[1.7e308], [1.7e308], [-1.7e308, -1.7e308, 1e300]],
-        [[1e300] * 7, [-1e300] * 3, [1e308, -1e308, 3e307]],
-        [[1e300, 5e307, -1e301], [1e-300, 1.0], [-5e307]],
-        [[1.7976931348623157e308], [-1.7976931348623157e308], [2.0**-1074]],
-        [[2.0**1015] * 1024, [-(2.0**1015)] * 1024, [1.0]],  # one bin of these would reach inf
+    @pytest.mark.parametrize("chunks, refused", [
+        ([[1e300], [1e308], [-1e308]], 1),
+        ([[1.7e308], [1.7e308], [-1.7e308, -1.7e308, 1e300]], 0),
+        ([[1e300] * 7, [-1e300] * 3, [1e308, -1e308, 3e307]], 2),
+        ([[1e300, 2e300, -1e299], [1e-300, 1.0], [-5e307]], 2),
+        ([[2.0**997] * 1024, [-(2.0**997)] * 1024, [2.0**1015]], 2),
     ])
-    def test_top_of_range_across_adds(self, chunks):
-        # values whose bins could pass 2**1024 skip the bins, in every add call
-        flat = [x for chunk in chunks for x in chunk]
-        assert _outcome(_stream, chunks) == _expected(flat)
+    def test_top_of_range_across_adds(self, chunks, refused):
+        # the add that takes the first value past the domain raises; those before it sum
+        acc = ExactSum()
+        for chunk in chunks[:refused]:
+            acc.add(np.array(chunk))
+        with pytest.raises(ToleranceError):
+            acc.add(np.array(chunks[refused]))
+        flat = [x for chunk in chunks[:refused] for x in chunk]
+        assert repr(acc.value()) == repr(math.fsum(flat))
 
-    @pytest.mark.parametrize("at", [0, 1, xsum.PIECE - 2, xsum.PIECE - 1])
+    @pytest.mark.parametrize("at", [0, 1, xsum.PIECE - 1, xsum.PIECE, xsum.PIECE + 2])
     def test_top_of_range_across_a_chunk_boundary(self, at):
-        # two values near the top of the range, one each side of a chunk boundary when
-        # at = PIECE - 1, among small values that the bins take
+        # one value past the domain among small ones, in the first pass of
+        # PIECE values or in the second
         x = np.full(xsum.PIECE + 3, 1e-3)
-        x[at], x[at + 1], x[-1] = 1e308, 1e308, -1.5e308
-        assert _outcome(_stream, [x]) == _expected(x.tolist())
+        x[at] = -1.5e308
+        _assert_stream_refused([x], -1.5e308)
 
     @pytest.mark.parametrize("xs", [
         [5e-324] * (xsum.PIECE + 5),
@@ -160,22 +210,20 @@ class TestExactSum:
         [-0.0] * (xsum.PIECE + 1),
         [-0.0, 5e-324, -0.0, -5e-324],
         [2.0**-1022, -(2.0**-1022 - 5e-324), -0.0],
-        [1e-310, 1e308, -1e308, -1e-310, 1e-320],
+        [1e-310, _BELOW_TOP, -_BELOW_TOP, -1e-310, 1e-320],
     ])
     def test_subnormals_and_negative_zero(self, xs):
-        assert _outcome(_stream, [xs]) == _expected(xs)
+        assert repr(_stream([xs])) == repr(math.fsum(xs))
 
-    @pytest.mark.parametrize("xs", [
-        [1.0, math.inf, 2.0],
-        [1e308, math.nan, 1e308],
-        [-math.inf, 1e-310, 3.0, -0.0],
-        [math.inf, 1.0, -math.inf],
-        [5e-324, math.nan, -math.inf, 1e300],
-        [1e308, 1e308, 1e308, -math.inf],
+    @pytest.mark.parametrize("xs, bad", [
+        ([1.0, math.inf, 2.0], math.inf),
+        ([1e300, math.nan, 1e300], math.nan),
+        ([-math.inf, 1e-310, 3.0, -0.0], -math.inf),
+        ([math.inf, 1.0, -math.inf], math.inf),
+        ([5e-324, math.nan, -math.inf, 1e300], math.nan),
+        ([1e300, 1e308, 1e300, -math.inf], 1e308),
     ])
-    def test_non_finite_beside_finite_in_one_chunk(self, xs):
-        # the infinities and nans decide the sum; the finite values beside them in the
-        # same chunk still pass through the bins and the top-of-range path
-        assert _outcome(_stream, [xs]) == _expected(xs)
-        assert _outcome(_stream, [xs * (xsum.PIECE // len(xs) + 1)]) == _expected(
-            xs * (xsum.PIECE // len(xs) + 1))
+    def test_non_finite_beside_finite_in_one_chunk(self, xs, bad):
+        # the first value outside the domain is named, in one pass or past several
+        _assert_stream_refused([xs], bad)
+        _assert_stream_refused([xs * (xsum.PIECE // len(xs) + 1)], bad)
