@@ -116,12 +116,6 @@ class ArithParams:
         """True when k is an integer, enabling exact rational arithmetic."""
         return float(self.k).is_integer()
 
-    @property
-    def k_int(self) -> int:
-        if not self.exact:
-            raise ValueError(f"k={self.k} is not an integer")
-        return int(self.k)
-
 
 def factorize(n: int) -> PrimeFactorization:
     """Factor n by deterministic trial division.

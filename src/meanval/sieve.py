@@ -5,19 +5,19 @@ serves ``verify``'s Dirichlet series. It sieves segments of SERIES_BLOCK
 integers, which stay in cache, into three arrays that live for the whole
 walk, and hands each segment out in pieces of at most ``primes.PIECE``
 integers, so the float64 terms of a piece (64 KiB) reuse the same heap pages.
-Each segment takes every prime p <= sqrt(N) and every power of one. Omega
-for those of 2 to 13 is sliced from one periodic pattern (a wheel of period
+Every prime power p**a <= N with p <= sqrt(N) is listed once, before the
+first segment, and each segment takes its tiers as slices of that list.
+Omega for 2 to 13 is sliced from one periodic pattern (a wheel of period
 30030), and the power of 2 in n is n & -n; the rest come in two tiers split
 at sqrt(SERIES_BLOCK):
 
 * a prime power with at least sqrt(SERIES_BLOCK) multiples in a segment is
   struck in place, one strided pass over the segment each;
-* the prime powers above the split, listed once before the first segment,
-  have few multiples each, so a vectorised pass per batch of them forms the
-  offsets of all their multiples in the segment and one ``ufunc.at`` call
-  each applies them, as a bucket sieve does (Oliveira e Silva, Herzog and
-  Pardi, *Math. Comp.* 83, 2014); a batch has at most PIECE multiples, so
-  its offsets take no more memory than a piece.
+* the prime powers above the split have few multiples each, so a vectorised
+  pass per batch of them forms the offsets of all their multiples in the
+  segment and one ``ufunc.at`` call each applies them, as a bucket sieve
+  does (Oliveira e Silva, Herzog and Pardi, *Math. Comp.* 83, 2014); a batch
+  has at most PIECE multiples, so its offsets take no more memory than a piece.
 
 What is left of n is then 1 or its one prime factor above sqrt(N). No array
 of length N is held.
@@ -152,32 +152,31 @@ def value_blocks(params: ArithParams, limit: int, part: int = 0,
     that the next segment overwrites: a caller that keeps a piece past the
     next one must copy it.
 
-    Equal to the slices of ``tabulate``'s table, without it: in each segment
-    every prime p <= sqrt(limit) adds 1 to omega at its multiples and
-    multiplies the p-smooth part at the multiples of each p**a. Omega starts
-    as a slice of a wheel, the count of the primes 2 to 13 that are <=
-    sqrt(limit) and divide n, tabulated over n mod their product; the smooth
-    part starts as n & -n, the power of 2 in n, when 2 <= sqrt(limit). Every
-    other prime power q <= sqrt(SERIES_BLOCK) takes strided passes over the
-    segment. The larger ones are listed once, primes first, and cut into
-    batches with at most PIECE multiples in a segment; in each segment the
-    offsets of all the multiples of one batch are formed at once: q apart
-    within one q's run, and a jump from the last multiple of one q to the
-    first of the next, then a cumulative sum. The primes' offsets, a prefix
-    of them, add 1 to omega; every offset multiplies the smooth part by its
-    p, and ``ufunc.at`` applies repeated offsets one by one, exactly.
+    Equal to the slices of ``tabulate``'s table, without it: one list, formed
+    by repeated multiplication before the first segment, holds every q = p**a
+    <= limit with p prime and p <= sqrt(limit). Omega starts as a slice of a
+    wheel, the count of the primes 2 to 13 that are <= sqrt(limit) and divide
+    n, tabulated over n mod their product; the p-smooth part starts as n & -n,
+    the power of 2 in n, when 2 <= sqrt(limit). Each odd q multiplies the
+    smooth part by p at its multiples, and each odd prime q outside the wheel
+    adds 1 to omega there: the q <= sqrt(SERIES_BLOCK) by strided passes, the
+    larger ones, primes first, in batches with at most PIECE multiples in a
+    segment, whose offsets are formed at once: q apart within one q's run,
+    and a jump from the last multiple of one q to the first of the next, then
+    a cumulative sum. The primes' offsets, a prefix of them, add 1 to omega;
+    every offset multiplies the smooth part by its p, and ``ufunc.at``
+    applies repeated offsets one by one, exactly.
 
     What is left, n / smooth, is 1 or the one prime factor above
     sqrt(limit). Then counts starts at 2**omega, and as c[a] = ceil(a/r) + 1
-    steps up only at a = j*r + 1, the multiples of p**(j*r + 1) trade c[a-1]
-    for c[a].
+    steps up only at a = j*r + 1, the multiples of those q trade c[a-1] for
+    c[a], in order of q up to the segment's end.
     """
     if limit < 1:
         raise ConfigError(f"series limit must be >= 1, got {limit}")
     if limit > 2**31 - 2:
         raise ResourceError(f"series limit {limit} exceeds the int32 layout")
-    r = params.r
-    c = minpow_divisor_counts(r, 32)
+    c = minpow_divisor_counts(params.r, 32)
     split = math.isqrt(SERIES_BLOCK)
     base = primes_up_to(math.isqrt(limit)).tolist()
     wheel = base[:6]  # those of 2, 3, 5, 7, 11 and 13 that are <= sqrt(limit)
@@ -186,17 +185,20 @@ def value_blocks(params: ArithParams, limit: int, part: int = 0,
     pattern = np.zeros(period + size, dtype=np.int8)  # omega over them, n mod period
     for p in wheel:
         pattern[::p] += 1
-    struck = [p for p in base[1:] if p <= split]
-    gathered = [(p, p) for p in base if p > split]
-    n_primes = len(gathered)
-    for p in base[1:]:
-        q = p * p
+    powers = []  # (q, p, a) for every q = p**a <= limit, by p and then by a
+    for p in base:
+        q, a = p, 1
         while q <= limit:
-            if q > split:
-                gathered.append((q, p))
-            q *= p
-    gq, gp = np.array(gathered, dtype=np.int64).reshape(-1, 2).T
+            powers.append((q, p, a))
+            q, a = q * p, a + 1
+    # the odd q, as the 2-part is n & -n: strided passes, which strike omega at a prime outside
+    # the wheel, up to the split, and the gathered ones past it, primes first
+    struck = [(q, p, a == 1 and p not in wheel) for q, p, a in powers if 2 < p and q <= split]
+    gathered = sorted((t for t in powers if t[1] > 2 and t[0] > split), key=lambda t: t[2] > 1)
+    n_primes = sum(a == 1 for _, _, a in gathered)
+    gq, gp, _ = np.array(gathered, dtype=np.int64).reshape(-1, 3).T
     gp = gp.astype(np.int32)
+    steps = sorted((q, c[a - 1], c[a]) for q, _, a in powers if a > 1 and c[a] > c[a - 1])
 
     # the gathered prime powers in batches with at most PIECE multiples in a segment, or one
     # power, so that a batch's offsets are no larger than a piece
@@ -237,26 +239,20 @@ def value_blocks(params: ArithParams, limit: int, part: int = 0,
             smooth &= n
         else:
             smooth.fill(1)
-        for p in struck:
-            if p not in wheel:
-                omegas[-lo % p :: p] += 1
-            q = p
-            while q <= split:
-                smooth[-lo % q :: q] *= p
-                q *= p
+        for q, p, strike in struck:
+            if strike:
+                omegas[-lo % q :: q] += 1
+            smooth[-lo % q :: q] *= p
         gather(lo, omegas, smooth)
         omegas += smooth != n
         hi = lo + size
         np.left_shift(1, omegas, out=counts, dtype=np.int32)
-        for p in base:
-            q, a = p ** (r + 1), r + 1
+        for q, before, after in steps:
             if q >= hi:
                 break
-            while q < hi:
-                step = counts[-lo % q :: q]  # a view, so the update lands in counts
-                step //= c[a - 1]
-                step *= c[a]
-                q, a = q * p**r, a + r
+            step = counts[-lo % q :: q]  # a view, so the update lands in counts
+            step //= before
+            step *= after
         for at in range(0, size, PIECE):
             yield lo + at, counts[at : at + PIECE], omegas[at : at + PIECE]
 
@@ -321,9 +317,6 @@ class SummatoryTable:
     mode: str  # "exact" | "float"
     rows: tuple[SummatoryRow, ...]
 
-    @property
-    def final(self) -> ExactValue:
-        return self.rows[-1].value
 
 def _segment_bounds(limit: int, checkpoints: Sequence[int], segment: int) -> list[tuple[int, int, bool]]:
     """No caller: kept only as the name perfbench/trace_cli.py wraps."""

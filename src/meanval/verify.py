@@ -59,7 +59,7 @@ from .arith import ArithParams, local_factor_times, max_omega, minpow_divisor_co
 from .coeffs import cofactor_numerator, cofactor_value
 from .errors import ConfigError
 from .primes import prime_blocks
-from .sieve import value_blocks
+from .sieve import _require_budget, value_blocks
 from .xsum import split_sums
 from .zeta import EPS, expm1_or_inf, power_tails, zeta
 
@@ -80,6 +80,7 @@ __all__ = [
 BATTERY_Z = (0.1, 0.3, 0.5, 0.9)  # power-series arguments z in the battery
 BATTERY_PRIMES = (2, 3, 5, 101)  # primes whose local factor the battery checks
 BATTERY_SIZE = 10**5  # default series length and prime cutoff of the factorization check
+NUMERATOR_BYTES = 560  # per numerator coefficient: `verify --format json` peaks at 526 MiB at r = 1e6
 
 
 @dataclass(frozen=True)
@@ -201,8 +202,11 @@ def numerator_identity_check(params: ArithParams) -> VerifyReport:
     times k * F_p(z), a polynomial of degree r+1. P2 is the numerator of the
     cofactor's local factor. The report carries the per-degree difference
     vector; no tolerance is involved. A gap past the double range reads inf.
+    An r past the memory budget, at NUMERATOR_BYTES each, raises ResourceError.
     """
     r = params.r
+    _require_budget((r + 2) * NUMERATOR_BYTES, f"the numerator check at r = {r}",
+                    f"{NUMERATOR_BYTES} B per coefficient, its document included")
     k = Fraction(params.k)  # exact for integer k and for any binary float
     p1 = local_factor_times((1, -1, *[0] * (r - 2), -1, 1), r, k, r + 2)
     p2 = cofactor_numerator(r, k)
@@ -276,6 +280,14 @@ def euler_product_truncated(params: ArithParams, s: float, cutoff: int) -> tuple
     return value, abs(value) * expm1_or_inf(tail_log) + fp
 
 
+def _check_factorization_inputs(s: float, limit: int, cutoff: int) -> None:
+    """ConfigError unless 1.5 <= s < inf and the series length and the prime cutoff are >= 1000."""
+    if not 1.5 <= s < math.inf:
+        raise ConfigError(f"s must be finite and >= 1.5 for controllable tails, got {s}")
+    if limit < 10**3 or cutoff < 10**3:
+        raise ConfigError("series length and prime cutoff must both be >= 1000")
+
+
 def global_factorization_check(s: float, params: ArithParams, limit: int, cutoff: int) -> VerifyReport:
     """Three-way comparison: series vs local product vs closed-form factorization.
 
@@ -284,10 +296,7 @@ def global_factorization_check(s: float, params: ArithParams, limit: int, cutoff
     ``details`` with its own combined bound; the verifier records the gap
     without asserting which side is right when they disagree.
     """
-    if not 1.5 <= s < math.inf:
-        raise ConfigError(f"s must be finite and >= 1.5 for controllable tails, got {s}")
-    if limit < 10**3 or cutoff < 10**3:
-        raise ConfigError("series length and prime cutoff must both be >= 1000")
+    _check_factorization_inputs(s, limit, cutoff)
     series, series_tail = dirichlet_series_truncated(params, s, limit)
     product, product_tail = euler_product_truncated(params, s, cutoff)
     zs = zeta(s)
@@ -330,8 +339,10 @@ def run_battery(
     cutoff: int = BATTERY_SIZE,
 ) -> list[VerifyReport]:
     """The standard identity battery for one parameter pair, in a fixed order."""
-    glob = global_factorization_check(s, params, limit=limit, cutoff=cutoff)  # first: it checks s, N and P
+    _check_factorization_inputs(s, limit, cutoff)
+    numerator = numerator_identity_check(params)  # before the walks: it refuses an r past the budget
+    glob = global_factorization_check(s, params, limit=limit, cutoff=cutoff)
     reports = [power_series_check(params.r, z) for z in BATTERY_Z]
     reports += [local_factor_check(p, s, params) for p in BATTERY_PRIMES]
-    return reports + [numerator_identity_check(params), glob]
+    return reports + [numerator, glob]
 

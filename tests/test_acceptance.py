@@ -64,11 +64,11 @@ def test_criterion_01_minimal_power_oracle_sweep():
 def test_criterion_02_enumerated_sums_exact():
     with criterion(2, "S(10) = 24 at (r=2,k=1) and 21/2 at (r=2,k=2), exact"):
         t1 = summatory(ArithParams(2, 1.0), 10)
-        assert t1.final == Fraction(24)
-        assert t1.final == enumerated_sum(10, 2, 1)
+        assert t1.rows[-1].value == Fraction(24)
+        assert t1.rows[-1].value == enumerated_sum(10, 2, 1)
         t2 = summatory(ArithParams(2, 2.0), 10)
-        assert t2.final == Fraction(21, 2)
-        assert t2.final == enumerated_sum(10, 2, 2)
+        assert t2.rows[-1].value == Fraction(21, 2)
+        assert t2.rows[-1].value == enumerated_sum(10, 2, 2)
 
 
 def test_criterion_03_series_identity_grid():

@@ -253,7 +253,4 @@ class TestArithParams:
 
     def test_exact_flag(self):
         assert ArithParams(2, 2.0).exact
-        assert ArithParams(2, 2.0).k_int == 2
         assert not ArithParams(2, 1.5).exact
-        with pytest.raises(ValueError):
-            ArithParams(2, 1.5).k_int

@@ -160,6 +160,24 @@ class TestErrorsBeforeWork:
         assert captured.err.splitlines() == [captured.err.rstrip("\n")]  # one line
         assert captured.err.startswith(message.replace("{tmp}", str(tmp_path))), captured.err
 
+    @pytest.mark.parametrize("argv, code", [
+        (["--r", str(10**305), "--series-limit", "1000", "--prime-cutoff", "1000"], 3),
+        (["--r", "100000000", "--series-limit", "1000", "--prime-cutoff", "1000"], 3),
+        (["--r", "10000000", "--series-limit", "10"], 2),
+    ], ids=["r-1e305", "r-1e8", "short-series"])
+    def test_verify_numerator_past_the_budget(self, argv, code, monkeypatch, capsys):
+        # the numerator check's r + 2 coefficients are charged after s, N and P are checked
+        # and before either walk
+        from meanval import verify
+
+        monkeypatch.delenv("MEANVAL_MEM_LIMIT_MB", raising=False)
+        monkeypatch.setattr(verify, "dirichlet_series_truncated", lambda *a, **kw: pytest.fail("walked"))
+        assert cli.main(["verify", *argv]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.err.startswith("resource error: the numerator check" if code == 3 else "error: ")
+
     def test_verify_inputs_checked_before_any_identity(self, monkeypatch, capsys):
         # the series length, the cutoff and s belong to the global check, which runs first
         from meanval import verify

@@ -146,7 +146,7 @@ class TestDispatch:
 
         monkeypatch.setattr(sieve_mod, "build_spf", refuse)
         for k in (1, 1.0, 2.0):
-            assert summatory(ArithParams(2, k), 10).final == enumerated_sum(10, 2, int(k))
+            assert summatory(ArithParams(2, k), 10).rows[-1].value == enumerated_sum(10, 2, int(k))
 
     @pytest.mark.parametrize("k", [3.0, 1.5, 2.0 + 1e-12])
     def test_other_weights_sieve(self, k, monkeypatch):
@@ -195,7 +195,8 @@ class TestBudget:
     def test_sized_from_the_grid_not_n(self, monkeypatch):
         # the powerful numbers and the D table go up to the largest checkpoint
         monkeypatch.setenv(sieve_mod.MEM_ENV_VAR, "16")
-        assert summatory(ArithParams(2, 1.0), 10**15, grid=[1000]).final == 5504 == enumerated_sum(1000, 2, 1)
+        table = summatory(ArithParams(2, 1.0), 10**15, grid=[1000])
+        assert table.rows[-1].value == 5504 == enumerated_sum(1000, 2, 1)
 
     def test_exponents_sized_from_n_not_r(self):
         # h(p**a) != 0 is looked up only for 2**a <= N: at k = 1 the first such a is 2 for

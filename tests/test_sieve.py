@@ -61,7 +61,7 @@ class TestBuildSpf:
 
 class TestValueBlocks:
     @pytest.mark.parametrize("limit", [1, 2, 3, 24, 48, 120, 168, 169, 170, 5007, 2**17 + 3])
-    @pytest.mark.parametrize("r", [2, 3, 5, 40])
+    @pytest.mark.parametrize("r", [2, 3, 5, 40, pytest.param(10**305, id="10**305")])
     def test_blocks_equal_the_table(self, monkeypatch, r, limit):
         # with blocks of 1000 a prime power's multiples start at another offset in each block;
         # the tiers split at isqrt(1000) = 31, so every prime power above 31 (the primes
@@ -69,7 +69,8 @@ class TestValueBlocks:
         # pass, and those below it the strided passes. Omega of 2 to 13 comes from a
         # wheel of the ones <= isqrt(limit): none at 3, 2 and 3 at 24, up to 5, 7 and 11
         # at 48, 120 and 168, all six from 169. Blocks of 1000 straddle each multiple of
-        # the wheel's period 30030 below 2**17 + 3.
+        # the wheel's period 30030 below 2**17 + 3. At r = 10**305 no count step lies below the
+        # limit, and none is formed as a power of r.
         monkeypatch.setattr(sieve_mod, "SERIES_BLOCK", 1000)
         piece = sieve_mod.PIECE
         for k in (1.0, 1.5, 2.0, 3.0):
@@ -302,11 +303,11 @@ class TestCheckpoints:
 class TestSummatory:
     def test_enumerated_sums_exact(self):
         t = summatory(ArithParams(2, 1.0), 10)
-        assert t.final == Fraction(24)
-        assert t.final == enumerated_sum(10, 2, 1)
+        assert t.rows[-1].value == Fraction(24)
+        assert t.rows[-1].value == enumerated_sum(10, 2, 1)
         t = summatory(ArithParams(2, 2.0), 10)
-        assert t.final == Fraction(21, 2)
-        assert t.final == enumerated_sum(10, 2, 2)
+        assert t.rows[-1].value == Fraction(21, 2)
+        assert t.rows[-1].value == enumerated_sum(10, 2, 2)
 
     def test_single_term(self):
         for params in (ArithParams(2, 1.0), ArithParams(3, 2.5)):
@@ -317,13 +318,13 @@ class TestSummatory:
     def test_exact_matches_enumeration_more_params(self):
         for r, k in ((2, 3), (3, 1), (4, 2)):
             t = summatory(ArithParams(r, float(k)), 200, grid=[200])
-            assert t.final == enumerated_sum(200, r, k)
+            assert t.rows[-1].value == enumerated_sum(200, r, k)
 
     def test_float_mode_close_to_exact(self):
         tf = summatory(ArithParams(2, 2.0 + 1e-12), 500, grid=[500])
         te = summatory(ArithParams(2, 2.0), 500, grid=[500])
         assert tf.mode == "float" and te.mode == "exact"
-        assert float(tf.final) == pytest.approx(float(te.final), rel=1e-9)
+        assert float(tf.rows[-1].value) == pytest.approx(float(te.rows[-1].value), rel=1e-9)
 
     def test_monotone_strictly_increasing(self):
         t = summatory(ArithParams(2, 2.0), 10**4)
@@ -457,4 +458,4 @@ class TestExports:
         t = summatory(ArithParams(2, 1.5), 10, grid=[10])
         row = json.loads(cli.render_summatory(t, "json"))["rows"][0]
         assert "S_exact" not in row
-        assert float(row["S"]) == float(t.final)
+        assert float(row["S"]) == float(t.rows[-1].value)

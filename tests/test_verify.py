@@ -11,7 +11,7 @@ from meanval import cli
 from meanval import sieve as sieve_mod
 from meanval import verify as verify_mod
 from meanval.arith import ArithParams
-from meanval.errors import ConfigError
+from meanval.errors import ConfigError, ResourceError
 from meanval.primes import primes_up_to
 from meanval.sieve import build_spf, tabulate
 from meanval.verify import (
@@ -316,6 +316,18 @@ class TestBatteryAndRendering:
         b = run_battery(ArithParams(2, 1.0), limit=10**3, cutoff=10**3)
         assert [r.identity for r in a] == [r.identity for r in b]
         assert [r.lhs for r in a] == [r.lhs for r in b]
+
+    def test_numerator_past_the_budget_refused_before_the_walks(self, monkeypatch):
+        # at 560 B per coefficient, r = 1000 fits in 1 MiB and r = 2000 does not; at r = 10**305
+        # the battery stops before the series walk
+        monkeypatch.setenv(sieve_mod.MEM_ENV_VAR, "1")
+        assert numerator_identity_check(ArithParams(1000, 1.0)).passed
+        with pytest.raises(ResourceError, match="numerator check at r = 2000"):
+            numerator_identity_check(ArithParams(2000, 1.0))
+        monkeypatch.delenv(sieve_mod.MEM_ENV_VAR)
+        monkeypatch.setattr(verify_mod, "dirichlet_series_truncated", lambda *a, **kw: pytest.fail("walked"))
+        with pytest.raises(ResourceError, match=sieve_mod.MEM_ENV_VAR):
+            run_battery(ArithParams(10**305, 1.0), limit=10**3, cutoff=10**3)
 
     def test_render_table(self):
         reports = run_battery(ArithParams(2, 2.0), limit=10**3, cutoff=10**3)
