@@ -103,10 +103,10 @@ def class_totals(r: int, xs: Sequence[int]) -> np.ndarray:
 
         Below sqrt(top) that is v - 1; only the part above is searched.
         """
-        if np.ndim(v) == 0:
-            return v - 1 if v <= small else small + int(np.searchsorted(upper, v))
-        cut = int(np.searchsorted(v, small, side="right"))
-        return np.concatenate((v[:cut] - 1, small + np.searchsorted(upper, v[cut:])))
+        if isinstance(v, (int, np.integer)):  # a NumPy integer too: xs may be an array
+            return v - 1 if v <= small else small + int(upper.searchsorted(v))
+        cut = int(v.searchsorted(small, side="right"))
+        return np.concatenate((v[:cut] - 1, small + upper.searchsorted(v[cut:])))
 
     pi = values - 1
     for p in primes:

@@ -15,9 +15,10 @@ files and the text tables. Each returns text ending in one newline, which
 ``_emit`` writes unchanged, so ``--out`` holds exactly what stdout would.
 
 stdout carries data only; progress notes go to stderr. Exit codes are a
-stable contract: 0 success, 2 invalid configuration (an ``--out`` that
-cannot be written included), 3 resource budget exceeded, 4 failed rigor
-gate.
+stable contract: 0 success, else the ``exit_code`` of the ``MeanvalError``
+that stopped the command (``errors``: 2 invalid configuration, an ``--out``
+that cannot be written included, 3 resource budget exceeded, 4 failed rigor
+gate), with one ``label: message`` line on stderr.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Optional, Sequence
 
 from . import coeffs, fit, sieve, verify
 from .arith import ArithParams
-from .errors import ConfigError, MeanvalError, ResourceError, ToleranceError
+from .errors import ConfigError, MeanvalError
 
 __all__ = [
     "build_parser",
@@ -44,11 +45,6 @@ __all__ = [
     "render_summatory",
     "render_verify",
 ]
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_RESOURCE = 3
-EXIT_TOLERANCE = 4
 
 
 def _int_at_least(text: str, low: int = 1) -> int:
@@ -321,7 +317,7 @@ def _cmd_constants(args) -> int:
     params = ArithParams(r=args.r, k=args.k)
     b = coeffs.bundle(params, args.prime_cutoff)
     _emit(render_constants(b, args.format), args.out)
-    return EXIT_OK
+    return 0
 
 
 def _sums(params: ArithParams, limit: int, grid: list[int], threads: int,
@@ -347,7 +343,7 @@ def _cmd_sum(args) -> int:
     table, _ = _sums(ArithParams(r=args.r, k=args.k), args.N, parse_grid(args.grid, args.N),
                      args.threads, args.prime_cutoff if args.with_main else None)
     _emit(render_summatory(table, args.format), args.out)
-    return EXIT_OK
+    return 0
 
 
 def _cmd_verify(args) -> int:
@@ -357,7 +353,7 @@ def _cmd_verify(args) -> int:
     doc_params = {"r": params.r, "k": params.k, "s": args.s,
                   "N": args.series_limit, "P": args.prime_cutoff}
     _emit(render_verify(reports, doc_params, args.format), args.out)
-    return EXIT_OK
+    return 0
 
 
 def _cmd_fit(args) -> int:
@@ -366,7 +362,7 @@ def _cmd_fit(args) -> int:
     fit.require_points(grid, args.x_min)  # before the sums: only the near-zero filter needs R
     _, report = _sums(params, args.N, grid, args.threads, args.prime_cutoff)
     _emit(render_fit(fit.fit_exponent(report, x_min=args.x_min), args.format), args.out)
-    return EXIT_OK
+    return 0
 
 
 _COMMANDS = {
@@ -384,18 +380,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.out is not None:
             _check_out(args.out)
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ResourceError as exc:
-        print(f"resource error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except ToleranceError as exc:
-        print(f"tolerance failure: {exc}", file=sys.stderr)
-        return EXIT_TOLERANCE
     except MeanvalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

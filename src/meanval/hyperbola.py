@@ -102,13 +102,16 @@ def powerful_support(params: ArithParams, limit: int) -> tuple[np.ndarray, np.nd
     levels = [(np.ones(1, dtype=np.int64), np.full(1, k ** max_omega(math.isqrt(limit)), dtype=np.int64))]
     if exps:
         ps = primes_up_to(_iroot(limit, exps[0]))
+        ladder = [ps ** exps[0]]  # p**a <= limit for a = exps[0]..exps[-1], the same at every level
+        for _ in range(exps[0], exps[-1]):
+            fits = np.count_nonzero(ladder[-1] <= limit // ps[: ladder[-1].size])  # p**(a+1) <= limit
+            ladder.append(ladder[-1][:fits] * ps[:fits])
         (m, weight), nxt = levels[0], np.zeros(1, dtype=np.int64)
         while True:
             bound = limit // m
             alive = np.arange(m.size)
-            pa = ps ** exps[0]
             kids = []
-            for a in range(exps[0], exps[-1] + 1):
+            for a, pa in enumerate(ladder, exps[0]):
                 cnt = np.searchsorted(pa, bound[alive], side="right") - nxt[alive]
                 keep = cnt > 0
                 alive, cnt = alive[keep], cnt[keep]
@@ -118,8 +121,6 @@ def powerful_support(params: ArithParams, limit: int) -> tuple[np.ndarray, np.nd
                     parent = np.repeat(alive, cnt)
                     q = np.repeat(nxt[alive] - (np.cumsum(cnt) - cnt), cnt) + np.arange(cnt.sum())
                     kids.append((m[parent] * pa[q], weight[parent] * num_a[a] // k, q + 1))
-                fits = np.count_nonzero(pa <= limit // ps[: pa.size])  # p**(a+1) <= limit
-                pa = pa[:fits] * ps[:fits]
             if not kids:
                 break
             m, weight, nxt = (np.concatenate(col) for col in zip(*kids))

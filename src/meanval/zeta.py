@@ -22,10 +22,8 @@ The Euler-Mascheroni constant is stored as a 30+ digit literal; tests
 re-derive it from its defining limit.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError
 
@@ -64,8 +62,7 @@ _SPLIT = 16  # the Euler-Maclaurin split point N
 _FLAT_S = 2048.0
 
 
-@dataclass(frozen=True)
-class ZetaValue:
+class ZetaValue(NamedTuple):
     """An evaluation with a rigorous enclosure: |value - truth| <= error_radius."""
 
     value: float

@@ -56,6 +56,11 @@ class TestAgainstSieve:
             got = classtotals.class_totals(3, xs)
             assert [padded(row, want.shape[1]) for row in got] == want[xs].tolist()
 
+    def test_numpy_integer_checkpoints(self):
+        # a grid given as an int64 array takes the scalar path per checkpoint, as a list does
+        want = classtotals.class_totals(3, [10**6, 10**7])
+        assert np.array_equal(classtotals.class_totals(3, np.array([10**6, 10**7])), want)
+
 
 class TestFloorValues:
     def test_closed_under_floor_division(self):

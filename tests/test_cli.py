@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from meanval import cli
+from meanval import cli, errors
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -355,6 +355,23 @@ class TestConstantsCommand:
                             lambda ps, params: 1.01 * closed_form(ps, params))
         assert cli.main(["constants", "--prime-cutoff", "1000"]) == 4
         assert "tolerance failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error, code, label", [
+    (errors.ConfigError, 2, "error: "),
+    (errors.InsufficientDataError, 2, "error: "),
+    (errors.ResourceError, 3, "resource error: "),
+    (errors.ToleranceError, 4, "tolerance failure: "),
+    (errors.MeanvalError, 2, "error: "),
+])
+def test_each_error_class_states_its_exit_code(error, code, label, monkeypatch, capsys):
+    def fail(args):
+        raise error("stopped")
+
+    monkeypatch.setitem(cli._COMMANDS, "constants", fail)
+    assert cli.main(["constants"]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"{label}stopped\n")
 
 
 @pytest.mark.parametrize("command", [["constants"], ["sum", "--N", "10"], ["verify"],

@@ -170,6 +170,20 @@ def test_import_loads_no_numpy_and_leaves_the_environment_alone():
     assert out == "False True\nFalse\n"
 
 
+def test_import_loads_only_its_own_two_modules():
+    # the errors and zeta need neither NumPy nor the modules that dataclasses
+    # pulls in, which would cost import time on every run
+    out = _fresh(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import meanval\n"
+        "loaded = set(sys.modules) - before\n"
+        "heavy = {'numpy', 'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}\n"
+        "print(sorted(m for m in loaded if m.startswith('meanval')), sorted(heavy & loaded))\n"
+    )
+    assert out == "['meanval', 'meanval.errors', 'meanval.zeta'] []\n"
+
+
 def test_readme_library_example_runs():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Library example\n", 1)[1]

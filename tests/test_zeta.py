@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from meanval.errors import ConfigError
-from meanval.zeta import _SPLIT, EULER_GAMMA, _euler_maclaurin, power_tails, zeta, zeta_prime
+from meanval.zeta import _SPLIT, EULER_GAMMA, ZetaValue, _euler_maclaurin, power_tails, zeta, zeta_prime
 
 from oracles import GLAISHER, zeta_prime_2_closed_form
 
@@ -150,6 +150,16 @@ PINNED = [
 def test_bit_pinned_values(name, s, value, radius):
     z = {"zeta": zeta, "zeta_prime": zeta_prime}[name](s)
     assert (z.value.hex(), z.error_radius.hex()) == (value, radius)
+
+
+def test_zeta_value_is_an_immutable_record():
+    by_position, by_keyword = ZetaValue(1.5, 0.25, 2.0), ZetaValue(s=2.0, value=1.5, error_radius=0.25)
+    assert by_position == by_keyword
+    assert ZetaValue._fields == ("value", "error_radius", "s")
+    assert (by_position.value, by_position.error_radius, by_position.s) == (1.5, 0.25, 2.0)
+    assert repr(by_position) == "ZetaValue(value=1.5, error_radius=0.25, s=2.0)"
+    with pytest.raises(AttributeError):
+        by_position.value = 0.0
 
 
 class TestPowerTails:
