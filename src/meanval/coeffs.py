@@ -26,10 +26,10 @@ The sums over primes (the log-product and the prime sum) are correctly
 rounded, so their round-off is one rounding each. ``bundle`` and
 ``cofactor_value`` each form theirs in one call of ``xsum.split_sums``, one
 walk over the int64 pieces of ``prime_blocks``, which each kernel takes as
-float64. The exact sum does not depend on the pieces, so no array of all
-pi(P) primes is held, every term's temporaries are one piece long, and a long
-walk splits into interleaved parts, one per CPU, whose sums merge into the
-serial walk's bits.
+float64 (``bundle`` casts each piece once, for both its kernels). The exact
+sum does not depend on the pieces, so no array of all pi(P) primes is held,
+every term's temporaries are one piece long, and a long walk splits into
+interleaved parts, one per CPU, whose sums merge into the serial walk's bits.
 
 ``bundle`` forms every s = 1 quantity once: one walk over the prime pieces
 feeds both prime sums, and the product, zeta and zeta' at r and at 2, and
@@ -268,17 +268,22 @@ def bundle(
 ) -> ConstantsBundle:
     """Assemble all main-term constants at one prime cutoff, in one pass at s = 1.
 
-    One walk over the prime pieces feeds the s = 1 log-product and the prime
-    sum; past 2 * ``xsum.MIN_PART`` odd slots it is split over processes,
-    which leaves every bit of both sums as it is. The product, zeta and zeta'
-    at r and at 2, and H(1) are each formed once here;
-    ``leading_coefficient`` and ``cofactor_derivative_at_1`` take them as
-    inputs.
+    One walk over the prime pieces, each cast to float64 once, feeds the
+    s = 1 log-product and the prime sum; past 2 * ``xsum.MIN_PART`` odd
+    slots it is split over processes, which leaves every bit of both sums as
+    it is. The product, zeta and zeta' at r and at 2, and H(1) are each
+    formed once here; ``leading_coefficient`` and ``cofactor_derivative_at_1``
+    take them as inputs.
     """
     r = float(params.r)
     _gate_log_factor_derivative(params)
+
+    def float_blocks(part: int, parts: int):
+        # each piece cast once for both kernels, which take it as they would the int64 piece
+        return (ps.astype(np.float64) for ps in prime_blocks(cutoff, part, parts))
+
     log_sum, deriv_sum = split_sums(
-        partial(prime_blocks, cutoff), cutoff // 2,
+        float_blocks, cutoff // 2,
         lambda ps: _log_factors(ps, 1.0, params), lambda ps: log_factor_derivative(ps, params),
     )
     product = _product_factors(1.0, params, log_sum, cutoff)

@@ -56,7 +56,6 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import classtotals, hyperbola
 from .arith import ArithParams, ExactValue, minpow_divisor_counts
 from .errors import ConfigError, ResourceError
 from .primes import PIECE, primes_up_to
@@ -351,8 +350,12 @@ def summatory(
 
     The exact S(x) come from ``hyperbola`` at k = 1 and k = 2 and from
     ``classtotals`` at every other k; for a non-integer k each is rounded
-    once. ``fit.residuals`` adds the main-term and residual columns.
+    once. ``fit.residuals`` adds the main-term and residual columns. The
+    backends load here, their one caller, so ``constants`` and ``verify``
+    never compile them.
     """
+    from . import classtotals, hyperbola
+
     checkpoints = grid_points(limit, grid)
     backend = hyperbola if params.k in (1.0, 2.0) else classtotals
     _require_budget(

@@ -357,6 +357,25 @@ class TestBundleSharing:
                        lambda ps: local_factor_excess(ps, s, params)):
             assert kernel(piece).tobytes() == kernel(piece.astype(np.float64)).tobytes()
 
+    def test_kernels_share_one_float_piece(self, monkeypatch):
+        # bundle casts each int64 piece of the walk once; both kernels take that one array
+        pieces = {"_log_factors": [], "log_factor_derivative": []}
+        for name, log in pieces.items():
+            inner = getattr(coeffs_mod, name)
+
+            def spy(ps, *args, inner=inner, log=log):
+                log.append(ps)
+                return inner(ps, *args)
+
+            monkeypatch.setattr(coeffs_mod, name, spy)
+        monkeypatch.setattr(primes_mod, "PIECE", 1000)
+        bundle(ArithParams(3, 1.5), 10**5)
+        # the gate's own calls come first: two differences, then the closed form
+        logs, derivs = pieces["_log_factors"][2:], pieces["log_factor_derivative"][1:]
+        assert len(logs) == len(derivs) == 10
+        assert all(a is b and a.dtype == np.float64 for a, b in zip(logs, derivs))
+        assert np.array_equal(np.concatenate(logs), primes_up_to(10**5).astype(np.float64))
+
     def test_bundle_memory_is_one_block(self):
         # the whole prime array at P = 1e7 and its float temporaries took 25 MiB, and
         # terms over a whole segment of primes 2.7 MiB; over one piece they take 1.1 MiB

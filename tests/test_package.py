@@ -184,6 +184,26 @@ def test_import_loads_only_its_own_two_modules():
     assert out == "['meanval', 'meanval.errors', 'meanval.zeta'] []\n"
 
 
+def test_cli_loads_the_sum_backends_only_when_it_sums():
+    # constants and verify never run the class totals or the powerful-number
+    # sums, so their processes need not compile them; summatory loads them
+    out = _fresh(
+        "import contextlib, io, sys\n"
+        "import meanval.cli\n"
+        "def backends():\n"
+        "    return [m for m in ('meanval.classtotals', 'meanval.hyperbola') if m in sys.modules]\n"
+        "seen = [backends()]\n"
+        "for argv in (['constants', '--prime-cutoff', '1000'],\n"
+        "             ['verify', '--series-limit', '1000', '--prime-cutoff', '1000'],\n"
+        "             ['sum', '--N', '100']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert meanval.cli.main(argv) == 0\n"
+        "    seen.append(backends())\n"
+        "print(seen)\n"
+    )
+    assert out == "[[], [], [], ['meanval.classtotals', 'meanval.hyperbola']]\n"
+
+
 def test_readme_library_example_runs():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Library example\n", 1)[1]

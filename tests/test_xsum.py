@@ -227,3 +227,62 @@ class TestExactSum:
         # the first value outside the domain is named, in one pass or past several
         _assert_stream_refused([xs], bad)
         _assert_stream_refused([xs * (xsum.PIECE // len(xs) + 1)], bad)
+
+
+class TestOneSignPass:
+    """A pass of one sign within 13 binades is summed as two plain float sums, exactly."""
+
+    @pytest.mark.parametrize("xs, binned", [
+        ([1.0, 2.0**13], False),  # frexp exponents 1 and 14
+        ([1.0, 2.0**14], True),
+        ([-1.0, -(2.0**13), -1.5], False),
+        ([5e-324, 2.0**-1061], False),  # the least subnormal's frexp exponent is -1073
+        ([5e-324, 2.0**-1060], True),
+        ([2.0**986, _BELOW_TOP], False),
+        ([1.0, -1.0], True),
+        ([0.0, 1.0], True),
+        ([-0.0, -1.0], True),
+    ])
+    def test_which_passes_take_the_plain_sums(self, xs, binned):
+        acc = ExactSum()
+        acc.add(np.array(xs))
+        assert (acc._pending > 0) is binned
+        assert repr(acc.value()) == repr(math.fsum(xs))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_thirteen_binades_of_maximal_mantissas(self, sign):
+        # one value in [1, 2) and the rest of a pass in [2**13, 2**14), every fraction bit
+        # set: the hi parts sum to just under 2**53 units of 2**-26, the lo parts to just
+        # under 2**52 units of 2**-52, the ulp of the least value
+        x = np.full(xsum.PIECE, sign * math.nextafter(2.0**14, 0.0))
+        x[0] = sign * math.nextafter(2.0, 0.0)
+        acc = ExactSum()
+        acc.add(x)
+        assert acc._pending == 0
+        assert repr(acc.value()) == repr(math.fsum(x))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_one_binade_wider_needs_54_bits(self, sign):
+        # the rest of the pass one binade higher, in [2**14, 2**15): its hi parts sum to an
+        # odd number of units 2**-26 between 2**53 and 2**54, which a plain float sum rounds
+        x = np.full(xsum.PIECE, sign * (2.0**15 - 2.0**-12))
+        x[0] = sign * (2.0 - 3 * 2.0**-26 + 2.0**-52)
+        hi = (x.view(np.uint64) & xsum._HI_MASK).view(np.float64)
+        units = sum(int(v * 2.0**26) for v in hi.tolist())
+        assert 2**53 < abs(units) < 2**54 and units % 2 == 1
+        assert float(hi.sum()) * 2.0**26 != units
+        acc = ExactSum()
+        acc.add(x)
+        assert acc._pending == xsum.PIECE
+        assert repr(acc.value()) == repr(math.fsum(x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, xsum.PIECE), st.integers(-1074, 998 - 13), st.integers(0, 13),
+           st.sampled_from([1.0, -1.0]), st.integers(0, 2**32 - 1))
+    def test_narrow_pass_equals_fsum(self, size, bottom, span, sign, seed):
+        # frexp exponents in bottom .. bottom + span, random or maximal mantissas, subnormals
+        # included; values that round to 0 send the pass to the bins
+        rng = np.random.default_rng(seed)
+        mantissas = np.where(rng.random(size) < 0.3, 1.0 - 2.0**-53, rng.uniform(0.5, 1.0, size))
+        x = sign * np.ldexp(mantissas, bottom + rng.integers(0, span + 1, size))
+        assert repr(_stream([x])) == repr(math.fsum(x.tolist()))
