@@ -1,15 +1,18 @@
 """Per-n divisor data by sieving, and checkpointed sums.
 
 ``value_blocks`` streams each n's divisor count and omega over 1..N and
-serves ``verify``'s Dirichlet series. It sieves segments of SERIES_BLOCK
-integers, which stay in cache, into three arrays that live for the whole
-walk, and hands each segment out in pieces of at most ``primes.PIECE``
-integers, so the float64 terms of a piece (64 KiB) reuse the same heap pages.
-Every prime power p**a <= N with p <= sqrt(N) is listed once, before the
-first segment, and each segment takes its tiers as slices of that list.
-Omega for 2 to 13 is sliced from one periodic pattern (a wheel of period
-30030), and the power of 2 in n is n & -n; the rest come in two tiers split
-at sqrt(SERIES_BLOCK):
+serves ``verify``'s Dirichlet series. It sieves only the odd m, segments of
+SERIES_BLOCK of them, which stay in cache, into three arrays that live for
+the whole walk. As the function is multiplicative, the count of n = 2**a * m
+is c[a] = ceil(a/r) + 1 times that of m and its omega is omega(m) + (a >= 1);
+so each segment serves every n = 2**a * m <= N of its m, handed out as
+progressions of step 2**(a + 1) in pieces of at most ``primes.PIECE`` values,
+whose float64 terms (64 KiB) reuse the same heap pages. Every odd
+prime power p**a <= N with p <= sqrt(N) is listed once, before the first
+segment, and each segment takes its tiers as slices of that list. Omega for
+3 to 13 is sliced from one periodic pattern (a wheel of period 15015 in the
+index (m - 1) / 2, as in P. Pritchard, *Explaining the wheel sieve*, Acta
+Inform. 17, 1982); the rest come in two tiers split at sqrt(SERIES_BLOCK):
 
 * a prime power with at least sqrt(SERIES_BLOCK) multiples in a segment is
   struck in place, one strided pass over the segment each;
@@ -19,7 +22,7 @@ at sqrt(SERIES_BLOCK):
   does (Oliveira e Silva, Herzog and Pardi, *Math. Comp.* 83, 2014); a batch
   has at most PIECE multiples, so its offsets take no more memory than a piece.
 
-What is left of n is then 1 or its one prime factor above sqrt(N). No array
+What is left of m is then 1 or its one prime factor above sqrt(N). No array
 of length N is held.
 
 The whole per-n table is built independently, and serves the tests as the
@@ -75,7 +78,7 @@ GRID_DENSITY = 8  # checkpoints per decade of the default grid
 # a grid point's int, its set entry and its list slots, through ``grid_points``' sorted copy:
 # tracemalloc measures 74 to 120 bytes per point for geom grids of 4e3 to 8e5 points
 BYTES_PER_POINT = 128
-SERIES_BLOCK = 1 << 16  # integers per value_blocks segment: 256 KiB of int32
+SERIES_BLOCK = 1 << 16  # odd m per value_blocks segment: 256 KiB of int32
 
 
 def _require_budget(need_bytes: float, what: str, detail: str) -> None:
@@ -139,37 +142,42 @@ def tabulate(spf: np.ndarray, params: ArithParams) -> tuple[np.ndarray, np.ndarr
 
 
 def value_blocks(params: ArithParams, limit: int, part: int = 0,
-                 parts: int = 1) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """(lo, counts, omegas) for n in [lo, lo + len(counts)), piece by piece over 1..limit.
+                 parts: int = 1) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """(n0, step, counts, omegas) for n = n0 + step*i, i < len(counts), piece by piece over 1..limit.
 
-    The values are sieved one segment of SERIES_BLOCK integers at a time and
-    handed out in pieces of 1 to PIECE integers, none spanning two segments.
-    Only the segments part, part + parts, part + 2*parts, ... are formed, and
-    their pieces yielded, each equal to the serial walk's piece, so ``parts``
-    interleaved walks share the series out evenly (``xsum.split_sums``). The
-    default is the whole walk. A piece's arrays are views into three arrays
-    that the next segment overwrites: a caller that keeps a piece past the
-    next one must copy it.
+    Only the odd m are sieved, one segment of SERIES_BLOCK of them at a
+    time, slot j standing for m = 2j + 1. Each a >= 0 with 2**a times a
+    segment's first m at most limit then hands out the progression
+    n = 2**a * m, step 2**(a + 1), over the segment's m <= limit / 2**a, in
+    pieces of 1 to PIECE values; each n <= limit comes once. Only the segments part,
+    part + parts, part + 2*parts, ... are formed, each piece equal to the
+    serial walk's, so ``parts`` interleaved walks share the series out
+    (``xsum.split_sums``); the default is the whole walk. A piece's arrays
+    are views that the next piece may overwrite: a caller that keeps a piece
+    past the next one must copy it.
 
-    Equal to the slices of ``tabulate``'s table, without it: one list, formed
-    by repeated multiplication before the first segment, holds every q = p**a
-    <= limit with p prime and p <= sqrt(limit). Omega starts as a slice of a
-    wheel, the count of the primes 2 to 13 that are <= sqrt(limit) and divide
-    n, tabulated over n mod their product; the p-smooth part starts as n & -n,
-    the power of 2 in n, when 2 <= sqrt(limit). Each odd q multiplies the
-    smooth part by p at its multiples, and each odd prime q outside the wheel
-    adds 1 to omega there: the q <= sqrt(SERIES_BLOCK) by strided passes, the
-    larger ones, primes first, in batches with at most PIECE multiples in a
-    segment, whose offsets are formed at once: q apart within one q's run,
-    and a jump from the last multiple of one q to the first of the next, then
-    a cumulative sum. The primes' offsets, a prefix of them, add 1 to omega;
-    every offset multiplies the smooth part by its p, and ``ufunc.at``
-    applies repeated offsets one by one, exactly.
+    Equal to ``tabulate``'s table at those n, without it: one list, formed
+    by repeated multiplication before the first segment, holds every odd
+    q = p**a <= limit with p prime and p <= sqrt(limit). Omega starts as a
+    slice of a wheel, the count of the primes 3 to 13 that are <= sqrt(limit)
+    and divide m, tabulated over j mod their product; the p-smooth part
+    starts at 1. The multiples of q sit at the slots j = q // 2 (mod q). Each
+    q multiplies the smooth part by p at its multiples, and each prime q
+    outside the wheel adds 1 to omega there: the q <= sqrt(SERIES_BLOCK) by
+    strided passes, the larger ones, those primes first, in batches with at most
+    PIECE multiples in a segment, whose offsets are formed at once: q apart
+    within one q's run, and a jump from the last multiple of one q to the
+    first of the next, then a cumulative sum. The primes' offsets, a prefix
+    of them, add 1 to omega; every offset multiplies the smooth part by its
+    p, and ``ufunc.at`` applies repeated offsets one by one, exactly.
 
-    What is left, n / smooth, is 1 or the one prime factor above
+    What is left, m / smooth, is 1 or the one prime factor above
     sqrt(limit). Then counts starts at 2**omega, and as c[a] = ceil(a/r) + 1
-    steps up only at a = j*r + 1, the multiples of those q trade c[a-1] for
-    c[a], in order of q up to the segment's end.
+    steps up only at a = i*r + 1, the multiples of those q trade c[a-1] for
+    c[a], in order of q up to the segment's last m. As f is multiplicative,
+    2**a * m has c[a] times the count of m and omega(m) + (a >= 1): a = 1
+    adds 1 to omega, and each a >= 1 trades c[a-1] for c[a] in place, over
+    the m it keeps.
     """
     if limit < 1:
         raise ConfigError(f"series limit must be >= 1, got {limit}")
@@ -178,23 +186,25 @@ def value_blocks(params: ArithParams, limit: int, part: int = 0,
     c = minpow_divisor_counts(params.r, 32)
     split = math.isqrt(SERIES_BLOCK)
     base = primes_up_to(math.isqrt(limit)).tolist()
-    wheel = base[:6]  # those of 2, 3, 5, 7, 11 and 13 that are <= sqrt(limit)
+    wheel = base[1:6]  # those of 3, 5, 7, 11 and 13 that are <= sqrt(limit)
     period = math.prod(wheel)
-    size = min(SERIES_BLOCK, limit)
-    pattern = np.zeros(period + size, dtype=np.int8)  # omega over them, n mod period
+    slots = (limit + 1) // 2  # the odd m <= limit
+    size = min(SERIES_BLOCK, slots)
+    pattern = np.zeros(period + size, dtype=np.int8)  # omega over them, j mod period
     for p in wheel:
-        pattern[::p] += 1
-    powers = []  # (q, p, a) for every q = p**a <= limit, by p and then by a
-    for p in base:
+        pattern[p // 2 :: p] += 1
+    powers = []  # (q, p, a) for every odd q = p**a <= limit, by p and then by a
+    for p in base[1:]:
         q, a = p, 1
         while q <= limit:
             powers.append((q, p, a))
             q, a = q * p, a + 1
-    # the odd q, as the 2-part is n & -n: strided passes, which strike omega at a prime outside
-    # the wheel, up to the split, and the gathered ones past it, primes first
-    struck = [(q, p, a == 1 and p not in wheel) for q, p, a in powers if 2 < p and q <= split]
-    gathered = sorted((t for t in powers if t[1] > 2 and t[0] > split), key=lambda t: t[2] > 1)
-    n_primes = sum(a == 1 for _, _, a in gathered)
+    # strided passes up to the split and the gathered ones past it; each strikes omega at a
+    # prime outside the wheel, and the gathered ones take those primes first
+    marks = [(q, p, a == 1 and p not in wheel) for q, p, a in powers]
+    struck = [t for t in marks if t[0] <= split]
+    gathered = sorted((t for t in marks if t[0] > split), key=lambda t: not t[2])
+    n_primes = sum(strike for _, _, strike in gathered)
     gq, gp, _ = np.array(gathered, dtype=np.int64).reshape(-1, 3).T
     gp = gp.astype(np.int32)
     steps = sorted((q, c[a - 1], c[a]) for q, _, a in powers if a > 1 and c[a] > c[a - 1])
@@ -212,7 +222,7 @@ def value_blocks(params: ArithParams, limit: int, part: int = 0,
     def gather(lo: int, omegas: np.ndarray, smooth: np.ndarray) -> None:
         for a, b in batches:
             qs = gq[a:b]
-            first = -lo % qs  # offset of each q's first multiple
+            first = (qs // 2 - lo) % qs  # slot offset of each q's first multiple
             runs = (omegas.size - first + qs - 1) // qs  # its multiples in the segment
             n_hits = int(runs[: max(n_primes - a, 0)].sum())
             live = np.flatnonzero(runs)
@@ -224,36 +234,41 @@ def value_blocks(params: ArithParams, limit: int, part: int = 0,
             np.add.at(omegas, at[:n_hits], np.int8(1))  # an int8 operand keeps add.at on its fast path
             np.multiply.at(smooth, at, np.repeat(gp[a:b][live], runs))
 
-    # a segment's integers and its three results: one array each for the whole walk, cut to
-    # the last segment, which keeps the allocator from returning and refaulting their pages
-    n = np.arange(1, 1 + size, dtype=np.int32)
+    # a segment's odd m and its three results: one array each for the whole walk, cut to the
+    # last segment, which keeps the allocator from returning and refaulting their pages
+    m = np.arange(1, 2 * size, 2, dtype=np.int32)
     omegas, smooth, counts = np.empty(size, np.int8), np.empty(size, np.int32), np.empty(size, np.int32)
-    for lo in range(1 + part * SERIES_BLOCK, limit + 1, parts * SERIES_BLOCK):
-        size = min(size, limit + 1 - lo)
-        n, omegas, smooth, counts = n[:size], omegas[:size], smooth[:size], counts[:size]
-        n += lo - int(n[0])
+    for lo in range(part * SERIES_BLOCK, slots, parts * SERIES_BLOCK):
+        size = min(size, slots - lo)
+        m, omegas, smooth, counts = m[:size], omegas[:size], smooth[:size], counts[:size]
+        m += 2 * lo + 1 - int(m[0])
         np.copyto(omegas, pattern[lo % period : lo % period + size])
-        if wheel:  # the 2-part, n & -n
-            np.negative(n, out=smooth)
-            smooth &= n
-        else:
-            smooth.fill(1)
+        smooth.fill(1)
         for q, p, strike in struck:
+            first = (q // 2 - lo) % q  # m = 2 * (lo + first) + 1 is q's first multiple
             if strike:
-                omegas[-lo % q :: q] += 1
-            smooth[-lo % q :: q] *= p
+                omegas[first::q] += 1
+            smooth[first::q] *= p
         gather(lo, omegas, smooth)
-        omegas += smooth != n
-        hi = lo + size
+        omegas += smooth != m
         np.left_shift(1, omegas, out=counts, dtype=np.int32)
         for q, before, after in steps:
-            if q >= hi:
+            if q > 2 * (lo + size) - 1:  # past the segment's last m
                 break
-            step = counts[-lo % q :: q]  # a view, so the update lands in counts
+            step = counts[(q // 2 - lo) % q :: q]  # a view, so the update lands in counts
             step //= before
             step *= after
-        for at in range(0, size, PIECE):
-            yield lo + at, counts[at : at + PIECE], omegas[at : at + PIECE]
+        for a in range((limit // (2 * lo + 1)).bit_length()):  # the a with 2**a * m <= limit at m = 2lo + 1
+            kept = min(size, ((limit >> a) + 1) // 2 - lo)  # the segment's m <= limit >> a
+            if a == 1:
+                omegas[:kept] += 1
+            if a and c[a] != c[a - 1]:
+                step = counts[:kept]
+                step //= c[a - 1]
+                step *= c[a]
+            for at in range(0, kept, PIECE):
+                end = min(at + PIECE, kept)
+                yield (2 * (lo + at) + 1) << a, 2 << a, counts[at:end], omegas[at:end]
 
 
 def geometric_checkpoints(limit: int, per_decade: int = GRID_DENSITY) -> list[int]:

@@ -8,9 +8,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meanval import classtotals, cli, hyperbola
-from meanval.arith import ArithParams, divisor_count, factorize, minimal_power, omega
+from meanval.arith import ArithParams, divisor_count, factorize, minimal_power, minpow_divisor_counts, omega
 from meanval.errors import ConfigError, ResourceError
 from meanval import sieve as sieve_mod
 from meanval.sieve import build_spf, geometric_checkpoints, summatory, tabulate, value_blocks
@@ -59,67 +61,73 @@ class TestBuildSpf:
             build_spf(2**31 - 1)
 
 
+def _walk_all_parts(params, limit, parts, block, piece):
+    """Each n's count and omega from every piece of every part, with the pieces' layout checked.
+
+    A piece is the progression n = n0 + step*i = 2**a * m over odd m, step = 2**(a + 1), in
+    one segment of ``block`` odd m (slot j for m = 2j + 1), which belongs to its part; it
+    starts a whole number of pieces into the segment, and holds the segment's m with
+    2**a * m <= limit from there, up to ``piece`` of them. Every n in 1..limit comes once.
+    """
+    seen = np.zeros(limit + 1, dtype=np.int64)
+    counts_at, omegas_at = np.zeros(limit + 1, np.int32), np.zeros(limit + 1, np.int8)
+    for part in range(parts):
+        for n0, step, counts, omegas in value_blocks(params, limit, part, parts):
+            a = step.bit_length() - 2
+            assert step == 2 << a and n0 % step == step // 2, (n0, step)  # n0 = 2**a * odd m0
+            segment, offset = divmod((n0 >> a) // 2, block)
+            assert segment % parts == part and offset % piece == 0, (n0, step)
+            kept = min(block, ((limit >> a) + 1) // 2 - segment * block)  # the m with 2**a * m <= limit
+            assert counts.size == omegas.size == min(piece, kept - offset) >= 1, (n0, step)
+            assert counts.dtype == np.int32 and omegas.dtype == np.int8
+            n = n0 + step * np.arange(counts.size)
+            seen[n] += 1
+            counts_at[n], omegas_at[n] = counts, omegas  # copies: the next piece may overwrite the views
+    assert seen[0] == 0 and np.all(seen[1:] == 1)
+    return counts_at, omegas_at
+
+
+def _assert_equal_the_table(params, limit, parts, block, piece):
+    table_counts, table_omegas = tabulate(build_spf(max(limit, 2)), params)
+    counts, omegas = _walk_all_parts(params, limit, parts, block, piece)
+    assert np.array_equal(counts[1:], table_counts[1 : limit + 1])
+    assert np.array_equal(omegas[1:], table_omegas[1 : limit + 1])
+
+
 class TestValueBlocks:
-    @pytest.mark.parametrize("limit", [1, 2, 3, 24, 48, 120, 168, 169, 170, 5007, 2**17 + 3])
+    @pytest.mark.parametrize("limit", [1, 2, 3, 24, 48, 120, 168, 169, 170, 5006, 5007, 2**17, 2**17 + 3])
     @pytest.mark.parametrize("r", [2, 3, 5, 40, pytest.param(10**305, id="10**305")])
     def test_blocks_equal_the_table(self, monkeypatch, r, limit):
-        # with blocks of 1000 a prime power's multiples start at another offset in each block;
-        # the tiers split at isqrt(1000) = 31, so every prime power above 31 (the primes
-        # from 37 to isqrt(limit), and powers such as 3**4 and 37**2) takes the gathered
-        # pass, and those below it the strided passes. Omega of 2 to 13 comes from a
-        # wheel of the ones <= isqrt(limit): none at 3, 2 and 3 at 24, up to 5, 7 and 11
-        # at 48, 120 and 168, all six from 169. Blocks of 1000 straddle each multiple of
-        # the wheel's period 30030 below 2**17 + 3. At r = 10**305 no count step lies below the
-        # limit, and none is formed as a power of r.
+        # with blocks of 1000 odd m a prime power's multiples start at another offset in each
+        # block; the tiers split at isqrt(1000) = 31, so every odd prime power above 31 (the
+        # primes from 37 to isqrt(limit), and powers such as 3**4 and 37**2) takes the gathered
+        # pass, and those below it the strided passes. Omega of 3 to 13 comes from a wheel of
+        # the ones <= isqrt(limit): none at 3, 3 at 24, up to 5, 7 and 11 at 48, 120 and 168,
+        # all five from 169. Blocks of 1000 straddle each multiple of the wheel's period of
+        # 15015 slots below 2**16. The even n come from the odd m <= limit / 2**a: at 2**17 the
+        # last n is 2**17 itself, from m = 1 at a = 17, and an even limit such as 5006 ends on
+        # a = 1. At r = 10**305 no count step lies below the limit, and none is formed as a
+        # power of r.
         monkeypatch.setattr(sieve_mod, "SERIES_BLOCK", 1000)
-        piece = sieve_mod.PIECE
         for k in (1.0, 1.5, 2.0, 3.0):
-            params = ArithParams(r, k)
-            table_counts, table_omegas = tabulate(build_spf(max(limit, 2)), params)
-            end = 1
-            for lo, counts, omegas in value_blocks(params, limit):
-                assert lo == end and counts.size == omegas.size <= min(piece, 1000)
-                assert counts.dtype == np.int32 and omegas.dtype == np.int8
-                end = lo + counts.size
-                assert np.array_equal(counts, table_counts[lo:end])
-                assert np.array_equal(omegas, table_omegas[lo:end])
-            assert end == limit + 1
+            _assert_equal_the_table(ArithParams(r, k), limit, 1, 1000, sieve_mod.PIECE)
 
     def test_default_blocks_equal_the_table(self):
-        # at 4e6 the default segment gathers the primes in (isqrt(SERIES_BLOCK), 2000] = (256,
-        # 2000] and the powers above 256 of the smaller primes; 13 of those primes and many
-        # of those powers divide a segment's first or last n (2**9 divides every last one).
-        # The pieces are views that the next segment overwrites, so the kept ones are copies.
-        block, piece = sieve_mod.SERIES_BLOCK, sieve_mod.PIECE
+        # at 4e6 the default segment of 2**16 odd m gathers the primes in (isqrt(SERIES_BLOCK),
+        # 2000] = (256, 2000] and the powers above 256 of the smaller odd primes; 13 of those
+        # primes and many of those powers divide a segment's first or last m. The segments
+        # from m = 2**20 on hand out only m and, up to m = 2e6, 2m.
         for r, limit in ((2, 10**6), (2, 4 * 10**6), (3, 4 * 10**6)):
-            params = ArithParams(r, 1.5)
-            table_counts, table_omegas = tabulate(build_spf(limit), params)
-            pieces = [(lo, c.copy(), o.copy()) for lo, c, o in value_blocks(params, limit)]
-            assert [lo for lo, _, _ in pieces] == list(range(1, limit + 1, piece))
-            assert all(c.size == o.size <= piece for _, c, o in pieces)
-            assert all((lo - 1) // block == (lo + c.size - 2) // block for lo, c, _ in pieces)
-            assert np.array_equal(np.concatenate([c for _, c, _ in pieces]), table_counts[1:])
-            assert np.array_equal(np.concatenate([o for _, _, o in pieces]), table_omegas[1:])
+            _assert_equal_the_table(ArithParams(r, 1.5), limit, 1, sieve_mod.SERIES_BLOCK, sieve_mod.PIECE)
 
     @pytest.mark.parametrize("parts", [1, 2, 3])
     @pytest.mark.parametrize("limit", [1, 999, 1000, 5007, 30030 + 11])
     def test_parts_equal_the_table(self, monkeypatch, limit, parts):
-        # part j holds the serial pieces of the segments j, j + parts, ...; with segments of
-        # 1000, five limits give 1 to 31 segments, so some parts get none and the last
-        # segment is short
+        # part j holds the pieces of the segments j, j + parts, ...; with segments of 1000 odd
+        # m, five limits give 1 to 16 segments, so some parts get none and the last segment is
+        # short
         monkeypatch.setattr(sieve_mod, "SERIES_BLOCK", 1000)
-        piece = sieve_mod.PIECE
-        params = ArithParams(3, 1.5)
-        table_counts, table_omegas = tabulate(build_spf(max(limit, 2)), params)
-        seen = []
-        for part in range(parts):
-            for lo, counts, omegas in value_blocks(params, limit, part, parts):
-                assert (lo - 1) // 1000 % parts == part and (lo - 1) % 1000 % piece == 0
-                assert counts.size == min(piece, 1000 - (lo - 1) % 1000, limit + 1 - lo)
-                assert np.array_equal(counts, table_counts[lo : lo + counts.size])
-                assert np.array_equal(omegas, table_omegas[lo : lo + counts.size])
-                seen.append(lo)
-        assert sorted(seen) == [lo for lo in range(1, limit + 1) if (lo - 1) % 1000 % piece == 0]
+        _assert_equal_the_table(ArithParams(3, 1.5), limit, parts, 1000, sieve_mod.PIECE)
 
     # pieces of 1 and 7 leave a short piece at the end of every segment of 1000, and
     # pieces of 1000 are whole segments
@@ -136,6 +144,38 @@ class TestValueBlocks:
     def test_small_pieces_in_parts(self, monkeypatch, limit, parts, piece):
         monkeypatch.setattr(sieve_mod, "PIECE", piece)
         self.test_parts_equal_the_table(monkeypatch, limit, parts)
+
+    @given(st.integers(min_value=1, max_value=2000), st.integers(min_value=1, max_value=300),
+           st.integers(min_value=1, max_value=64), st.integers(min_value=1, max_value=3),
+           st.sampled_from([2, 3, 5]))
+    @settings(max_examples=80, deadline=None)
+    def test_any_layout_equals_the_table(self, limit, block, piece, parts, r):
+        # a block of 1 odd m gathers every prime power, and a piece of 1 hands out one n at a time
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(sieve_mod, "SERIES_BLOCK", block)
+            m.setattr(sieve_mod, "PIECE", piece)
+            _assert_equal_the_table(ArithParams(r, 1.5), limit, parts, block, piece)
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_count_of_2_to_the_a_times_m_takes_c_a(self, r):
+        # the count of n = 2**a * m, m odd, is c[a] times that of m, and its omega that of m
+        # plus (a >= 1), as arith's single-integer path gives them; c[a] = ceil(a/r) + 1 goes
+        # from 1 to 2 at a = 1 and then steps only at a = 1 (mod r)
+        c = minpow_divisor_counts(r, 21)
+        assert [a for a in range(1, 21) if c[a] > c[a - 1]] == [1, *range(r + 1, 21, r)]
+        limit, odd = 15 * 2**20, range(1, 16, 2)
+        found = {}
+        for n0, step, counts, omegas in value_blocks(ArithParams(r, 1.0), limit):
+            a = step.bit_length() - 2
+            for m in odd:
+                i, off = divmod(m - (n0 >> a), 2)
+                if a <= 20 and off == 0 and 0 <= i < counts.size:
+                    found[a, m] = int(counts[i]), int(omegas[i])
+        assert len(found) == 21 * len(odd)
+        for (a, m), (count, w) in found.items():
+            f, g = factorize(m << a), factorize(m)
+            assert (count, w) == (divisor_count(minimal_power(f, r)), omega(f)), (a, m)
+            assert count == c[a] * divisor_count(minimal_power(g, r)) and w == omega(g) + (a >= 1)
 
     def test_limits_refused(self):
         with pytest.raises(ConfigError):
