@@ -149,6 +149,13 @@ def class_totals(r: int, xs: Sequence[int]) -> np.ndarray:
 
 
 def prefix_sums(params: ArithParams, xs: Sequence[int]) -> list[Fraction]:
-    """Exact S(x) = sum_w T_w(x) / k**w for each x in xs (each x >= 1), at any k."""
-    k = Fraction(params.k)  # exact: every float is a binary rational
-    return [sum(t / k**w for w, t in enumerate(row)) for row in class_totals(params.r, xs).tolist()]
+    """Exact S(x) = sum_w T_w(x) / k**w for each x in xs (each x >= 1), at any k.
+
+    With k = a/b in lowest terms and W the top class, S(x) is
+    sum_w T_w(x) * b**w * a**(W - w) / a**W: one integer dot product per x.
+    """
+    a, b = Fraction(params.k).as_integer_ratio()  # exact: every float is a binary rational
+    rows = class_totals(params.r, xs).tolist()
+    top = len(rows[0]) - 1
+    weights = [b**w * a ** (top - w) for w in range(top + 1)]
+    return [Fraction(sum(t * v for t, v in zip(row, weights)), a**top) for row in rows]

@@ -365,14 +365,15 @@ def summatory(
 
     The exact S(x) come from ``hyperbola`` at k = 1 and k = 2 and from
     ``classtotals`` at every other k; for a non-integer k each is rounded
-    once. ``fit.residuals`` adds the main-term and residual columns. The
-    backends load here, their one caller, so ``constants`` and ``verify``
-    never compile them.
+    once. ``fit.residuals`` adds the main-term and residual columns. Each
+    backend loads here, its one caller, and only at the k that calls it, so
+    ``constants`` and ``verify`` compile neither, and a sum only its own.
     """
-    from . import classtotals, hyperbola
-
     checkpoints = grid_points(limit, grid)
-    backend = hyperbola if params.k in (1.0, 2.0) else classtotals
+    if params.k in (1.0, 2.0):
+        from . import hyperbola as backend
+    else:
+        from . import classtotals as backend
     _require_budget(
         backend.required_bytes(params, checkpoints),
         f"exact S(x) to {checkpoints[-1]}",

@@ -1,39 +1,36 @@
-"""Correctly rounded float64 summation with an exponent-indexed superaccumulator.
+"""Correctly rounded float64 summation: each pass is summed exactly into one integer.
 
 Each value x is split by bit mask into hi, x with its low 26 fraction bits
 cleared, and lo = x - hi; both are exact float64 values, and the hidden bit
 rides in hi. ``add`` sums its input in passes of at most ``primes.PIECE`` =
-2**13 values, so that a walk's piece is one pass, each by one of two paths.
+2**13 values, so that a walk's piece is one pass, by one rule: a group of
+at most 2**13 values whose ulps lie within a factor 2**13 of the least, u,
+sums exactly as float64, in any order. Each hi is a whole number of units
+2**26 * u below 2**(27 + 13) of them, and each lo a whole number of units u
+below 2**(26 + 13); so their magnitudes, and every partial sum, stay below
+2**53 units (as in the extraction step of Rump, Ogita and Oishi, *Accurate
+floating-point summation, part I*, SIAM J. Sci. Comput. 31, 2008). The
+limit 13 is 53 - 27 - log2(pass length).
 
-* A pass of one sign, with no zero and every value below 2**998, whose
-  largest and smallest ``math.frexp`` exponents differ by at most 13, sums
-  its hi parts and its lo parts as two plain float sums (as in the extraction
-  step of Rump, Ogita and Oishi, *Accurate floating-point summation, part I*,
-  SIAM J. Sci. Comput. 31, 2008). With u the ulp of the pass's smallest
-  value, each hi is a whole number of units 2**26 * u below 2**(27 + 13) of
-  them, and each lo a whole number of units u below 2**(26 + 13); so 2**13 of
-  them, and every partial sum, stay below 2**53 units, and float64 adds them
-  exactly in any order. Both sums go straight into the total. The limit is
-  53 - 27 - log2(pass length).
-* Every other pass (zeros, mixed signs, wider spans, values outside the
-  domain) takes the bins: per sign-and-exponent field, two ``np.bincount``
-  passes sum hi and lo. With u the spacing of the field's values, hi is a
-  whole number of units 2**26 * u below 2**27 of them, and lo a whole number
-  of units u below 2**26; so a bin of at most 2**26 values stays below 2**53
-  of its units, and float64 adds to it exactly. The bins are folded into the
-  total before they could lose a bit.
+* A pass of one sign, with no zero, whose largest and smallest
+  ``math.frexp`` exponents differ by at most 13 is one group: it adds the
+  plain float sums of its hi parts and its lo parts.
+* Every other pass is cut into 147 bands of 14 IEEE exponent fields, each
+  band one group whatever the signs of its values (the zeros and the
+  subnormals sit in band 0): two ``np.bincount`` calls sum hi and lo per
+  band.
 
-The total is one Python int, in units of 2**-1074; int true division rounds
-it once. On a 2**13-value piece of ``bundle``'s or ``verify``'s walks the
-first path takes about 20 us and the bins about 80 us, where each bincount
-stalls on the one or two bins that all its values share.
-The domain is the finite values of magnitude below 2**998, whose bins cannot
-pass 2**1024. A term outside it (inf, nan, or a value in the top exponent
-fields) fails the run: ``add`` raises ToleranceError, the CLI's exit code 4.
-On that domain the result is that of ``math.fsum`` (R. M. Neal, *Fast exact
-summation using small and large superaccumulators*, arXiv:1505.05571),
-except where fsum's running sum overflows midway. ``ExactSum`` takes a whole
-array, or its pieces one at a time; ``value()`` rounds the total.
+Each sum goes straight into the total, one Python int in units of 2**-1074,
+and nothing else is kept between passes; int true division rounds the total
+once. On a 2**13-value piece of ``bundle``'s or ``verify``'s walks the plain
+sums take about 20 us and the bands about 80 us, where each bincount stalls
+on the one or two bands that all its values share.
+The domain is the finite values of magnitude below 2**998, where no pass's
+sum comes near the end of the float range. ``add`` checks each pass against
+it first, from the pass's min and max: a term outside it (inf, nan, or a
+value of magnitude 2**998 or more) fails the run, as ToleranceError, the
+CLI's exit code 4. On that domain the result is that of ``math.fsum``,
+except where fsum's running sum overflows midway.
 
 ``split_sums``, the one loop that feeds ExactSums, walks pieces, adds each
 term's values on a piece to that term's sum and returns the rounded sums. The
@@ -54,86 +51,62 @@ from .primes import PIECE
 
 __all__ = ["ExactSum", "split_sums"]
 
-_BINS = 4096  # sign bit and 11-bit exponent field
 _HI_MASK = np.uint64(~((1 << 26) - 1) & ((1 << 64) - 1))  # clears the low 26 fraction bits
-# hi is below 2**27 units of its grid and lo below 2**26, so a bin that holds
-# at most _FLUSH = 2**26 values stays below 2**53 units and is exact
-_FLUSH = 1 << 26
-# exponent fields from here up (2**998 and past, then inf and nan): a bin of
-# 2**26 hi values could reach 2**53 * 2**(e - 1049) >= 2**1024 and overflow
-_TOP = 2021
-_TOP_VALUE = 2.0 ** (_TOP - 1023)  # 2**998, the least magnitude in those fields
+_SPAN = 26 - (PIECE - 1).bit_length()  # 13 at 2**13 values: PIECE * 2**(27 + _SPAN) <= 2**53
+_TOP = 2.0**998  # the least magnitude outside the domain
 # integers or odd slots per worker process at the least: a walk over fewer
 # than 2 * MIN_PART stays on one process, where a fork would cost more than it saves
 MIN_PART = 1 << 22
 
 
 class ExactSum:
-    """Running exact sum of finite float64 values below 2**998 in magnitude;
-    ``value()`` rounds it once.
+    """Running exact sum of finite float64 values below 2**998 in magnitude.
 
-    ``value()`` equals math.fsum over all values added, however they were
-    chunked, except where fsum's running sum overflows midway: this rounds
-    the exact sum once, and raises OverflowError only when that total is out
-    of range. ``add`` raises ToleranceError at an inf, a nan or a value of
-    magnitude 2**998 or more. A pass of one sign that spans at most 13
-    binades is summed as two plain float sums; every other pass is binned.
+    ``value()`` rounds it once: math.fsum over all values added, however they
+    were chunked, except where fsum's running sum overflows midway; it raises
+    OverflowError only when the exact total is out of range.
     """
 
     def __init__(self) -> None:
-        self._total = 0  # folded bins and plain-summed passes, in units of 2**-1074
-        self._hi = np.zeros(_BINS)
-        self._lo = np.zeros(_BINS)
-        self._pending = 0  # values in the bins since the last fold
+        self._total = 0  # in units of 2**-1074
 
     def add(self, values) -> None:
-        """Add the values in passes of min(PIECE, _FLUSH), each of whose temporaries
-        is one piece long.
+        """Add the values in passes of PIECE, each of whose temporaries is one piece long.
 
-        A pass of one sign, below 2**998, whose frexp exponents differ by at
-        most ``span`` (13 at 2**13 values) adds the plain float sums of its hi
-        and its lo parts, both exact, to the total. Every other pass goes to
-        the bins, which fold before a pass would take them past _FLUSH values;
-        a value outside the domain raises there.
+        A pass raises ToleranceError at its first value outside the domain;
+        else it adds the plain float sums of its hi and lo parts when it is of
+        one sign within _SPAN binades, and its band sums otherwise.
         """
         x = np.ascontiguousarray(values, dtype=np.float64).ravel()
-        step = min(PIECE, _FLUSH)
-        span = 26 - (step - 1).bit_length()  # 13 at 2**13 values: step * 2**(27 + span) <= 2**53
-        for a in range(0, x.size, step):
-            part = x[a : a + step]
+        for a in range(0, x.size, PIECE):
+            part = x[a : a + PIECE]
+            least, most = float(part.min()), float(part.max())  # nan at a nan
+            if not (-_TOP < least and most < _TOP):
+                bad = float(part[~(np.abs(part) < _TOP)][0])
+                raise ToleranceError(f"an exact sum takes finite terms |x| < 2**998, got {bad!r}")
             bits = part.view(np.uint64)
             hi = (bits & _HI_MASK).view(np.float64)
-            least, most = float(part.min()), float(part.max())  # nan at a nan
+            lo = part - hi
             small, big = (least, most) if least > 0 else (-most, -least)
-            if 0 < small and big < _TOP_VALUE and math.frexp(big)[1] - math.frexp(small)[1] <= span:
-                self._total += _units(float(hi.sum())) + _units(float((part - hi).sum()))
-                continue
-            if self._pending + part.size > _FLUSH:
-                self._fold()
-            key = (bits >> np.uint64(52)).view(np.int64)
-            hi_bins = np.bincount(key, hi, _BINS)
-            if hi_bins.reshape(2, 2048)[:, _TOP:].any():  # a value in the top fields, inf or nan
-                bad = float(part[(key & 2047) >= _TOP][0])
-                raise ToleranceError(f"an exact sum takes finite terms |x| < 2**998, got {bad!r}")
-            self._pending += part.size
-            self._hi += hi_bins
-            self._lo += np.bincount(key, part - hi, _BINS)
-
-    def _fold(self) -> None:
-        bins = np.concatenate((self._hi, self._lo))
-        for v in bins[bins != 0].tolist():
-            self._total += _units(v)
-        self._hi[:] = self._lo[:] = 0.0
-        self._pending = 0
+            if 0 < small and math.frexp(big)[1] - math.frexp(small)[1] <= _SPAN:
+                self._total += _units(float(hi.sum())) + _units(float(lo.sum()))
+            else:
+                self._total += _banded(bits, hi, lo)
 
     def merge(self, other: ExactSum) -> None:
-        """Add all that ``other`` holds: its bins, folded into its total."""
-        other._fold()
+        """Add all that ``other`` holds."""
         self._total += other._total
 
     def value(self) -> float:
-        self._fold()
         return self._total / (1 << 1074)  # rounds once; OverflowError past the float range
+
+
+def _banded(bits: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> int:
+    """A pass's exact sum in units of 2**-1074: per band of _SPAN + 1 exponent fields,
+    whose ulps lie within a factor 2**_SPAN, its float sums of hi and lo, whatever the signs."""
+    band = ((bits >> np.uint64(52)) & np.uint64(2047)).view(np.int64) // (_SPAN + 1)
+    sums = np.concatenate((np.bincount(band, hi), np.bincount(band, lo)))
+    return sum(map(_units, sums[sums != 0].tolist()))
 
 
 def _units(v: float) -> int:

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -98,6 +99,16 @@ class TestAgainstHyperbola:
         params = ArithParams(r, float(k))
         xs = geometric_checkpoints({(2, 1): 10**10, (2, 2): 10**9}.get((r, k), 10**7))
         assert classtotals.prefix_sums(params, xs) == hyperbola.prefix_sums(params, xs)
+
+
+class TestPrefixSums:
+    @pytest.mark.parametrize("k", [1, 1.25, 1.5, 2, 3, 7.75, 1e10])
+    def test_one_fraction_equals_the_per_class_sum(self, k):
+        # S(x) over one common denominator a**W against sum_w T_w / k**w, class by class
+        xs = geometric_checkpoints(10**7)
+        want = [sum(Fraction(t) / Fraction(k) ** w for w, t in enumerate(row))
+                for row in classtotals.class_totals(3, xs).tolist()]
+        assert classtotals.prefix_sums(ArithParams(3, float(k)), xs) == want
 
 
 class TestDispatch:

@@ -184,9 +184,11 @@ def test_import_loads_only_its_own_two_modules():
     assert out == "['meanval', 'meanval.errors', 'meanval.zeta'] []\n"
 
 
-def test_cli_loads_the_sum_backends_only_when_it_sums():
+@pytest.mark.parametrize("k, loaded", [("1", "meanval.hyperbola"), ("1.5", "meanval.classtotals")])
+def test_cli_loads_the_sum_backends_only_when_it_sums(k, loaded):
     # constants and verify never run the class totals or the powerful-number
-    # sums, so their processes need not compile them; summatory loads them
+    # sums, so their processes need not compile them; summatory loads the one
+    # backend that its k calls
     out = _fresh(
         "import contextlib, io, sys\n"
         "import meanval.cli\n"
@@ -195,13 +197,13 @@ def test_cli_loads_the_sum_backends_only_when_it_sums():
         "seen = [backends()]\n"
         "for argv in (['constants', '--prime-cutoff', '1000'],\n"
         "             ['verify', '--series-limit', '1000', '--prime-cutoff', '1000'],\n"
-        "             ['sum', '--N', '100']):\n"
+        f"             ['sum', '--k', '{k}', '--N', '100']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert meanval.cli.main(argv) == 0\n"
         "    seen.append(backends())\n"
         "print(seen)\n"
     )
-    assert out == "[[], [], [], ['meanval.classtotals', 'meanval.hyperbola']]\n"
+    assert out == f"[[], [], [], ['{loaded}']]\n"
 
 
 def test_readme_library_example_runs():

@@ -32,6 +32,20 @@ outside = st.one_of(
 )
 
 
+@pytest.fixture
+def banded(monkeypatch):
+    """The sizes of the passes that ``add`` sums by bands, read through a counting wrapper."""
+    sizes = []
+    real = xsum._banded
+
+    def counted(bits, hi, lo):
+        sizes.append(bits.size)
+        return real(bits, hi, lo)
+
+    monkeypatch.setattr(xsum, "_banded", counted)
+    return sizes
+
+
 def _stream(chunks):
     acc = ExactSum()
     for chunk in chunks:
@@ -158,27 +172,6 @@ class TestExactSum:
         kept = [chunk for chunk in chunks if _in_domain(chunk)]
         assert repr(sums[0].value()) == repr(_stream(kept))
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.lists(finite, max_size=12), min_size=1, max_size=8))
-    def test_forced_fold_keeps_bins_below_limit(self, chunks):
-        # the real interval is 2**26 values; at 5 a fold happens every few values
-        field = np.maximum(np.arange(4096) & 2047, 1)  # subnormals share field 1's grid
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(xsum, "_FLUSH", 5)
-            acc = ExactSum()
-            for chunk in chunks:
-                acc.add(np.array(chunk, dtype=np.float64))
-                # the exactness invariant: no bin holds more than _FLUSH values, and each
-                # bin is a whole number of units of its grid, below _FLUSH times the bound
-                # of one value (2**27 units for hi, 2**26 for lo), so below 2**53
-                assert acc._pending <= 5
-                hi = np.ldexp(acc._hi, 1049 - field)  # in units of 2**(e - 1049)
-                lo = np.ldexp(acc._lo, 1075 - field)  # in units of 2**(e - 1075)
-                assert np.array_equal(hi, np.trunc(hi)) and np.array_equal(lo, np.trunc(lo))
-                assert np.abs(hi).max() < 5 * 2**27 and np.abs(lo).max() < 5 * 2**26
-            flat = [x for chunk in chunks for x in chunk]
-            assert repr(acc.value()) == repr(math.fsum(flat))
-
     @pytest.mark.parametrize("chunks, refused", [
         ([[1e300], [1e308], [-1e308]], 1),
         ([[1.7e308], [1.7e308], [-1.7e308, -1.7e308, 1e300]], 0),
@@ -232,7 +225,7 @@ class TestExactSum:
 class TestOneSignPass:
     """A pass of one sign within 13 binades is summed as two plain float sums, exactly."""
 
-    @pytest.mark.parametrize("xs, binned", [
+    @pytest.mark.parametrize("xs, by_bands", [
         ([1.0, 2.0**13], False),  # frexp exponents 1 and 14
         ([1.0, 2.0**14], True),
         ([-1.0, -(2.0**13), -1.5], False),
@@ -243,14 +236,14 @@ class TestOneSignPass:
         ([0.0, 1.0], True),
         ([-0.0, -1.0], True),
     ])
-    def test_which_passes_take_the_plain_sums(self, xs, binned):
+    def test_which_passes_take_the_plain_sums(self, xs, by_bands, banded):
         acc = ExactSum()
         acc.add(np.array(xs))
-        assert (acc._pending > 0) is binned
+        assert banded == ([len(xs)] if by_bands else [])
         assert repr(acc.value()) == repr(math.fsum(xs))
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_thirteen_binades_of_maximal_mantissas(self, sign):
+    def test_thirteen_binades_of_maximal_mantissas(self, sign, banded):
         # one value in [1, 2) and the rest of a pass in [2**13, 2**14), every fraction bit
         # set: the hi parts sum to just under 2**53 units of 2**-26, the lo parts to just
         # under 2**52 units of 2**-52, the ulp of the least value
@@ -258,11 +251,11 @@ class TestOneSignPass:
         x[0] = sign * math.nextafter(2.0, 0.0)
         acc = ExactSum()
         acc.add(x)
-        assert acc._pending == 0
+        assert banded == []
         assert repr(acc.value()) == repr(math.fsum(x))
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_one_binade_wider_needs_54_bits(self, sign):
+    def test_one_binade_wider_needs_54_bits(self, sign, banded):
         # the rest of the pass one binade higher, in [2**14, 2**15): its hi parts sum to an
         # odd number of units 2**-26 between 2**53 and 2**54, which a plain float sum rounds
         x = np.full(xsum.PIECE, sign * (2.0**15 - 2.0**-12))
@@ -273,7 +266,7 @@ class TestOneSignPass:
         assert float(hi.sum()) * 2.0**26 != units
         acc = ExactSum()
         acc.add(x)
-        assert acc._pending == xsum.PIECE
+        assert banded == [xsum.PIECE]
         assert repr(acc.value()) == repr(math.fsum(x))
 
     @settings(max_examples=200, deadline=None)
@@ -286,3 +279,50 @@ class TestOneSignPass:
         mantissas = np.where(rng.random(size) < 0.3, 1.0 - 2.0**-53, rng.uniform(0.5, 1.0, size))
         x = sign * np.ldexp(mantissas, bottom + rng.integers(0, span + 1, size))
         assert repr(_stream([x])) == repr(math.fsum(x.tolist()))
+
+
+class TestBands:
+    """Every other pass is summed per band of 14 exponent fields, both signs in one band, exactly."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 2 * xsum.PIECE), st.integers(-1073, 997), st.integers(0, 2070),
+           st.lists(st.integers(0, 2 * xsum.PIECE), max_size=4), st.integers(0, 2**32 - 1))
+    def test_wide_passes_equal_fsum(self, size, bottom, width, cuts, seed):
+        # both signs, zeros, random or maximal mantissas, frexp exponents in bottom ..
+        # bottom + width below the domain's top, so from a few bands to the whole domain;
+        # the stream is cut at random into chunks, so passes hold up to PIECE values
+        rng = np.random.default_rng(seed)
+        mantissas = np.where(rng.random(size) < 0.3, 1.0 - 2.0**-53, rng.uniform(0.5, 1.0, size))
+        exponents = rng.integers(bottom, min(bottom + width, 997) + 1, size)
+        x = rng.choice([-1.0, 1.0], size) * np.ldexp(mantissas, exponents)
+        x[rng.random(size) < 0.05] = 0.0
+        chunks = np.split(x, sorted(cut % (size + 1) for cut in cuts))
+        assert repr(_stream(chunks)) == repr(math.fsum(x.tolist()))
+
+    @pytest.mark.parametrize("band", [1, 73, 144])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_a_full_band_of_maximal_mantissas(self, band, sign, banded):
+        # a whole pass in the band's fields 14 * band .. 14 * band + 13, every fraction bit
+        # set, one value of the other sign at the bottom field: the magnitudes of the hi
+        # parts sum to just under 2**53 units of 2**26 times the bottom field's ulp
+        top = min(14 * band + 13, 2020)  # the top band's last field in the domain
+        x = np.full(xsum.PIECE, sign * np.ldexp(1.0 - 2.0**-53, top - 1022))
+        x[0] = -sign * np.ldexp(1.0 - 2.0**-53, 14 * band - 1022)
+        acc = ExactSum()
+        acc.add(x)
+        assert banded == [xsum.PIECE]
+        assert repr(acc.value()) == repr(math.fsum(x))
+
+    @pytest.mark.parametrize("field", [210, 420, 840])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_fields_fourteen_apart_take_two_bands(self, field, sign, banded):
+        # the 54-bit pass of TestOneSignPass moved to the fields field and field + 14, a
+        # band's first field and the next band's: in one band of 15 fields its hi parts
+        # would sum to an odd number of units between 2**53 and 2**54, and round
+        x = np.full(xsum.PIECE, sign * (2.0**15 - 2.0**-12))
+        x[0] = sign * (2.0 - 3 * 2.0**-26 + 2.0**-52)
+        x = np.ldexp(x, field - 1023)
+        acc = ExactSum()
+        acc.add(x)
+        assert banded == [xsum.PIECE]
+        assert repr(acc.value()) == repr(math.fsum(x))
